@@ -8,6 +8,7 @@ of pairwise distances matters, so the core type is a total order on pairs.
 """
 
 from .core import (
+    GuardError,
     Order,
     OrderedNNG,
     PointSet,
@@ -30,7 +31,6 @@ from .euclid import (
 )
 from .line import LinePointSet, gen_hard_line, order_line, truncate_hard_line
 from .oracle import (
-    GuardError,
     Problem1Report,
     best_order_exhaustive,
     degree_profile_exhaustive,
@@ -52,6 +52,7 @@ from .ramsey import (
 )
 
 __all__ = [
+    "GuardError",
     "Order",
     "OrderedNNG",
     "PointSet",
@@ -73,7 +74,6 @@ __all__ = [
     "gen_hard_line",
     "order_line",
     "truncate_hard_line",
-    "GuardError",
     "Problem1Report",
     "best_order_exhaustive",
     "degree_profile_exhaustive",

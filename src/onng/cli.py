@@ -246,10 +246,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n > oracle.METRIC_ENUM_MAX_N:
-        raise oracle.GuardError(
-            f"n={args.n} exceeds the metric-enumeration guard (n <= {oracle.METRIC_ENUM_MAX_N})"
-        )
+    oracle._check_metric_guard(args.n)
     if args.n >= SEARCH_CONFIRM_N and not args.yes:
         raise oracle.GuardError(
             f"n={args.n} scans {args.n * (args.n - 1) // 2}! rank metrics; pass --yes to confirm"

@@ -31,6 +31,10 @@ Order = tuple[int, ...]
 _NUMPY_MIN_N = 64
 
 
+class GuardError(ValueError):
+    """Raised when a request exceeds a size guard."""
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Position of the pair {i, j}, i < j, in the lexicographic pair listing."""
     if not 0 <= i < j < n:

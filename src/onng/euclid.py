@@ -180,8 +180,8 @@ def order_euclid(ps: PointSet) -> tuple[Order, int, int]:
 
 def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     n, dim = ps.n, ps.dim
-    if dim <= PARITY_MAX_DIM:
-        assert 2 * grid_cell_bound(dim) <= 16**dim
+    if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
+        raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
     grid, fits64 = integer_grid(ps)
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []
@@ -197,7 +197,8 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
         major, _minor, far = _halfspace_ids(grid, ids, a, b)
         unit_sq = sq_dist(grid[a], grid[b])
         cells = _cells(grid, major, unit_sq, dim)
-        assert len(cells) <= cell_cap, "cell count exceeded the provable cap"
+        if len(cells) > cell_cap:
+            raise AssertionError("cell count exceeded the provable cap")
         cluster = max(sorted(cells), key=lambda key: len(cells[key]))
         c_ids = cells[cluster]
         sub, center = rec(sorted(c_ids))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Order, PointSet
+from .core import GuardError, Order, PointSet
 
 # 2^k points with coordinates near 3^k: past this, the set itself is no
 # longer desk-scale, so refuse loudly instead of thrashing memory.
@@ -57,7 +57,7 @@ def gen_hard_line(k: int) -> LinePointSet:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_HARD_K:
-        raise ValueError(f"k={k} exceeds the size budget (k <= {MAX_HARD_K}, set has 2^k points)")
+        raise GuardError(f"k={k} exceeds the size budget (k <= {MAX_HARD_K}, set has 2^k points)")
     pts = [0, 1]
     for j in range(1, k):
         shift = 3**j

@@ -1,16 +1,21 @@
 """Exhaustive ground truth: all insertion orders, and all rank metrics.
 
-Two guards keep the factorials honest: order enumeration is capped at
-n <= 10 (10! insertion runs) and rank-metric enumeration at n <= 5
-((n(n-1)/2)! pair orders, 3,628,800 at n=5).  Callers beyond the guard get
-a GuardError, never a silent truncation.
+Two guards keep the factorials honest: order questions are capped at
+n <= 10 and rank-metric enumeration at n <= 5 ((n(n-1)/2)! pair orders,
+3,628,800 at n=5).  Callers beyond the guard get a GuardError, never a
+silent truncation.
+
+Every order question is answered by one subset DP in the style of
+Held & Karp (1962): the completion table g(S, v), the most extra indegree
+v can still collect once the vertex set S is revealed, covers all n!
+orders in O(2^n n^2) work.  It is vectorized over batches of metrics, so
+the single-metric oracle and the full-scan search share it.
 
 The full-scan search computes, for every rank metric, the profile
 d(v) = max over all insertion orders of the indegree of v, and the exact
-dyadic sum over v of 2^(-d(v)).  The scan is vectorized over batches of
-metrics (the per-order argmin tables depend only on n), with all arithmetic
-in integers: sums are scaled by 2^(n-1), so "sum > 1" is an integer
-comparison and the reported values are exact Fractions.
+dyadic sum over v of 2^(-d(v)), with all arithmetic in integers: sums are
+scaled by 2^(n-1), so "sum > 1" is an integer comparison and the reported
+values are exact Fractions.
 
 The scan splits into independent lexicographic blocks by the rank assigned
 to the pair {0, 1}; blocks are merged in block order, so the result is
@@ -23,19 +28,15 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import combinations, compress, islice, permutations
 from typing import Iterator
 
 import numpy as np
 
-from .core import Order, RankedMetric, pair_index
+from .core import GuardError, Order, RankedMetric, pair_index
 
 ORDER_ENUM_MAX_N = 10
 METRIC_ENUM_MAX_N = 5
-
-
-class GuardError(ValueError):
-    """Raised when a request exceeds an exhaustive-search size guard."""
 
 
 def _check_order_guard(n: int) -> None:
@@ -43,51 +44,91 @@ def _check_order_guard(n: int) -> None:
         raise GuardError(f"n={n} exceeds the order-enumeration guard (n <= {ORDER_ENUM_MAX_N})")
 
 
-def _scan_all_orders(m: RankedMetric) -> tuple[int, Order, tuple[int, ...]]:
-    """One pass over all n! orders: best value, first best order, profile."""
-    n = m.n
-    rows = m.matrix_rows()
-    profile = [0] * n
-    best_val = -1
-    best_order: Order = ()
-    for perm in permutations(range(n)):
-        indeg = [0] * n
-        mx = 0
-        for p in range(1, n):
-            v = perm[p]
-            row = rows[v]
-            u = perm[0]
-            br = row[u]
-            for q in range(1, p):
-                w = perm[q]
-                r = row[w]
-                if r < br:
-                    u, br = w, r
-            t = indeg[u] + 1
-            indeg[u] = t
-            if t > mx:
-                mx = t
-        for v in range(n):
-            if indeg[v] > profile[v]:
-                profile[v] = indeg[v]
-        if mx > best_val:
-            best_val = mx
-            best_order = perm
-    return best_val, best_order, tuple(profile)
+def _check_metric_guard(n: int) -> None:
+    if n > METRIC_ENUM_MAX_N:
+        raise GuardError(f"n={n} exceeds the metric-enumeration guard (n <= {METRIC_ENUM_MAX_N})")
+
+
+@lru_cache(maxsize=None)
+def _layer_tables(n: int):
+    """Index tables for the subset DP, one entry per popcount k = n-1 .. 1.
+
+    For the L sets S of size k (``masks``) and the n-k vertices w outside
+    each: ``sups`` holds S | {w}, ``cols`` the flat pair index of {w, u} for
+    every member u of S, and ``members`` those u.
+    """
+    layers = []
+    for k in range(n - 1, 0, -1):
+        sets = list(combinations(range(n), k))
+        masks = [sum(1 << u for u in s) for s in sets]
+        outs = [[w for w in range(n) if w not in s] for s in sets]
+        sups = [[mask | 1 << w for w in o] for mask, o in zip(masks, outs)]
+        cols = [[[pair_index(min(u, w), max(u, w), n) for u in s] for w in o] for s, o in zip(sets, outs)]
+        layers.append(
+            (np.array(masks), np.array(sups), np.array(cols), np.array(sets, dtype=np.int8))
+        )
+    return layers
+
+
+def _completion_tables(r: np.ndarray, n: int) -> np.ndarray:
+    """Completion tables for a batch of flat rank vectors r, shape (B, p).
+
+    g[b, S, v] is the most extra indegree v can still collect once the
+    vertex set S (a bitmask) is revealed: g(all) = 0, and
+    g(S) = max over w not in S of [nn(w, S) = v] + g(S | {w}).  The last
+    vertex revealed attaches to its nearest already-revealed vertex whatever
+    order those came in, so one pass over the subsets covers all n! orders.
+    Only non-empty S are filled.
+    """
+    b = r.shape[0]
+    g = np.zeros((b, 1 << n, n), dtype=np.int8)
+    vs = np.arange(n, dtype=np.int8)
+    for masks, sups, cols, members in _layer_tables(n):
+        amin = r[:, cols].argmin(axis=3)  # (B, L, n-k); ranks are distinct
+        nn = members[np.arange(len(masks))[:, None], amin]  # (B, L, n-k)
+        cand = g[:, sups] + (nn[..., None] == vs)  # (B, L, n-k, n)
+        g[:, masks] = cand.max(axis=2)
+    return g
+
+
+def _profiles(r: np.ndarray, n: int) -> np.ndarray:
+    """d(v) = max over first vertices u of g({u}, v), shape (B, n)."""
+    return _completion_tables(r, n)[:, [1 << u for u in range(n)]].max(axis=1)
 
 
 def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
     """The first order (in lexicographic enumeration) achieving the maximum
-    possible max indegree, together with that value."""
+    possible max indegree, together with that value.
+
+    Rebuilt greedily from the completion table: reveal the smallest vertex
+    that keeps max over v of (indegree so far + g) at the optimum."""
     _check_order_guard(m.n)
-    val, order, _ = _scan_all_orders(m)
-    return order, val
+    n = m.n
+    g = _completion_tables(np.array([m.pair_rank_list()]), n)[0].tolist()
+    best = max(max(g[1 << u]) for u in range(n))
+    rows = m.matrix_rows()
+    order: list[int] = []
+    indeg = [0] * n
+    mask = 0
+    for _ in range(n):
+        for w in range(n):
+            if mask >> w & 1:
+                continue
+            step = indeg[:]
+            if order:
+                step[min(order, key=rows[w].__getitem__)] += 1
+            if max(d + e for d, e in zip(step, g[mask | 1 << w])) == best:
+                break
+        order.append(w)
+        indeg = step
+        mask |= 1 << w
+    return tuple(order), best
 
 
 def degree_profile_exhaustive(m: RankedMetric) -> tuple[int, ...]:
     """d(v) = max over all insertion orders of the indegree of v."""
     _check_order_guard(m.n)
-    return _scan_all_orders(m)[2]
+    return tuple(_profiles(np.array([m.pair_rank_list()]), m.n)[0].tolist())
 
 
 def problem1_sum(m: RankedMetric) -> Fraction:
@@ -119,32 +160,18 @@ def _relabel_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def _is_canonical(t: tuple[int, ...], maps) -> bool:
-    for m in maps:
-        for q in range(len(t)):
-            a = t[m[q]]
-            b = t[q]
-            if a < b:
-                return False
-            if a > b:
-                break
-    return True
-
-
 def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMetric]:
     """All (n(n-1)/2)! rank metrics in lexicographic order of their flat rank
     vectors; with ``canonical`` only the lexicographically minimal
     representative of each vertex-relabeling class is yielded."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > METRIC_ENUM_MAX_N:
-        raise GuardError(f"n={n} exceeds the metric-enumeration guard (n <= {METRIC_ENUM_MAX_N})")
-    p = n * (n - 1) // 2
-    maps = _relabel_maps(n) if canonical else ()
-    for t in permutations(range(p)):
-        if canonical and not _is_canonical(t, maps):
-            continue
-        yield RankedMetric(n, t)
+    _check_metric_guard(n)
+    it = permutations(range(n * (n - 1) // 2))
+    while chunk := list(islice(it, 4096)):
+        if canonical:
+            chunk = compress(chunk, _canonical_mask(np.array(chunk, dtype=np.int8), n))
+        yield from (RankedMetric(n, t) for t in chunk)
 
 
 @dataclass(frozen=True)
@@ -160,40 +187,6 @@ class Problem1Report:
     max_sum: Fraction
     witnesses_at_one: int
     counterexamples: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-
-@lru_cache(maxsize=None)
-def _order_tables(n: int):
-    orders = list(permutations(range(n)))
-    orders_arr = np.array(orders, dtype=np.int8)
-    cols_by_p = {}
-    for p in range(1, n):
-        cols_by_p[p] = np.array(
-            [
-                [pair_index(min(o[p], o[q]), max(o[p], o[q]), n) for q in range(p)]
-                for o in orders
-            ],
-            dtype=np.int16,
-        )
-    return orders_arr, cols_by_p
-
-
-def _profiles_batch(r: np.ndarray, n: int) -> np.ndarray:
-    """Degree profiles for a batch of flat rank vectors, shape (B, n)."""
-    orders_arr, cols_by_p = _order_tables(n)
-    f = orders_arr.shape[0]
-    b = r.shape[0]
-    oidx = np.arange(f)[None, :]
-    parents = np.empty((b, f, n - 1), dtype=np.int8)
-    for p in range(1, n):
-        gathered = r[:, cols_by_p[p]]  # (B, F, p)
-        amin = gathered.argmin(axis=2)  # unique: ranks are distinct
-        parents[:, :, p - 1] = orders_arr[oidx, amin]
-    d = np.empty((b, n), dtype=np.int8)
-    for v in range(n):
-        indeg = (parents == v).sum(axis=2, dtype=np.int8)
-        d[:, v] = indeg.max(axis=1)
-    return d
 
 
 def _canonical_mask(r: np.ndarray, n: int) -> np.ndarray:
@@ -224,10 +217,7 @@ def _scan_block(args) -> tuple[int, int, int, list]:
     rest = [v for v in range(p) if v != first_rank]
     target = 2 ** (n - 1)
     lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
-    f = 1
-    for t in range(2, n + 1):
-        f *= t
-    batch = max(1024, 24_000_000 // max(1, f * (n - 1)))
+    batch = max(1024, 8_000_000 // (n << n))  # ~8 MB of int8 completion table
     evaluated = 0
     max_scaled = -1
     witnesses = 0
@@ -247,7 +237,7 @@ def _scan_block(args) -> tuple[int, int, int, list]:
             if r.shape[0] == 0:
                 continue
         evaluated += r.shape[0]
-        d = _profiles_batch(r, n)
+        d = _profiles(r, n)
         scaled = lut[d].sum(axis=1)
         mx = int(scaled.max())
         if mx > max_scaled:
@@ -267,8 +257,7 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
     distributes the lexicographic blocks."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > METRIC_ENUM_MAX_N:
-        raise GuardError(f"n={n} exceeds the metric-enumeration guard (n <= {METRIC_ENUM_MAX_N})")
+    _check_metric_guard(n)
     if n == 1:
         return Problem1Report(1, canonical, 1, Fraction(1), 1, ())
     p = n * (n - 1) // 2

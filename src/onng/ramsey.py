@@ -176,18 +176,21 @@ def run_process_traced(
                 green_edges += 1
                 vcolor, anchor = TripleColor.GREEN, u
                 waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.GREEN]
-                assert len(waiting) * k >= m
+                if len(waiting) * k < m:
+                    raise AssertionError("a Green edge kept fewer than |W|/k waiters")
                 break
             if m > 0 and cb * k >= m:
                 blue_edges += 1
                 vcolor, anchor = TripleColor.BLUE, u
                 waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.BLUE]
-                assert len(waiting) * k >= m
+                if len(waiting) * k < m:
+                    raise AssertionError("a Blue edge kept fewer than |W|/k waiters")
                 break
             red_edges += 1
             waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.RED]
             # a Red edge deletes fewer than 2|W|/k waiters
-            assert len(waiting) * k >= m * (k - 2)
+            if len(waiting) * k < m * (k - 2):
+                raise AssertionError("a Red edge deleted more than 2|W|/k waiters")
         if vcolor is TripleColor.RED:
             reds.append(v)
         elif vcolor is TripleColor.GREEN:
@@ -206,9 +209,12 @@ def run_process_traced(
             return _extract_star(anchor_b, k, StructureKind.BLUE_STAR), stats()
 
     # drained without a hit: the auxiliary graph must have stayed small
-    assert picked < k + 2 * (k - 1) ** 2
-    assert green_edges + blue_edges < 2 * (k - 1) ** 2
-    assert 2 * red_edges < k * (k - 1) ** 2
+    if picked >= k + 2 * (k - 1) ** 2:
+        raise AssertionError(f"{picked} picks exceed the cap for k={k}")
+    if green_edges + blue_edges >= 2 * (k - 1) ** 2:
+        raise AssertionError(f"{green_edges + blue_edges} Green/Blue edges exceed the cap for k={k}")
+    if 2 * red_edges >= k * (k - 1) ** 2:
+        raise AssertionError(f"{red_edges} Red edges exceed the cap for k={k}")
     return None, stats()
 
 
@@ -217,7 +223,8 @@ def _extract_star(anchors: dict[int, list[int]], k: int, kind: StructureKind) ->
     # at least k-1; ties go to the smallest anchor id
     best = max(anchors.items(), key=lambda item: (len(item[1]), -item[0]))
     u, leaves = best
-    assert len(leaves) >= k - 1
+    if len(leaves) < k - 1:
+        raise AssertionError(f"the largest anchor holds {len(leaves)} leaves, fewer than k-1={k - 1}")
     return MonoStructure(kind, (u, *leaves[: k - 1]))
 
 

@@ -254,6 +254,8 @@ def test_guard_refusals_exit_2(tmp_path):
     run_cli(["gen", "random-metric", "--n", "11", "--seed", "1", "-o", str(big)])
     code, _, err = run_cli(["order", "--strategy", "brute", "--input", str(big)])
     assert code == 2
+    code, _, err = run_cli(["gen", "hard-line", "--k", "21"])
+    assert code == 2 and "size budget" in err
 
 
 def test_search_n4_report(tmp_path):

@@ -1,11 +1,14 @@
 """Exhaustive enumeration: guards, frozen small cases, and the dual-route
-check that the vectorized scan agrees with the straight-line Python oracle."""
+check that the subset-DP oracle agrees with a plain sweep over all orders."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onng import (
     GuardError,
@@ -22,7 +25,19 @@ from onng import (
     problem1_sum,
     random_rank_metric,
 )
-from onng.oracle import _profiles_batch, _relabel_maps, _scan_block
+from onng.oracle import _profiles, _relabel_maps, _scan_block
+
+
+def _reference(m):
+    """(profile, first best order, value) by building every order's ONNG."""
+    profile = [0] * m.n
+    best_order, best = None, -1
+    for order in permutations(range(m.n)):
+        g = build_onng(m, order)
+        profile = [max(a, b) for a, b in zip(profile, g.indegree)]
+        if max_indegree(g) > best:
+            best_order, best = order, max_indegree(g)
+    return tuple(profile), best_order, best
 
 
 def test_guards_refuse_oversize():
@@ -78,18 +93,39 @@ def test_canonical_representative_is_orbit_minimum():
 def test_profiles_batch_matches_python_oracle_n4():
     metrics = list(enumerate_rank_metrics(4))
     flat = np.array([m.pair_rank_list() for m in metrics], dtype=np.int8)
-    batch = _profiles_batch(flat, 4)
+    batch = _profiles(flat, 4)
     for row, m in zip(batch, metrics):
-        assert tuple(int(x) for x in row) == degree_profile_exhaustive(m)
+        assert tuple(int(x) for x in row) == _reference(m)[0]
 
 
 def test_profiles_batch_matches_python_oracle_n5_sample():
     rng = random.Random(31)
     metrics = [random_rank_metric(5, rng) for _ in range(40)]
     flat = np.array([m.pair_rank_list() for m in metrics], dtype=np.int8)
-    batch = _profiles_batch(flat, 5)
+    batch = _profiles(flat, 5)
     for row, m in zip(batch, metrics):
-        assert tuple(int(x) for x in row) == degree_profile_exhaustive(m)
+        assert tuple(int(x) for x in row) == _reference(m)[0]
+
+
+@st.composite
+def _small_metrics(draw):
+    """Random rank metrics, and tie-heavy integer lattices whose ties are
+    broken by the index pair, on at most 7 vertices."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return random_rank_metric(n, random.Random(draw(st.integers(0, 2**32))))
+    dim = draw(st.integers(1 if n <= 3 else 2, 3))
+    coord = st.tuples(*[st.integers(0, 2)] * dim)
+    rows = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    return metric_from_points(PointSet(dim, tuple(rows)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_metrics())
+def test_dp_oracle_matches_order_sweep(m):
+    profile, order, value = _reference(m)
+    assert degree_profile_exhaustive(m) == profile
+    assert best_order_exhaustive(m) == (order, value)
 
 
 def test_problem1_search_tiny_cases():

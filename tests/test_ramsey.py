@@ -1,9 +1,14 @@
 """Triple coloring, the deletion process, and order synthesis from witnesses."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import onng
 from onng import (
     MonoStructure,
     PointSet,
@@ -191,3 +196,22 @@ def test_order_metric_soundness_random():
 def test_order_metric_rejects_singleton():
     with pytest.raises(ValueError):
         order_metric(metric_from_points(PointSet(1, ((0,),))))
+
+
+def test_certificates_survive_python_O():
+    # an anchor map too small for k=4 must still be refused with -O, which
+    # strips plain assert statements
+    script = (
+        "from onng.ramsey import StructureKind, _extract_star\n"
+        "try:\n"
+        "    _extract_star({0: [1]}, 4, StructureKind.GREEN_STAR)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('no AssertionError')\n"
+    )
+    src = str(Path(onng.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "fewer than k-1=3" in run.stdout
