@@ -121,11 +121,11 @@ def _as_metric(data: PointSet | RankedMetric) -> RankedMetric:
     return metric_from_points(data)
 
 
-def _report_json(strategy, m, order, guarantee, center):
-    g = build_onng(m, order)
+def _report_json(strategy, data, order, guarantee, center):
+    g = build_onng(data, order)
     report = {
         "strategy": strategy,
-        "n": m.n,
+        "n": data.n,
         "order": list(order),
         "indegrees": list(g.indegree),
         "max_indegree": max(g.indegree) if g.indegree else 0,
@@ -185,14 +185,12 @@ def cmd_order(args) -> int:
     guarantee: int | None = None
 
     if strategy == "path":
-        m = _as_metric(data)
-        if not (0 <= args.tail < m.n):
-            raise UsageError(f"--tail must be in [0, {m.n})")
-        order = path_order(m, args.tail)
-        guarantee = 1 if m.n >= 2 else 0
+        if not (0 <= args.tail < data.n):
+            raise UsageError(f"--tail must be in [0, {data.n})")
+        order = path_order(data, args.tail)
+        guarantee = 1 if data.n >= 2 else 0
     elif strategy == "line":
         order, guarantee, center = _order_line_points(data)
-        m = _as_metric(data)
     elif strategy == "euclid":
         if not isinstance(data, PointSet):
             raise UsageError("euclid strategy needs a points input")
@@ -200,7 +198,6 @@ def cmd_order(args) -> int:
         guarantee = grid_g
         if data.dim <= euclid.PARITY_MAX_DIM:
             guarantee = max(grid_g, euclid.log_guarantee(data.n, data.dim))
-        m = _as_metric(data)
     elif strategy == "ramsey":
         m = _as_metric(data)
         if m.n == 1:
@@ -209,12 +206,12 @@ def cmd_order(args) -> int:
             order, k_achieved, witness = ramsey.order_metric(m)
             guarantee = k_achieved - 1
             center = witness.hub if witness is not None else None
-    else:  # brute
-        m = _as_metric(data)
-        order, value = oracle.best_order_exhaustive(m)
+    else:  # brute: refuse before ranking all pairs of a large point set
+        oracle._check_order_guard(data.n)
+        order, value = oracle.best_order_exhaustive(_as_metric(data))
         guarantee = value
 
-    text, g = _report_json(strategy, m, order, guarantee, center)
+    text, g = _report_json(strategy, data, order, guarantee, center)
     if args.format == "dot":
         text = fileio.render_dot(g)
     _emit(text, args.output)
@@ -226,7 +223,6 @@ def cmd_order(args) -> int:
 
 def cmd_eval(args) -> int:
     data = _load_input(args.input, args.input_format)
-    m = _as_metric(data)
     try:
         with open(args.order, "r", encoding="utf-8") as fh:
             order = fileio.parse_order(fh.read())
@@ -235,10 +231,10 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise UsageError(f"{args.order}: {e}") from e
     try:
-        order = as_permutation(order, m.n)
+        order = as_permutation(order, data.n)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    text, g = _report_json("eval", m, order, None, None)
+    text, g = _report_json("eval", data, order, None, None)
     if args.format == "dot":
         text = fileio.render_dot(g)
     _emit(text, args.output)

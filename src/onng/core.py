@@ -2,12 +2,17 @@
 
 An ordered nearest-neighbor graph (ONNG) is built by revealing vertices one
 at a time: every vertex after the first sends a single directed edge to the
-closest vertex among those already revealed.  "Closest" is purely ordinal,
-so a point set is reduced exactly once to a RankedMetric, a strict total
-order on all unordered vertex pairs.  Strictness stands in for the usual
-general-position assumption (no isosceles triples): every nearest-predecessor
-choice is unique, and ties in raw distance are broken deterministically by
-the index pair.
+closest vertex among those already revealed.  "Closest" is purely ordinal:
+a RankedMetric is a strict total order on all unordered vertex pairs, and a
+point set ranks its pairs by exact squared distance, ties broken by the
+index pair.  Strictness stands in for the usual general-position assumption
+(no isosceles triples): every nearest-predecessor choice is unique.
+
+Within the row of one vertex v that tie-break is simply "smaller neighbour
+id", so build_onng and path_order answer a point set's nearest-neighbour
+questions from exact squared distances and never rank all its pairs;
+metric_from_points builds the full RankedMetric only for the callers that
+compare arbitrary pairs.
 
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
@@ -183,6 +188,41 @@ def sq_dist(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
+def grid_axes(grid, fits64: bool) -> np.ndarray:
+    """integer_grid coordinates as a (dim, n) array, one row per axis.
+
+    Each axis is shifted to start at 0, which leaves every distance as it
+    was and keeps the values inside int64 whenever ``fits64`` holds, however
+    large the coordinates themselves are.  Without ``fits64`` the array holds
+    Python ints (object dtype), so the arithmetic stays exact.
+    """
+    x = np.array(grid, dtype=object).T
+    x = x - x.min(axis=1, keepdims=True)
+    return x.astype(np.int64) if fits64 else x
+
+
+def sq_dist_rows(xt: np.ndarray, rows) -> np.ndarray:
+    """Exact squared distances from the points ``rows`` (indexes or a slice)
+    of the axis-major array ``xt`` to all its points, shape (rows, n).
+
+    Summed one axis at a time, so no (rows, n, dim) temporary is made.
+    """
+    out = None
+    for c in xt:
+        sq = c[rows, None] - c
+        sq *= sq
+        if out is None:
+            out = sq
+        else:
+            out += sq
+    return out
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of an (rows, n) scratch matrix: about 2^20 entries."""
+    return max(1, 2**20 // n)
+
+
 def _ranks_python(grid, n: int) -> list[int]:
     items = []
     for i in range(n):
@@ -258,44 +298,57 @@ def as_permutation(order, n: int) -> list[int]:
     raise ValueError(f"order is not a permutation of 0..{n - 1}: " + "; ".join(parts))
 
 
-def build_onng(m: RankedMetric, order) -> OrderedNNG:
-    """Replay an insertion order: each new vertex attaches to the rank-closest
-    predecessor.  Strict ranks make the choice unique."""
-    n = m.n
-    seq = as_permutation(order, n)
-    parent: dict[int, int] = {}
-    indeg = [0] * n
-    if n > _NUMPY_MIN_N:
-        mat = m._matrix
-        arr = np.asarray(seq)
-        for p in range(1, n):
-            v = seq[p]
-            k = int(mat[v, arr[:p]].argmin())
-            u = seq[k]
-            parent[v] = u
-            indeg[u] += 1
+def _nearest_fn(data: PointSet | RankedMetric):
+    """``nearest(rows, allowed)``: for each vertex ``rows[i]``, the nearest
+    vertex w with ``allowed[i, w]`` (every row must allow one).
+
+    A RankedMetric row is its rank row.  A point set's row is its exact
+    squared distances; equal distances go to the smaller id, the first
+    minimum, which is what metric_from_points' tie-break by index pair
+    decides for two pairs sharing a vertex.  Disallowed entries are lifted
+    to a key above every real one.
+    """
+    if isinstance(data, RankedMetric):
+        keys, top = data._matrix.__getitem__, data.n * (data.n - 1) // 2
     else:
-        rows = m.matrix_rows()
-        for p in range(1, n):
-            v = seq[p]
-            row = rows[v]
-            u = seq[0]
-            best = row[u]
-            for q in range(1, p):
-                w = seq[q]
-                r = row[w]
-                if r < best:
-                    u, best = w, r
-            parent[v] = u
-            indeg[u] += 1
-    return OrderedNNG(n, parent, tuple(indeg))
+        xt = grid_axes(*integer_grid(data))
+
+        def keys(rows):
+            return sq_dist_rows(xt, rows)
+
+        top = sum(int(c.max()) ** 2 for c in xt) + 1
+
+    def nearest(rows, allowed) -> np.ndarray:
+        return np.where(allowed, keys(rows), top).argmin(axis=1)
+
+    return nearest
+
+
+def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
+    """Replay an insertion order: each new vertex attaches to its closest
+    predecessor, from ranks or directly from exact point geometry; either
+    way the choice is unique and equals the one on metric_from_points.
+    Vertices are placed in blocks of block_rows(n) positions."""
+    n = data.n
+    seq = np.array(as_permutation(order, n), dtype=np.intp)
+    pos = np.empty(n, dtype=np.intp)
+    pos[seq] = np.arange(n)
+    nearest = _nearest_fn(data)
+    parents = np.zeros(n, dtype=np.intp)
+    step = block_rows(n)
+    for p0 in range(1, n, step):
+        p1 = min(n, p0 + step)
+        parents[p0:p1] = nearest(seq[p0:p1], pos < np.arange(p0, p1)[:, None])
+    parent = dict(zip(seq[1:].tolist(), parents[1:].tolist()))
+    indeg = np.bincount(parents[1:], minlength=n)
+    return OrderedNNG(n, parent, tuple(indeg.tolist()))
 
 
 def max_indegree(g: OrderedNNG) -> int:
     return max(g.indegree)
 
 
-def path_order(m: RankedMetric, tail: int) -> Order:
+def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
     """Order whose ONNG is a single directed path ending at the first vertex.
 
     Built backwards from the chosen tail: repeatedly step to the nearest
@@ -303,32 +356,15 @@ def path_order(m: RankedMetric, tail: int) -> Order:
     is strictly closer to its chain predecessor than to anything revealed
     earlier, so indegrees never exceed 1 and the tail is the path's source.
     """
-    n = m.n
+    n = data.n
     if not 0 <= tail < n:
         raise ValueError(f"tail {tail} out of range for n={n}")
-    if n == 1:
-        return (tail,)
+    nearest = _nearest_fn(data)
+    alive = np.ones(n, dtype=bool)
     chain = [tail]
-    if n > 2 * _NUMPY_MIN_N:
-        mat = m._matrix
-        alive = np.ones(n, dtype=bool)
-        alive[tail] = False
-        cur = tail
-        for _ in range(n - 1):
-            cand = np.flatnonzero(alive)
-            cur = int(cand[mat[cur, cand].argmin()])
-            chain.append(cur)
-            alive[cur] = False
-    else:
-        rows = m.matrix_rows()
-        remaining = set(range(n))
-        remaining.discard(tail)
-        cur = tail
-        for _ in range(n - 1):
-            row = rows[cur]
-            cur = min(remaining, key=row.__getitem__)
-            chain.append(cur)
-            remaining.discard(cur)
+    for _ in range(n - 1):
+        alive[chain[-1]] = False
+        chain.append(int(nearest([chain[-1]], alive)[0]))
     chain.reverse()
     return tuple(chain)
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import Order, PointSet, integer_grid, sq_dist
+from .core import Order, PointSet, block_rows, grid_axes, integer_grid, sq_dist, sq_dist_rows
 
 # Largest dimension for which 2 * grid_cell_bound(d) <= 16^d, keeping the
 # grid guarantee at least as strong as floor(log2(n) / 4d).  First failure
@@ -61,28 +61,20 @@ def _pair_key(d2: int, i: int, j: int) -> tuple:
     return (d2, a, b)
 
 
-def _diameter_ids(grid, ids: list[int], fits64: bool) -> tuple[int, int]:
+def _diameter_ids(xt: np.ndarray, ids: list[int]) -> tuple[int, int]:
     # Largest squared distance; among ties the lexicographically smallest
-    # index pair wins (strict > while scanning pairs in lex order).
-    if fits64 and len(ids) >= 128:
-        x = np.asarray([grid[i] for i in ids], dtype=np.int64)
-        best = (-1, -1, -1)
-        for r in range(len(ids) - 1):
-            diff = x[r + 1 :] - x[r]
-            d2 = (diff * diff).sum(axis=1)
-            k = int(d2.argmax())
-            if int(d2[k]) > best[0]:
-                best = (int(d2[k]), r, r + 1 + k)
-        return ids[best[1]], ids[best[2]]
-    best_d2 = -1
-    pair = (ids[0], ids[0])
-    for r, i in enumerate(ids):
-        gi = grid[i]
-        for j in ids[r + 1 :]:
-            d2 = sq_dist(gi, grid[j])
-            if d2 > best_d2:
-                best_d2 = d2
-                pair = (i, j)
+    # position pair wins, which is the row-major first maximum.  A block of
+    # rows starting at r0 scans only columns >= r0: the pairs with an earlier
+    # column were rows of an earlier block.
+    sub = xt[:, ids]
+    m = len(ids)
+    step = block_rows(m)
+    best, pair = -1, (ids[0], ids[0])
+    for r0 in range(0, m, step):
+        d2 = sq_dist_rows(sub[:, r0:], slice(0, step))
+        r, s = divmod(int(d2.argmax()), m - r0)
+        if d2[r, s] > best:
+            best, pair = d2[r, s], (ids[r0 + r], ids[r0 + s])
     return pair
 
 
@@ -127,8 +119,7 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     lexicographically smallest index pair; returns (a, b) with a < b."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    grid, fits64 = integer_grid(ps)
-    return _diameter_ids(grid, list(range(ps.n)), fits64)
+    return _diameter_ids(grid_axes(*integer_grid(ps)), list(range(ps.n)))
 
 
 def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -183,6 +174,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
     grid, fits64 = integer_grid(ps)
+    xt = grid_axes(grid, fits64)
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []
 
@@ -193,7 +185,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
             u, w = sorted(ids)
             fars.append(w)
             return [u, w], u
-        a, b = _diameter_ids(grid, ids, fits64)
+        a, b = _diameter_ids(xt, ids)
         major, _minor, far = _halfspace_ids(grid, ids, a, b)
         unit_sq = sq_dist(grid[a], grid[b])
         cells = _cells(grid, major, unit_sq, dim)

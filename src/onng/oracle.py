@@ -19,7 +19,8 @@ values are exact Fractions.
 
 The scan splits into independent lexicographic blocks by the rank assigned
 to the pair {0, 1}; blocks are merged in block order, so the result is
-identical at every parallelism degree.
+identical at every parallelism degree.  A canonical scan needs only the
+blocks where {0, 1} has rank 0, split further by the rank of {0, 2}.
 """
 
 from __future__ import annotations
@@ -207,14 +208,15 @@ def _canonical_mask(r: np.ndarray, n: int) -> np.ndarray:
 
 
 def _scan_block(args) -> tuple[int, int, int, list]:
-    """Scan the lexicographic block where pair {0, 1} has the given rank.
+    """Scan the lexicographic block whose leading flat ranks (pair {0, 1},
+    then {0, 2}, ...) are the given prefix.
 
     Returns (evaluated, max_scaled, witnesses, counterexamples); sums are
     scaled by 2^(n-1) so everything stays in integers.
     """
-    n, first_rank, canonical = args
+    n, prefix, canonical = args
     p = n * (n - 1) // 2
-    rest = [v for v in range(p) if v != first_rank]
+    rest = [v for v in range(p) if v not in prefix]
     target = 2 ** (n - 1)
     lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
     batch = max(1024, 8_000_000 // (n << n))  # ~8 MB of int8 completion table
@@ -228,9 +230,9 @@ def _scan_block(args) -> tuple[int, int, int, list]:
         if not chunk:
             break
         r = np.empty((len(chunk), p), dtype=np.int8)
-        r[:, 0] = first_rank
-        if p > 1:
-            r[:, 1:] = np.array(chunk, dtype=np.int8)
+        r[:, : len(prefix)] = prefix
+        if rest:
+            r[:, len(prefix) :] = np.array(chunk, dtype=np.int8)
         if canonical:
             alive = _canonical_mask(r, n)
             r = r[alive]
@@ -261,7 +263,15 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
     if n == 1:
         return Problem1Report(1, canonical, 1, Fraction(1), 1, ())
     p = n * (n - 1) // 2
-    args = [(n, first, canonical) for first in range(p)]
+    if canonical:
+        # A canonical representative is lexicographically minimal over all
+        # relabelings, and relabeling its closest pair onto {0, 1} gives
+        # that pair rank 0, so only blocks starting with rank 0 can hold
+        # one.  They are split by the rank of {0, 2} to keep the jobs busy.
+        prefixes = [(0, r) for r in range(1, p)] or [(0,)]
+    else:
+        prefixes = [(r,) for r in range(p)]
+    args = [(n, prefix, canonical) for prefix in prefixes]
     if jobs > 1 and len(args) > 1:
         with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
             results = pool.map(_scan_block, args)

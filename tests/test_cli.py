@@ -258,6 +258,31 @@ def test_guard_refusals_exit_2(tmp_path):
     assert code == 2 and "size budget" in err
 
 
+def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
+    def refuse(ps):
+        raise AssertionError("brute ranked all pairs before its size guard")
+
+    monkeypatch.setattr(cli, "metric_from_points", refuse)
+    src = tmp_path / "p.txt"
+    src.write_text("".join(f"{i}\n" for i in range(11)))
+    code, _, err = run_cli(["order", "--strategy", "brute", "--input", str(src)])
+    assert code == 2 and "guard" in err
+
+
+def test_points_and_their_metric_file_report_alike(tmp_path):
+    pts, met, ordf = tmp_path / "p.txt", tmp_path / "m.txt", tmp_path / "ord.txt"
+    run_cli(["gen", "random-points", "--n", "70", "--d", "2", "--seed", "3", "-o", str(pts)])
+    met.write_text(write_metric(metric_from_points(parse_points(pts.read_text()))))
+    ordf.write_text(write_order(tuple(range(69, -1, -1))))
+    for argv in (["eval", "--order", str(ordf)],
+                 ["eval", "--order", str(ordf), "--format", "dot"],
+                 ["order", "--strategy", "path", "--tail", "5"]):
+        on_points = run_cli(argv + ["--input", str(pts)])
+        on_metric = run_cli(argv + ["--input", str(met)])
+        assert on_points[0] == 0
+        assert on_points == on_metric, argv
+
+
 def test_search_n4_report(tmp_path):
     out_path = tmp_path / "r.json"
     code, _, _ = run_cli(["search-problem1", "--n", "4", "-o", str(out_path)])

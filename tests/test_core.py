@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onng import (
     PointSet,
@@ -103,7 +105,7 @@ def _naive_build(m, order):
 
 def test_build_onng_matches_naive_scan():
     rng = random.Random(7)
-    for n in (2, 5, 30, 100):  # 100 exercises the vectorized path
+    for n in (2, 5, 30, 100):
         m = random_rank_metric(n, rng)
         order = list(range(n))
         rng.shuffle(order)
@@ -133,7 +135,7 @@ def test_path_order_line_example():
 
 def test_path_order_every_tail_is_directed_path():
     rng = random.Random(11)
-    for n in (2, 6, 17, 150):  # 150 exercises the vectorized chase
+    for n in (2, 6, 17, 150):
         m = random_rank_metric(n, rng)
         for tail in (0, n // 2, n - 1):
             order = path_order(m, tail)
@@ -168,3 +170,37 @@ def test_integer_grid_scales_to_common_denominator():
     vals = [g[0] for g in grid]
     # 1/2, 1/3, 2 over denominator 6 -> 3, 2, 12
     assert vals == [3, 2, 12]
+
+
+@st.composite
+def _point_sets(draw):
+    """Tie-heavy integer lattices (d <= 5, n <= 80), random rationals, and
+    lattices scaled by 2^32 (squared distances overflow int64) or shifted
+    by 2^70 (they do not, but the coordinates do)."""
+    kind = draw(st.sampled_from(["lattice", "rational", "scaled", "shifted"]))
+    dim = draw(st.integers(1, 5 if kind == "lattice" else 3))
+    side = {1: 80, 2: 8, 3: 4}.get(dim, 2)
+    if kind == "rational":
+        coord = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+    else:
+        coord = st.integers(0, side)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=80, unique=True))
+    if kind == "scaled":
+        rows = [tuple(c * 2**32 for c in r) for r in rows]
+    elif kind == "shifted":
+        rows = [tuple(c + 2**70 for c in r) for r in rows]
+    ps = PointSet(dim, tuple(rows))
+    if kind == "scaled" and ps.n > 1:
+        assert not integer_grid(ps)[1]
+    return ps
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_point_rebuild_matches_metric_rebuild(data):
+    ps = data.draw(_point_sets())
+    m = metric_from_points(ps)
+    order = data.draw(st.permutations(range(ps.n)))
+    assert build_onng(ps, order) == build_onng(m, order)
+    tail = data.draw(st.integers(0, ps.n - 1))
+    assert path_order(ps, tail) == path_order(m, tail)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from onng import (
@@ -75,6 +76,21 @@ def test_diameter_pair_numpy_path_agrees():
         key=lambda t: (t[0], -t[1], -t[2]),
     )
     assert diameter_pair(ps) == (best[1], best[2])
+
+
+def test_diameter_pair_ties_across_blocks():
+    # a 34 x 34 lattice has 1156 points, more than one block of rows, and
+    # ties its diameter between the two diagonals; ids are shuffled so the
+    # winning pair lands in different blocks
+    rng = random.Random(8)
+    rows = [(x, y) for x in range(34) for y in range(34)]
+    for trial in range(4):
+        rng.shuffle(rows)
+        ps = PointSet(2, tuple(rows))
+        x = np.array(rows, dtype=np.int64)
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        ties = np.argwhere(np.triu(d2 == d2.max(), 1))
+        assert diameter_pair(ps) == min(map(tuple, ties.tolist()))
 
 
 def test_halfspace_split_properties():

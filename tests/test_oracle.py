@@ -170,8 +170,16 @@ def test_hard_line_metric_is_an_equality_witness():
 
 def test_scan_block_covers_its_slice():
     # one lexicographic block of n=3: metrics whose {0,1} rank is fixed
-    evaluated, max_scaled, witnesses, cex = _scan_block((3, 1, False))
+    evaluated, max_scaled, witnesses, cex = _scan_block((3, (1,), False))
     assert evaluated == 2
     assert max_scaled == 4  # scaled by 2^(n-1)
     assert witnesses == 2
     assert cex == []
+
+
+def test_canonical_scan_blocks_past_the_first_are_empty():
+    # every canonical representative gives pair {0, 1} rank 0, which is why
+    # problem1_search(canonical=True) scans block 0 alone
+    for n in (3, 4):
+        for first in range(1, n * (n - 1) // 2):
+            assert _scan_block((n, (first,), True))[0] == 0
