@@ -8,8 +8,10 @@ point set ranks its pairs by exact squared distance, ties broken by the
 index pair.  Strictness stands in for the usual general-position assumption
 (no isosceles triples): every nearest-predecessor choice is unique.
 
-Within the row of one vertex v that tie-break is simply "smaller neighbour
-id", so build_onng and path_order answer a point set's nearest-neighbour
+A point set has one coordinate form, grid_axes (exact integers, one row per
+axis), and one distance kernel over it, sq_dist_rows.  Within the row of
+one vertex v the tie-break by index pair is simply "smaller neighbour id",
+so build_onng and path_order answer a point set's nearest-neighbour
 questions from exact squared distances and never rank all its pairs;
 metric_from_points builds the full RankedMetric only for the callers that
 compare arbitrary pairs.
@@ -31,9 +33,6 @@ import numpy as np
 
 # An insertion order is a plain tuple: a permutation of the vertex ids 0..n-1.
 Order = tuple[int, ...]
-
-# Below roughly this many vertices, plain Python loops beat numpy overhead.
-_NUMPY_MIN_N = 64
 
 
 class GuardError(ValueError):
@@ -184,18 +183,17 @@ def integer_grid(ps: PointSet) -> tuple[list[tuple[int, ...]], bool]:
     return grid, fits64
 
 
-def sq_dist(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
+def grid_axes(ps: PointSet) -> np.ndarray:
+    """The point set's integer_grid coordinates as a (dim, n) array, one row
+    per axis: the one coordinate form every point computation reads.
 
-
-def grid_axes(grid, fits64: bool) -> np.ndarray:
-    """integer_grid coordinates as a (dim, n) array, one row per axis.
-
-    Each axis is shifted to start at 0, which leaves every distance as it
-    was and keeps the values inside int64 whenever ``fits64`` holds, however
-    large the coordinates themselves are.  Without ``fits64`` the array holds
-    Python ints (object dtype), so the arithmetic stays exact.
+    Each axis is shifted to start at 0 before any int64 cast, which leaves
+    every distance as it was and keeps the values inside int64 whenever
+    squared distances fit there, however large the coordinates themselves
+    are.  Otherwise the array holds Python ints (object dtype), so the
+    arithmetic stays exact.
     """
+    grid, fits64 = integer_grid(ps)
     x = np.array(grid, dtype=object).T
     x = x - x.min(axis=1, keepdims=True)
     return x.astype(np.int64) if fits64 else x
@@ -223,51 +221,28 @@ def block_rows(n: int) -> int:
     return max(1, 2**20 // n)
 
 
-def _ranks_python(grid, n: int) -> list[int]:
-    items = []
-    for i in range(n):
-        gi = grid[i]
-        for j in range(i + 1, n):
-            items.append((sq_dist(gi, grid[j]), i, j))
-    items.sort()
-    flat = [0] * len(items)
-    for r, (_, i, j) in enumerate(items):
-        flat[pair_index(i, j, n)] = r
-    return flat
-
-
-def _ranks_numpy(grid, n: int) -> np.ndarray:
-    x = np.asarray(grid, dtype=np.int64)
-    p = n * (n - 1) // 2
-    d2 = np.empty(p, dtype=np.int64)
-    pos = 0
-    for i in range(n - 1):
-        diff = x[i + 1 :] - x[i]
-        m = diff.shape[0]
-        d2[pos : pos + m] = (diff * diff).sum(axis=1)
-        pos += m
-    iu, ju = np.triu_indices(n, 1)
-    # primary key squared distance, ties by (i, j): last lexsort key is primary
-    order = np.lexsort((ju, iu, d2))
-    flat = np.empty(p, dtype=np.int64)
-    flat[order] = np.arange(p)
-    return flat
-
-
 def metric_from_points(ps: PointSet) -> RankedMetric:
     """Ordinal form of a point set: pairs sorted by squared distance.
 
-    Squared distances are compared exactly (integer arithmetic after common
-    rescaling); exact ties are broken by the sorted index pair, smaller
-    (min, max) first.  Distinctness of the points is enforced by PointSet.
+    Squared distances are exact (integer arithmetic after common rescaling)
+    and are collected block by block in lexicographic pair order, so one
+    stable sort breaks every exact tie by the index pair, smaller (min, max)
+    first.  Distinctness of the points is enforced by PointSet.
     """
     n = ps.n
-    if n == 1:
-        return RankedMetric(1, ())
-    grid, fits64 = integer_grid(ps)
-    if fits64 and n >= _NUMPY_MIN_N:
-        return RankedMetric(n, _ranks_numpy(grid, n))
-    return RankedMetric(n, _ranks_python(grid, n))
+    xt = grid_axes(ps)
+    p = n * (n - 1) // 2
+    d2 = np.empty(p, dtype=xt.dtype)
+    pos, step = 0, block_rows(n)
+    for r0 in range(0, n - 1, step):
+        r1 = min(n - 1, r0 + step)
+        upper = np.arange(n) > np.arange(r0, r1)[:, None]
+        block = sq_dist_rows(xt, slice(r0, r1))[upper]
+        d2[pos : pos + block.size] = block
+        pos += block.size
+    flat = np.empty(p, dtype=np.int64)
+    flat[np.argsort(d2, kind="stable")] = np.arange(p)
+    return RankedMetric(n, flat)
 
 
 @dataclass(frozen=True)
@@ -311,7 +286,7 @@ def _nearest_fn(data: PointSet | RankedMetric):
     if isinstance(data, RankedMetric):
         keys, top = data._matrix.__getitem__, data.n * (data.n - 1) // 2
     else:
-        xt = grid_axes(*integer_grid(data))
+        xt = grid_axes(data)
 
         def keys(rows):
             return sq_dist_rows(xt, rows)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import Order, PointSet, block_rows, grid_axes, integer_grid, sq_dist, sq_dist_rows
+from .core import Order, PointSet, block_rows, grid_axes, sq_dist_rows
 
 # Largest dimension for which 2 * grid_cell_bound(d) <= 16^d, keeping the
 # grid guarantee at least as strong as floor(log2(n) / 4d).  First failure
@@ -78,20 +78,15 @@ def _diameter_ids(xt: np.ndarray, ids: list[int]) -> tuple[int, int]:
     return pair
 
 
-def _halfspace_ids(grid, ids: list[int], a: int, b: int) -> tuple[list[int], list[int], int]:
-    """Split ids by ordinal closeness to a vs b; returns (major, minor, far)."""
-    ga, gb = grid[a], grid[b]
+def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int) -> tuple[list[int], list[int], int]:
+    """Split ids by ordinal closeness to a vs b; returns (major, minor, far).
+
+    Each anchor lands on its own side: its distance to itself is 0."""
     near_a = []
     near_b = []
-    for p in ids:
-        if p == a:
-            near_a.append(p)
-            continue
-        if p == b:
-            near_b.append(p)
-            continue
-        gp = grid[p]
-        if _pair_key(sq_dist(gp, ga), p, a) < _pair_key(sq_dist(gp, gb), p, b):
+    da, db = sq_dist_rows(xt, [a, b])[:, ids].tolist()
+    for p, pa, pb in zip(ids, da, db):
+        if _pair_key(pa, p, a) < _pair_key(pb, p, b):
             near_a.append(p)
         else:
             near_b.append(p)
@@ -100,16 +95,14 @@ def _halfspace_ids(grid, ids: list[int], a: int, b: int) -> tuple[list[int], lis
     return near_b, near_a, a
 
 
-def _cells(grid, ids: list[int], unit_sq: int, dim: int) -> dict[tuple, list[int]]:
-    mins = tuple(min(grid[i][ax] for i in ids) for ax in range(dim))
+def _cells(xt: np.ndarray, ids: list[int], unit_sq: int, dim: int) -> dict[tuple, list[int]]:
+    sub = xt[:, ids]
+    offsets = (sub - sub.min(axis=1, keepdims=True)).T.tolist()
     out: dict[tuple, list[int]] = {}
-    for i in ids:
+    for i, q in zip(ids, offsets):
         # cell index floor(2 q sqrt(d) / sqrt(unit_sq)) via exact isqrt:
         # floor(sqrt(4 q^2 d / M)) = isqrt(4 q^2 d * M) // M for M = unit_sq.
-        idx = tuple(
-            math.isqrt(4 * (grid[i][ax] - mins[ax]) ** 2 * dim * unit_sq) // unit_sq
-            for ax in range(dim)
-        )
+        idx = tuple(math.isqrt(4 * c**2 * dim * unit_sq) // unit_sq for c in q)
         out.setdefault(idx, []).append(i)
     return out
 
@@ -119,7 +112,7 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     lexicographically smallest index pair; returns (a, b) with a < b."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    return _diameter_ids(grid_axes(*integer_grid(ps)), list(range(ps.n)))
+    return _diameter_ids(grid_axes(ps), list(range(ps.n)))
 
 
 def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -131,8 +124,7 @@ def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tupl
     """
     if a == b or not (0 <= a < ps.n and 0 <= b < ps.n):
         raise ValueError(f"invalid anchor pair ({a}, {b})")
-    grid, _ = integer_grid(ps)
-    major, minor, _far = _halfspace_ids(grid, list(range(ps.n)), a, b)
+    major, minor, _far = _halfspace_ids(grid_axes(ps), list(range(ps.n)), a, b)
     return tuple(major), tuple(minor)
 
 
@@ -151,11 +143,10 @@ def grid_partition(ps: PointSet, members, unit_sq) -> list[tuple[int, ...]]:
         raise ValueError("cannot partition an empty vertex set")
     if not (0 <= ids[0] and ids[-1] < ps.n):
         raise ValueError("member ids out of range")
-    grid, _ = integer_grid(ps)
     us = int(unit_sq)
     if us <= 0:
         raise ValueError("unit_sq must be positive")
-    cells = _cells(grid, ids, us, ps.dim)
+    cells = _cells(grid_axes(ps), ids, us, ps.dim)
     return [tuple(cells[key]) for key in sorted(cells)]
 
 
@@ -173,8 +164,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     n, dim = ps.n, ps.dim
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
-    grid, fits64 = integer_grid(ps)
-    xt = grid_axes(grid, fits64)
+    xt = grid_axes(ps)
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []
 
@@ -186,9 +176,9 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
             fars.append(w)
             return [u, w], u
         a, b = _diameter_ids(xt, ids)
-        major, _minor, far = _halfspace_ids(grid, ids, a, b)
-        unit_sq = sq_dist(grid[a], grid[b])
-        cells = _cells(grid, major, unit_sq, dim)
+        major, _minor, far = _halfspace_ids(xt, ids, a, b)
+        unit_sq = int(sq_dist_rows(xt, [a])[0, b])
+        cells = _cells(xt, major, unit_sq, dim)
         if len(cells) > cell_cap:
             raise AssertionError("cell count exceeded the provable cap")
         cluster = max(sorted(cells), key=lambda key: len(cells[key]))

@@ -6,8 +6,11 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
-from onng import LinePointSet, PointSet
+from hypothesis import strategies as st
+
+from onng import LinePointSet, PointSet, RankedMetric
 from onng.cli import main as cli_main
 
 
@@ -31,6 +34,29 @@ def rand_point_set(rng: random.Random, n: int, d: int) -> PointSet:
         seen.add(row)
         rows.append(tuple(Fraction(c, 10**9) for c in row))
     return PointSet(d, tuple(rows))
+
+
+def reference_metric(ps: PointSet) -> RankedMetric:
+    """metric_from_points written out plainly: every pair's squared distance
+    over the exact Fractions, sorted with the index pair as the tie-break."""
+    pts = ps.exact()
+    keyed = sorted(
+        (sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])), i, j)
+        for i, j in combinations(range(ps.n), 2)
+    )
+    return RankedMetric.from_pair_map(ps.n, {(i, j): r for r, (_, i, j) in enumerate(keyed)})
+
+
+@st.composite
+def lattice_point_sets(draw, max_dim: int = 5, max_n: int = 80, min_n: int = 1):
+    """n distinct points of a small integer lattice (d <= max_dim, n drawn
+    uniformly up to max_n <= 80, ids shuffled): so many equal distances that
+    the index-pair tie-break decides often."""
+    dim = draw(st.integers(1, max_dim))
+    side = {1: 80, 2: 8, 3: 4}.get(dim, 2)
+    n = draw(st.integers(min_n, max_n))
+    rows = draw(st.permutations(list(product(range(side + 1), repeat=dim))))
+    return PointSet(dim, tuple(rows[:n]))
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -283,6 +283,17 @@ def test_points_and_their_metric_file_report_alike(tmp_path):
         assert on_points == on_metric, argv
 
 
+def test_ramsey_on_large_coordinates_matches_shifted_file(tmp_path):
+    # coordinates past int64 whose squared distances fit it
+    far, near = tmp_path / "far.txt", tmp_path / "near.txt"
+    far.write_text("".join(f"{2**70 + i * i}\n" for i in range(64)))
+    near.write_text("".join(f"{i * i}\n" for i in range(64)))
+    argv = ["order", "--strategy", "ramsey", "--input-format", "points", "--input"]
+    on_far = run_cli(argv + [str(far)])
+    assert on_far[0] == 0, on_far[2]
+    assert on_far == run_cli(argv + [str(near)])
+
+
 def test_search_n4_report(tmp_path):
     out_path = tmp_path / "r.json"
     code, _, _ = run_cli(["search-problem1", "--n", "4", "-o", str(out_path)])

@@ -18,7 +18,9 @@ from onng import (
     path_order,
     random_rank_metric,
 )
-from onng.core import _ranks_numpy, _ranks_python, integer_grid, iter_pairs
+from onng.core import integer_grid, iter_pairs
+
+from conftest import lattice_point_sets, reference_metric
 
 
 def test_pair_index_is_bijective():
@@ -78,12 +80,23 @@ def test_point_set_accepts_mixed_exact_coordinates():
 
 
 def test_rank_paths_agree_numpy_vs_python():
+    # metric_from_points has one path for every size; check it against the
+    # plain Fraction sort on both sides of 64 points and off the int64 range
     rng = random.Random(42)
-    for n, d in ((70, 2), (90, 3), (65, 1)):
+    for n, d in ((70, 2), (90, 3), (65, 1), (2, 1), (10, 2), (40, 3), (63, 2)):
         rows = [tuple(rng.randrange(1000) for _ in range(d)) for _ in range(n)]
-        rows = list(dict.fromkeys(rows))
-        grid = [tuple(r) for r in rows]
-        assert _ranks_numpy(grid, len(grid)).tolist() == _ranks_python(grid, len(grid))
+        ps = PointSet(d, tuple(dict.fromkeys(rows)))
+        assert metric_from_points(ps) == reference_metric(ps), (n, d)
+    wide = PointSet(2, tuple((x * 2**32, y) for x, y in ((0, 0), (1, 5), (1000, 7), (3, 3))))
+    assert not integer_grid(wide)[1]
+    assert metric_from_points(wide) == reference_metric(wide)
+    # coordinates past int64 whose squared distances fit it: same ranks as
+    # the set shifted to 0
+    squares = [i * i for i in range(70)]
+    far = PointSet(1, tuple((2**70 + c,) for c in squares))
+    near = PointSet(1, tuple((c,) for c in squares))
+    assert integer_grid(far)[1]
+    assert metric_from_points(far) == metric_from_points(near) == reference_metric(near)
 
 
 def test_metric_from_points_single_point():
@@ -178,21 +191,19 @@ def _point_sets(draw):
     lattices scaled by 2^32 (squared distances overflow int64) or shifted
     by 2^70 (they do not, but the coordinates do)."""
     kind = draw(st.sampled_from(["lattice", "rational", "scaled", "shifted"]))
-    dim = draw(st.integers(1, 5 if kind == "lattice" else 3))
-    side = {1: 80, 2: 8, 3: 4}.get(dim, 2)
     if kind == "rational":
+        dim = draw(st.integers(1, 3))
         coord = st.fractions(min_value=-10, max_value=10, max_denominator=50)
-    else:
-        coord = st.integers(0, side)
-    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=80, unique=True))
+        rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=80, unique=True))
+        return PointSet(dim, tuple(rows))
+    ps = draw(lattice_point_sets(max_dim=5 if kind == "lattice" else 3))
+    if kind == "lattice":
+        return ps
     if kind == "scaled":
-        rows = [tuple(c * 2**32 for c in r) for r in rows]
-    elif kind == "shifted":
-        rows = [tuple(c + 2**70 for c in r) for r in rows]
-    ps = PointSet(dim, tuple(rows))
-    if kind == "scaled" and ps.n > 1:
-        assert not integer_grid(ps)[1]
-    return ps
+        ps = PointSet(ps.dim, tuple(tuple(c * 2**32 for c in r) for r in ps.points))
+        assert ps.n == 1 or not integer_grid(ps)[1]
+        return ps
+    return PointSet(ps.dim, tuple(tuple(c + 2**70 for c in r) for r in ps.points))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -200,7 +211,20 @@ def _point_sets(draw):
 def test_point_rebuild_matches_metric_rebuild(data):
     ps = data.draw(_point_sets())
     m = metric_from_points(ps)
+    assert m == reference_metric(ps)
     order = data.draw(st.permutations(range(ps.n)))
     assert build_onng(ps, order) == build_onng(m, order)
     tail = data.draw(st.integers(0, ps.n - 1))
     assert path_order(ps, tail) == path_order(m, tail)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lattice_point_sets(min_n=2), st.data())
+def test_path_order_on_lattices_is_a_path_to_the_tail(ps, data):
+    tail = data.draw(st.integers(0, ps.n - 1))
+    order = path_order(ps, tail)
+    assert order[-1] == tail
+    g = build_onng(reference_metric(ps), order)
+    assert max_indegree(g) == 1
+    for p in range(1, ps.n):
+        assert g.parent[order[p]] == order[p - 1]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from onng import (
     PointSet,
@@ -19,10 +20,14 @@ from onng import (
     metric_from_points,
     order_euclid,
 )
-from onng.core import integer_grid, sq_dist
+from onng.core import integer_grid
 from onng.euclid import PARITY_MAX_DIM, _order_euclid_levels, grid_partition
 
-from conftest import rand_point_set
+from conftest import lattice_point_sets, rand_point_set, reference_metric
+
+
+def sq_dist(p, q):
+    return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 def test_grid_cell_bound_values():
@@ -95,24 +100,28 @@ def test_diameter_pair_ties_across_blocks():
 
 def test_halfspace_split_properties():
     rng = random.Random(9)
-    for trial in range(20):
-        n = rng.randint(2, 30)
-        ps = rand_point_set(rng, n, 2)
+    sets = [rand_point_set(rng, rng.randint(2, 30), 2) for _ in range(20)]
+    # lattices: many points equidistant from both anchors, split by index pair
+    for side in (3, 4, 5):
+        rows = [(x, y) for x in range(side) for y in range(side)]
+        rng.shuffle(rows)
+        sets.append(PointSet(2, tuple(rows)))
+    for ps in sets:
+        n = ps.n
         a, b = diameter_pair(ps)
         major, minor = halfspace_split(ps, a, b)
         assert sorted(major + minor) == list(range(n))
         assert len(major) >= len(minor)
         assert (a in major) != (b in major)
-        # the anchors sit on their own sides
+        # every vertex sits on the side of the anchor it is ordinally closer to
         grid, _ = integer_grid(ps)
-        for v in major:
-            anchor = a if a in major else b
-            other = b if a in major else a
-            if v == anchor:
-                continue
-            ka = (sq_dist(grid[v], grid[anchor]), min(v, anchor), max(v, anchor))
-            kb = (sq_dist(grid[v], grid[other]), min(v, other), max(v, other))
-            assert ka < kb
+        for side in (major, minor):
+            anchor = a if a in side else b
+            other = b if a in side else a
+            for v in side:
+                ka = (sq_dist(grid[v], grid[anchor]), min(v, anchor), max(v, anchor))
+                kb = (sq_dist(grid[v], grid[other]), min(v, other), max(v, other))
+                assert ka < kb
 
 
 def test_halfspace_split_validates_anchors():
@@ -199,3 +208,15 @@ def test_order_euclid_meets_both_bounds():
         g = build_onng(metric_from_points(ps), order)
         assert max_indegree(g) >= guarantee
         assert max_indegree(g) >= log_guarantee(n, d)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lattice_point_sets())
+def test_order_euclid_bounds_on_tie_heavy_lattices(ps):
+    order, center, guarantee = order_euclid(ps)
+    assert order[0] == center
+    assert guarantee == grid_guarantee(ps.n, ps.dim)
+    g = build_onng(reference_metric(ps), order)
+    assert g.indegree[center] >= guarantee
+    if ps.dim <= PARITY_MAX_DIM:
+        assert g.indegree[center] >= log_guarantee(ps.n, ps.dim)

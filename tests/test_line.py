@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from onng import (
     LinePointSet,
@@ -16,7 +17,7 @@ from onng import (
 )
 from onng.oracle import best_order_exhaustive, degree_profile_exhaustive
 
-from conftest import rand_line_set
+from conftest import lattice_point_sets, rand_line_set, reference_metric
 
 
 def test_hard_line_recurrence():
@@ -118,3 +119,13 @@ def test_order_line_center_is_leftmost_on_all_ties():
     assert order[0] == 0
     m = metric_from_points(lps.to_point_set())
     assert max_indegree(build_onng(m, order)) >= 3
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lattice_point_sets(max_dim=1))
+def test_order_line_bound_on_tie_heavy_lattices(ps):
+    lps = LinePointSet(tuple(sorted(c for (c,) in ps.points)))
+    order, center = order_line(lps)
+    assert order[0] == center
+    g = build_onng(reference_metric(lps.to_point_set()), order)
+    assert g.indegree[center] >= (lps.n - 1).bit_length()
