@@ -39,6 +39,10 @@ class GuardError(ValueError):
     """Raised when a request exceeds a size guard."""
 
 
+# Largest point set metric_from_points ranks: it holds n(n-1)/2 pairs.
+RANK_PAIRS_MAX_N = 2**13
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Position of the pair {i, j}, i < j, in the lexicographic pair listing."""
     if not 0 <= i < j < n:
@@ -66,33 +70,23 @@ class RankedMetric:
         if n < 1:
             raise ValueError("a metric needs at least one vertex")
         p = n * (n - 1) // 2
-        flat = np.asarray(list(pair_ranks) if not isinstance(pair_ranks, np.ndarray) else pair_ranks)
+        flat = np.asarray(pair_ranks)
         if flat.shape != (p,):
             raise ValueError(f"expected {p} pair ranks for n={n}, got {flat.shape}")
-        flat = flat.astype(np.int64)
-        if p and not np.array_equal(np.sort(flat), np.arange(p)):
+        # p integers in 0..p-1, none repeated.  Ranks past int64, or not
+        # integers, come as an object or float array and are refused.
+        if p and (flat.dtype.kind not in "iu" or flat.min() < 0 or flat.max() >= p
+                  or np.bincount(flat).max() > 1):
             raise ValueError("pair ranks must be a bijection onto 0..n(n-1)/2-1")
         dtype = np.int32 if p < 2**31 - 1 else np.int64
         self.n = n
-        self._flat = flat.astype(dtype)
+        self._flat = flat.astype(dtype, copy=False)
         mat = np.full((n, n), p, dtype=dtype)
         if p:
             iu, ju = np.triu_indices(n, 1)
             mat[iu, ju] = self._flat
             mat[ju, iu] = self._flat
         self._matrix = mat
-
-    @classmethod
-    def from_pair_map(cls, n: int, ranks: dict) -> "RankedMetric":
-        """Build from a mapping {(i, j): rank}; orientation of keys is free."""
-        p = n * (n - 1) // 2
-        flat = [-1] * p
-        for (i, j), r in ranks.items():
-            a, b = (i, j) if i < j else (j, i)
-            flat[pair_index(a, b, n)] = r
-        if -1 in flat:
-            raise ValueError("pair map does not cover all vertex pairs")
-        return cls(n, flat)
 
     def rank(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
@@ -230,6 +224,8 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     first.  Distinctness of the points is enforced by PointSet.
     """
     n = ps.n
+    if n > RANK_PAIRS_MAX_N:
+        raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
     xt = grid_axes(ps)
     p = n * (n - 1) // 2
     d2 = np.empty(p, dtype=xt.dtype)

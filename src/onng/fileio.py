@@ -9,7 +9,8 @@ points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
-any line order, giving a bijection onto 0..n(n-1)/2-1.
+any line order, giving a bijection onto 0..n(n-1)/2-1.  Each rank goes
+straight to its pair's slot; the ranks are checked once, by RankedMetric.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Order, OrderedNNG, PointSet, RankedMetric, iter_pairs
+from .core import Order, OrderedNNG, PointSet, RankedMetric, iter_pairs, pair_index
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -80,7 +81,7 @@ def parse_metric(text: str) -> RankedMetric:
     body = lines[1:]
     if len(body) != p:
         raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
-    ranks: dict[tuple[int, int], int] = {}
+    flat: list[int | None] = [None] * p
     for lineno, line in body:
         parts = line.split()
         if len(parts) != 3:
@@ -91,11 +92,11 @@ def parse_metric(text: str) -> RankedMetric:
             raise ValueError(f"line {lineno}: bad integer: {e}") from e
         if i == j or not (0 <= i < n) or not (0 <= j < n):
             raise ValueError(f"line {lineno}: bad pair ({i}, {j}) for n={n}")
-        key = (min(i, j), max(i, j))
-        if key in ranks:
-            raise ValueError(f"line {lineno}: pair {key} given twice")
-        ranks[key] = r
-    return RankedMetric.from_pair_map(n, ranks)
+        k = pair_index(min(i, j), max(i, j), n)
+        if flat[k] is not None:
+            raise ValueError(f"line {lineno}: pair {(min(i, j), max(i, j))} given twice")
+        flat[k] = r
+    return RankedMetric(n, flat)
 
 
 def write_metric(m: RankedMetric) -> str:

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from onng import LinePointSet, PointSet, RankedMetric
+from onng import LinePointSet, PointSet, RankedMetric, pair_index
 from onng.cli import main as cli_main
 
 
@@ -44,7 +44,10 @@ def reference_metric(ps: PointSet) -> RankedMetric:
         (sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])), i, j)
         for i, j in combinations(range(ps.n), 2)
     )
-    return RankedMetric.from_pair_map(ps.n, {(i, j): r for r, (_, i, j) in enumerate(keyed)})
+    flat = [0] * len(keyed)
+    for r, (_, i, j) in enumerate(keyed):
+        flat[pair_index(i, j, ps.n)] = r
+    return RankedMetric(ps.n, flat)
 
 
 @st.composite

@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onng import PointSet, RankedMetric, build_onng, metric_from_points
+from onng import PointSet, RankedMetric, build_onng, metric_from_points, random_rank_metric
 from onng.fileio import (
     parse_metric,
     parse_order,
@@ -17,6 +19,7 @@ from onng.fileio import (
     write_points,
 )
 import onng.cli as cli
+import onng.core as core
 import onng.oracle as oracle
 
 from conftest import run_cli
@@ -69,6 +72,32 @@ def test_metric_parser_rejects_defects():
         parse_metric("3\n0 0 0\n0 2 1\n1 2 2\n")
     with pytest.raises(ValueError, match="bijection"):
         parse_metric("3\n0 1 0\n0 2 0\n1 2 2\n")
+    with pytest.raises(ValueError, match="expected 'i j rank'"):
+        parse_metric("3\n0 1 0\n0 2\n1 2 2\n")
+    with pytest.raises(ValueError, match="bad integer"):
+        parse_metric("3\n0 1 0\n0 2 1.0\n1 2 2\n")
+    for rank in (-1, 2**70):
+        with pytest.raises(ValueError, match="bijection"):
+            parse_metric(f"3\n0 1 0\n0 2 {rank}\n1 2 2\n")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+def test_metric_parse_round_trip(n, rng):
+    # lines shuffled, pairs flipped at random, comments and blanks mixed in
+    m = random_rank_metric(n, rng)
+    header, *pairs = write_metric(m).splitlines()
+    noise = ("", "   ", "# note", "\t# another")
+    body = []
+    for line in pairs:
+        i, j, r = line.split()
+        line = f"{j} {i} {r}" if rng.random() < 0.5 else line
+        body.append(line + "  # inline" if rng.random() < 0.2 else line)
+    body += [rng.choice(noise) for _ in range(rng.randint(0, 5))]
+    rng.shuffle(body)
+    text = "\n".join([rng.choice(noise), header, *body]) + "\n"
+    assert sniff_format(text) == "metric"
+    assert parse_metric(text) == m
 
 
 def test_order_round_trip():
@@ -267,6 +296,30 @@ def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
     src.write_text("".join(f"{i}\n" for i in range(11)))
     code, _, err = run_cli(["order", "--strategy", "brute", "--input", str(src)])
     assert code == 2 and "guard" in err
+
+
+def test_ramsey_refuses_huge_point_sets_before_ranking_pairs(tmp_path, monkeypatch):
+    def refuse(xt, rows):
+        raise AssertionError("ranked all pairs past the pair-ranking guard")
+
+    monkeypatch.setattr(core, "sq_dist_rows", refuse)
+    src = tmp_path / "p.txt"
+    assert run_cli(["gen", "hard-line", "--k", "13", "--n", "8193", "-o", str(src)])[0] == 0
+    code, out, err = run_cli(["order", "--strategy", "ramsey", "--input", str(src)])
+    assert (code, out) == (2, "") and err.startswith("onng: refused:"), err
+
+
+def test_bad_ranks_are_input_errors(tmp_path):
+    # a rank past int64 used to escape as an OverflowError traceback
+    ordf = tmp_path / "o.txt"
+    ordf.write_text("0\n1\n")
+    for rank in ("99999999999999999999999", "-1"):
+        src = tmp_path / "m.txt"
+        src.write_text(f"2\n0 1 {rank}\n")
+        for argv in (["order", "--strategy", "ramsey"], ["eval", "--order", str(ordf)]):
+            code, out, err = run_cli(argv + ["--input", str(src)])
+            assert (code, out) == (1, ""), (rank, argv)
+            assert err == f"onng: error: {src}: pair ranks must be a bijection onto 0..n(n-1)/2-1\n"
 
 
 def test_points_and_their_metric_file_report_alike(tmp_path):
