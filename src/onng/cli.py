@@ -102,7 +102,7 @@ def _emit(text: str, path: str | None) -> None:
 def _load_input(path: str, fmt: str) -> PointSet | RankedMetric:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fileio.Text(fh.read())  # split once, for the sniff and the parse
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
     try:
@@ -111,6 +111,8 @@ def _load_input(path: str, fmt: str) -> PointSet | RankedMetric:
         if fmt == "metric":
             return fileio.parse_metric(text)
         return fileio.parse_points(text)
+    except oracle.GuardError:  # exit 2, not an input error
+        raise
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from e
 

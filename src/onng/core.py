@@ -81,11 +81,16 @@ class RankedMetric:
         dtype = np.int32 if p < 2**31 - 1 else np.int64
         self.n = n
         self._flat = flat.astype(dtype, copy=False)
-        mat = np.full((n, n), p, dtype=dtype)
-        if p:
-            iu, ju = np.triu_indices(n, 1)
-            mat[iu, ju] = self._flat
-            mat[ju, iu] = self._flat
+        # Row i of the upper triangle is one slice of the flat vector, and
+        # its mirror is column i below the diagonal.
+        mat = np.empty((n, n), dtype=dtype)
+        off = 0
+        for i in range(n - 1):
+            row = self._flat[off : off + n - i - 1]
+            mat[i, i + 1 :] = row
+            mat[i + 1 :, i] = row
+            off += n - i - 1
+        np.fill_diagonal(mat, p)
         self._matrix = mat
 
     def rank(self, i: int, j: int) -> int:

@@ -1,35 +1,90 @@
 """Plain-text formats for point sets, rank metrics, and insertion orders.
 
 All three are line-oriented, whitespace-delimited, with '#' comments and
-blank lines ignored.  Coordinates are parsed as exact rationals (decimal
-strings go through Fraction), so reading back a written file reproduces the
-metric bit for bit.
+blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
+comment runs from '#' to the end of its line.  A text is split into lines
+once (Lines); the CLI reads a file as a Text, which keeps that split, so
+sniff_format and the parse after it share it.  Coordinates are parsed as
+exact rationals (decimal strings go through Fraction), so reading back a
+written file reproduces the metric bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
-any line order, giving a bijection onto 0..n(n-1)/2-1.  Each rank goes
-straight to its pair's slot; the ranks are checked once, by RankedMetric.
+any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
+as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not), in
+blocks of lines converted by one numpy call each; no tuple or list is kept per
+line.  Of the defective lines, the first in the file is reported, by the
+first check it fails: field count, integers, pair range, repeated pair.
+The ranks are checked once, by RankedMetric.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
-from .core import Order, OrderedNNG, PointSet, RankedMetric, iter_pairs, pair_index
+import numpy as np
+
+from .core import (
+    RANK_PAIRS_MAX_N,
+    GuardError,
+    Order,
+    OrderedNNG,
+    PointSet,
+    RankedMetric,
+    iter_pairs,
+)
+
+# Exactly the characters str.splitlines breaks at ("\r\n" is "\r" then "\n").
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# Compiled on first use (re caches it): compiling a class with characters
+# past U+00FF allocates about 130 KB, which a file without comments never
+# needs.
+_COMMENT = f"#[^{_LINE_BREAKS}]*"
+# Metric lines converted to integers per numpy call: bounds the field list.
+_BLOCK_LINES = 2**15
+_INT64 = np.iinfo(np.int64)
+
+
+class Lines:
+    """A text split into lines once: ``lines`` with comments blanked out,
+    ``fields`` the whitespace-separated field count of each (0 for a blank
+    or comment line), and ``data`` the indexes of the lines with fields."""
+
+    def __init__(self, text: str) -> None:
+        # A comment becomes one space, so "\r#x\n" stays two line breaks.
+        if "#" in text:
+            text = re.sub(_COMMENT, " ", text)
+        self.lines = text.splitlines()
+        self.fields = np.fromiter(
+            map(len, map(str.split, self.lines)), dtype=np.int32, count=len(self.lines)
+        )
+        self.data = np.flatnonzero(self.fields)
+
+
+class Text(str):
+    """A file's text that is split into Lines at most once, however many
+    readers ask for them."""
+
+    @cached_property
+    def split_lines(self) -> Lines:
+        return Lines(self)
+
+
+def _lines(text: str) -> Lines:
+    return text.split_lines if isinstance(text, Text) else Lines(text)
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    """(line number, line) of every data line, for the point and order parsers."""
+    t = _lines(text)
+    return [(k + 1, t.lines[k]) for k in t.data.tolist()]
 
 
 def parse_points(text: str) -> PointSet:
@@ -66,37 +121,131 @@ def _format_coord(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def _header(t: Lines) -> int:
+    """The first data line as an integer; ValueError if it is not one."""
+    return int(t.lines[t.data[0]].strip())
+
+
 def parse_metric(text: str) -> RankedMetric:
-    lines = _data_lines(text)
-    if not lines:
+    t = _lines(text)
+    if not t.data.size:
         raise ValueError("metric file has no data lines")
-    lineno, header = lines[0]
+    h = int(t.data[0])
     try:
-        n = int(header)
+        n = _header(t)
     except ValueError as e:
-        raise ValueError(f"line {lineno}: header must be the vertex count") from e
+        raise ValueError(f"line {h + 1}: header must be the vertex count") from e
     if n < 1:
-        raise ValueError(f"line {lineno}: vertex count must be positive")
+        raise ValueError(f"line {h + 1}: vertex count must be positive")
+    if n > RANK_PAIRS_MAX_N:
+        raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
     p = n * (n - 1) // 2
-    body = lines[1:]
-    if len(body) != p:
-        raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
-    flat: list[int | None] = [None] * p
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j rank'")
-        try:
-            i, j, r = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: bad integer: {e}") from e
-        if i == j or not (0 <= i < n) or not (0 <= j < n):
-            raise ValueError(f"line {lineno}: bad pair ({i}, {j}) for n={n}")
-        k = pair_index(min(i, j), max(i, j), n)
-        if flat[k] is not None:
-            raise ValueError(f"line {lineno}: pair {(min(i, j), max(i, j))} given twice")
-        flat[k] = r
+    if t.data.size - 1 != p:
+        raise ValueError(f"expected {p} pair lines for n={n}, got {t.data.size - 1}")
+    rows, k, ranks, stop = _pair_rows(t, h + 1, n)
+    # The first defective line wins: the line _pair_rows stopped at, the
+    # first pair out of range, or the first repeat of an earlier pair.
+    bad = [] if stop is None else [stop]
+    if k.size and k.min() < 0:
+        bad.append(rows[np.argmin(k)])
+    if k.size and np.bincount(k + 1)[1:].max(initial=0) > 1:
+        order = np.argsort(k, kind="stable")
+        sk = k[order]
+        again = order[1:][(sk[1:] == sk[:-1]) & (sk[1:] >= 0)]
+        bad.append(rows[again.min()])
+    if bad:
+        first = int(min(bad))
+        pair = _check_pair_line(first + 1, t.lines[first], n)
+        raise ValueError(f"line {first + 1}: pair {pair} given twice")
+    flat = np.empty(p, dtype=np.int64)
+    flat[k] = ranks
     return RankedMetric(n, flat)
+
+
+def _check_pair_line(lineno: int, line: str, n: int) -> tuple[int, int]:
+    """One pair line checked in order (field count, integers, pair range),
+    raising the first failure; returns the pair (min, max)."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError(f"line {lineno}: expected 'i j rank'")
+    try:
+        i, j, _ = int(parts[0]), int(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: bad integer: {e}") from e
+    if i == j or not (0 <= i < n) or not (0 <= j < n):
+        raise ValueError(f"line {lineno}: bad pair ({i}, {j}) for n={n}")
+    return min(i, j), max(i, j)
+
+
+def _pair_rows(
+    t: Lines, start: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """The data lines from line index ``start`` on, read as "i j rank".
+
+    Returns the line index of each row read, its pair_index (-1 if the pair
+    is out of range for n), its rank, and the index of the first line with
+    the wrong field count or a field int() rejects (None if there is none);
+    reading stops before that line.  A value past int64 reads as -1, which
+    is out of range as an id and as a rank alike.
+    """
+    f = t.fields[start:]
+    miscounted = np.flatnonzero((f != 0) & (f != 3))
+    end = start + int(miscounted[0]) if miscounted.size else len(t.lines)
+    stop = end if end < len(t.lines) else None
+    rows = start + np.flatnonzero(f[: end - start])
+    k = np.empty(rows.size, dtype=np.int64)
+    ranks = np.empty(rows.size, dtype=np.int64)
+    pos = 0
+    for a in range(start, end, _BLOCK_LINES):
+        # every line here has 0 or 3 fields, so the fields come in triples
+        fields = " ".join(t.lines[a : min(a + _BLOCK_LINES, end)]).split()
+        vals, rejected = _ints(fields)
+        i, j, r = vals.reshape(-1, 3).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        ok = (lo >= 0) & (hi < n) & (lo != hi)
+        lo, hi = np.where(ok, lo, 0), np.where(ok, hi, 1)
+        k[pos : pos + r.size] = np.where(ok, lo * (2 * n - lo - 1) // 2 + (hi - lo - 1), -1)
+        ranks[pos : pos + r.size] = r
+        pos += r.size
+        if rejected:
+            return rows[:pos], k[:pos], ranks[:pos], int(rows[pos])
+    return rows, k, ranks, stop
+
+
+def _ints(fields: list[str]) -> tuple[np.ndarray, bool]:
+    """The fields as int64, read as int() reads them, and whether int()
+    rejected one: the values then stop before that field's row."""
+    try:
+        return np.array(fields, dtype=np.int64), False
+    except (ValueError, OverflowError):
+        pass
+    bad = _first_rejected(fields)
+    keep = len(fields) if bad is None else bad - bad % 3
+    vals = np.array(list(map(int, fields[:keep])), dtype=object)
+    vals[(vals < _INT64.min) | (vals > _INT64.max)] = -1
+    return vals.astype(np.int64), bad is not None
+
+
+def _first_rejected(fields: list[str]) -> int | None:
+    """Index of the first field int() rejects, or None, by bisection."""
+
+    def all_ints(part: list[str]) -> bool:
+        try:
+            list(map(int, part))
+        except ValueError:
+            return False
+        return True
+
+    if all_ints(fields):
+        return None
+    lo, hi = 0, len(fields)  # fields[lo:hi] holds the first rejected field
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all_ints(fields[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def write_metric(m: RankedMetric) -> str:
@@ -133,17 +282,16 @@ def sniff_format(text: str) -> str:
     Anything else is points.  The one ambiguous case, a single 1-D point
     written as a bare positive integer, sniffs as the (trivial) n=1 metric;
     pass the format explicitly to override."""
-    lines = _data_lines(text)
-    if not lines:
+    t = _lines(text)
+    if not t.data.size:
         raise ValueError("input has no data lines")
-    parts = lines[0][1].split()
-    if len(parts) == 1:
+    if t.fields[t.data[0]] == 1:
         try:
-            n = int(parts[0])
+            n = _header(t)
         except ValueError:
             return "points"
-        if n >= 1 and len(lines) - 1 == n * (n - 1) // 2:
-            if all(len(line.split()) == 3 for _, line in lines[1:]):
+        if n >= 1 and t.data.size - 1 == n * (n - 1) // 2:
+            if np.all(t.fields[t.data[1:]] == 3):
                 return "metric"
     return "points"
 

@@ -62,6 +62,74 @@ def lattice_point_sets(draw, max_dim: int = 5, max_n: int = 80, min_n: int = 1):
     return PointSet(dim, tuple(rows[:n]))
 
 
+# The metric reader as it was before it was vectorised, kept verbatim as the
+# reference the vectorised fileio.sniff_format and fileio.parse_metric must
+# match, error text and line number included.
+
+
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
+def reference_parse_metric(text: str) -> RankedMetric:
+    lines = _data_lines(text)
+    if not lines:
+        raise ValueError("metric file has no data lines")
+    lineno, header = lines[0]
+    try:
+        n = int(header)
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: header must be the vertex count") from e
+    if n < 1:
+        raise ValueError(f"line {lineno}: vertex count must be positive")
+    p = n * (n - 1) // 2
+    body = lines[1:]
+    if len(body) != p:
+        raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
+    flat: list[int | None] = [None] * p
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'i j rank'")
+        try:
+            i, j, r = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: bad integer: {e}") from e
+        if i == j or not (0 <= i < n) or not (0 <= j < n):
+            raise ValueError(f"line {lineno}: bad pair ({i}, {j}) for n={n}")
+        k = pair_index(min(i, j), max(i, j), n)
+        if flat[k] is not None:
+            raise ValueError(f"line {lineno}: pair {(min(i, j), max(i, j))} given twice")
+        flat[k] = r
+    return RankedMetric(n, flat)
+
+
+def reference_sniff_format(text: str) -> str:
+    """Guess 'metric' or 'points'.  Metric requires the full shape: a lone
+    positive integer header n, then exactly n(n-1)/2 three-field lines.
+    Anything else is points.  The one ambiguous case, a single 1-D point
+    written as a bare positive integer, sniffs as the (trivial) n=1 metric;
+    pass the format explicitly to override."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ValueError("input has no data lines")
+    parts = lines[0][1].split()
+    if len(parts) == 1:
+        try:
+            n = int(parts[0])
+        except ValueError:
+            return "points"
+        if n >= 1 and len(lines) - 1 == n * (n - 1) // 2:
+            if all(len(line.split()) == 3 for _, line in lines[1:]):
+                return "metric"
+    return "points"
+
+
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

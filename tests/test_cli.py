@@ -1,14 +1,18 @@
 """File formats and the CLI surface: round trips, schemas, exit codes."""
 
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onng import PointSet, RankedMetric, build_onng, metric_from_points, random_rank_metric
+from onng.core import iter_pairs
 from onng.fileio import (
+    Text,
     parse_metric,
     parse_order,
     parse_points,
@@ -20,9 +24,10 @@ from onng.fileio import (
 )
 import onng.cli as cli
 import onng.core as core
+import onng.fileio as fileio
 import onng.oracle as oracle
 
-from conftest import run_cli
+from conftest import reference_parse_metric, reference_sniff_format, run_cli
 
 
 # ------------------------------------------------------------- file formats
@@ -79,6 +84,9 @@ def test_metric_parser_rejects_defects():
     for rank in (-1, 2**70):
         with pytest.raises(ValueError, match="bijection"):
             parse_metric(f"3\n0 1 0\n0 2 {rank}\n1 2 2\n")
+    # "\r#c\n" is a comment line between two line breaks, not one "\r\n"
+    with pytest.raises(ValueError, match="^line 5: bad integer"):
+        parse_metric("3\r#c\n0 1 0\n0 2 1\n1 2 x\n")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -98,6 +106,109 @@ def test_metric_parse_round_trip(n, rng):
     text = "\n".join([rng.choice(noise), header, *body]) + "\n"
     assert sniff_format(text) == "metric"
     assert parse_metric(text) == m
+
+
+_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_SPACES = (" ", "  ", "\t", " \t ", "\x1f", "\u00a0", "\u3000")
+_SCRIPTS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+            "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")  # fullwidth
+_HUGE = (2**63, 2**70, -(2**63) - 1)
+_NOT_INTS = ("1.0", "x", "0x10", "1__0", "_1", "1e3", "--1", "\u00bd")
+_DEFECTS = ("short", "long", "not_int", "self_pair", "out_of_range", "repeat",
+            "line_count", "bad_header", "n_zero", "huge", "bad_rank")
+
+
+def _spell(rng: random.Random, v) -> str:
+    """An int as int() reads it: sign, leading zeros, underscores, other
+    scripts' digits.  Strings are spelled as they are."""
+    if isinstance(v, str):
+        return v
+    digits, style = str(abs(v)), rng.choice(("plain", "plus", "zeros", "underscore", "script"))
+    if style == "zeros":
+        digits = "00" + digits
+    elif style == "underscore" and len(digits) > 1:
+        digits = digits[0] + "_" + digits[1:]
+    elif style == "script":
+        digits = digits.translate(str.maketrans("0123456789", rng.choice(_SCRIPTS)))
+    return ("-" if v < 0 else "+" if style == "plus" else "") + digits
+
+
+def _inject(rng: random.Random, kind: str, n: int, header: list, rows: list) -> None:
+    if kind == "bad_header":
+        header[:] = [rng.choice(("x", f"{n}.0", f"{n} {n}", "0x3", "#"))]
+    elif kind == "n_zero":
+        header[:] = [rng.choice((0, -1))]
+    elif kind == "line_count":
+        if rows and rng.random() < 0.5:
+            rows.pop(rng.randrange(len(rows)))
+        else:
+            rows.insert(rng.randrange(len(rows) + 1), [0, 1, 0])
+    elif rows:
+        row = rng.choice(rows)
+        if kind == "short":
+            row.pop(rng.randrange(len(row)))
+        elif kind == "long":
+            row.append(rng.randrange(5))
+        elif kind == "not_int":
+            row[rng.randrange(len(row))] = rng.choice(_NOT_INTS)
+        elif kind == "self_pair":
+            row[1] = row[0]
+        elif kind == "out_of_range":
+            row[rng.randrange(2)] = rng.choice((n, n + 3, -1))
+        elif kind == "repeat":
+            other = rng.choice(rows)
+            row[:2] = other[:2] if rng.random() < 0.5 else other[1::-1]
+        elif kind == "bad_rank":
+            row[2] = rng.choice((-1, n * (n - 1) // 2, rng.choice(rows)[2]))
+        else:  # huge: past int64, as an id or as a rank
+            row[rng.randrange(len(row))] = rng.choice(_HUGE)
+
+
+@st.composite
+def metric_texts(draw):
+    """Metric files with n <= 12: any line order, flipped pairs, every
+    str.splitlines break, odd whitespace, comments, blank lines and odd
+    integer spellings, with zero to three injected defects."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 12)  # a drawn n would mostly be 1
+    defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=3))
+    ranks = list(range(n * (n - 1) // 2))
+    rng.shuffle(ranks)
+    rows = [[i, j, r] if rng.random() < 0.5 else [j, i, r]
+            for (i, j), r in zip(iter_pairs(n), ranks)]
+    rng.shuffle(rows)
+    header = [n]
+    for kind in defects:
+        _inject(rng, kind, n, header, rows)
+    out = []
+    for row in [header, *rows]:
+        while rng.random() < 0.15:
+            out.append(rng.choice(("", " ", "# note", "\t# 0 1 2", "#")))
+        line = rng.choice(_SPACES).join(_spell(rng, v) for v in row)
+        if rng.random() < 0.2:
+            line = rng.choice(("", " ")) + line + rng.choice(_SPACES)
+        if rng.random() < 0.2:
+            line += rng.choice(("# inline", "#", " #1 2 3"))
+        out.append(line)
+    return "".join(line + rng.choice(_BREAKS) for line in out)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(metric_texts(), st.sampled_from([1, 2, 5, fileio._BLOCK_LINES]))
+def test_metric_reader_matches_reference(text, block_lines):
+    # small blocks put the defects and repeated pairs across block joins;
+    # the sniff and the parse share one Text, as in the CLI
+    with mock.patch.object(fileio, "_BLOCK_LINES", block_lines):
+        shared = Text(text)
+        assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
+        assert _outcome(parse_metric, shared) == _outcome(reference_parse_metric, text)
 
 
 def test_order_round_trip():
@@ -285,6 +396,13 @@ def test_guard_refusals_exit_2(tmp_path):
     assert code == 2
     code, _, err = run_cli(["gen", "hard-line", "--k", "21"])
     assert code == 2 and "size budget" in err
+    # refused at the header, before the pair lines are counted
+    huge = tmp_path / "h.txt"
+    huge.write_text("8193\n0 1 0\n")
+    code, out, err = run_cli(["order", "--strategy", "ramsey", "--input-format", "metric",
+                              "--input", str(huge)])
+    assert (code, out) == (2, "")
+    assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
 
 
 def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
@@ -320,6 +438,29 @@ def test_bad_ranks_are_input_errors(tmp_path):
             code, out, err = run_cli(argv + ["--input", str(src)])
             assert (code, out) == (1, ""), (rank, argv)
             assert err == f"onng: error: {src}: pair ranks must be a bijection onto 0..n(n-1)/2-1\n"
+
+
+def test_metric_file_spelling_does_not_change_output(tmp_path):
+    clean, messy, ordf = tmp_path / "m.txt", tmp_path / "messy.txt", tmp_path / "o.txt"
+    run_cli(["gen", "random-metric", "--n", "12", "--seed", "7", "-o", str(clean)])
+    ordf.write_text(write_order((5, 0, 11, 3, 1, 2, 4, 6, 7, 8, 9, 10)))
+    header, *pairs = clean.read_text().splitlines()
+    body = []
+    for idx, line in enumerate(reversed(pairs)):
+        i, j, r = line.split()
+        if idx % 2:
+            line = f"{j}\t{i} {r}"
+        if idx % 5 == 0:
+            body.append("# a comment line")
+        body.append(line + ("  # inline" if idx % 3 == 0 else ""))
+    messy.write_bytes("\r\n".join(["# CRLF, comments, flipped pairs", header, *body, ""]).encode())
+    for argv in (["order", "--strategy", "ramsey"],
+                 ["order", "--strategy", "path", "--tail", "0"],
+                 ["eval", "--order", str(ordf)]):
+        want = run_cli(argv + ["--input", str(clean)])
+        assert want[0] == 0, want
+        for fmt in ("auto", "metric"):
+            assert run_cli(argv + ["--input-format", fmt, "--input", str(messy)]) == want, (argv, fmt)
 
 
 def test_points_and_their_metric_file_report_alike(tmp_path):

@@ -49,10 +49,15 @@ def test_ranked_metric_validates_bijection():
 
 
 def test_rank_is_symmetric():
-    m = RankedMetric(4, (5, 1, 0, 2, 4, 3))
-    for i, j in iter_pairs(4):
-        assert m.rank(i, j) == m.rank(j, i)
-        assert m.rank(i, j) == m.pair_rank_list()[pair_index(i, j, 4)]
+    rng = random.Random(7)
+    metrics = [RankedMetric(4, (5, 1, 0, 2, 4, 3))]
+    metrics += [random_rank_metric(n, rng) for n in (1, 2, 3, 9)]
+    for m in metrics:
+        p, rows = m.n * (m.n - 1) // 2, m.matrix_rows()
+        assert [rows[v][v] for v in range(m.n)] == [p] * m.n  # the sentinel
+        for i, j in iter_pairs(m.n):
+            assert m.rank(i, j) == m.rank(j, i) == rows[i][j] == rows[j][i]
+            assert m.rank(i, j) == m.pair_rank_list()[pair_index(i, j, m.n)]
 
 
 def test_unit_square_tie_break_is_lexicographic():
