@@ -5,11 +5,19 @@ n <= 10 and rank-metric enumeration at n <= 5 ((n(n-1)/2)! pair orders,
 3,628,800 at n=5).  Callers beyond the guard get a GuardError, never a
 silent truncation.
 
-Every order question is answered by one subset DP in the style of
-Held & Karp (1962): the completion table g(S, v), the most extra indegree
-v can still collect once the vertex set S is revealed, covers all n!
-orders in O(2^n n^2) work.  It is vectorized over batches of metrics, so
-the single-metric oracle and the full-scan search share it.
+Every order question is answered by one fact.  For a vertex v, let G_v be
+the graph on the other vertices in which {a, b} is an edge iff {a, b} is the
+strictly shortest side of the triangle (v, a, b).  Then d(v), the largest
+indegree any order can force on v, is alpha(G_v), the independence number
+of G_v.  The leaves of v are independent: of two G_v-neighbours, whichever
+is revealed second has the other nearer than v.  And alpha(G_v) is
+reachable: reveal v, then an independent set in decreasing rank to v.  The
+same argument, once a set S is revealed, gives the most extra indegree v
+can still collect as g(S, v) = alpha(G_v[W]), where W holds the unrevealed
+vertices whose nearest member of S + {v} is v; the best-order rebuild reads
+g from there.  Each G_v is one integer code, so a batch of metrics needs one
+alpha per distinct graph, and the single-metric oracle and the full-scan
+search share that engine.
 
 The full-scan search computes, for every rank metric, the profile
 d(v) = max over all insertion orders of the indegree of v, and the exact
@@ -19,17 +27,23 @@ values are exact Fractions.
 
 The scan splits into independent lexicographic blocks by the rank assigned
 to the pair {0, 1}; blocks are merged in block order, so the result is
-identical at every parallelism degree.  A canonical scan needs only the
-blocks where {0, 1} has rank 0, split further by the rank of {0, 2}.
+identical at every parallelism degree.  For n >= 3 no relabeling but the
+identity fixes a strict pair order (one that moves i to j != i moves {i, k}
+for any k outside {i, j}), so every relabeling class has n! members, and
+exactly 2(n-2)! of them give {0, 1} rank 0: those that carry the class's
+closest pair onto {0, 1}.  A canonical scan is therefore block 0, split
+further by the rank of {0, 2}, with its counts divided by 2(n-2)!.  For
+n <= 2 a class is a single metric and the counts stand as scanned.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterator
 
 import numpy as np
@@ -50,63 +64,80 @@ def _check_metric_guard(n: int) -> None:
         raise GuardError(f"n={n} exceeds the metric-enumeration guard (n <= {METRIC_ENUM_MAX_N})")
 
 
-@lru_cache(maxsize=None)
-def _layer_tables(n: int):
-    """Index tables for the subset DP, one entry per popcount k = n-1 .. 1.
-
-    For the L sets S of size k (``masks``) and the n-k vertices w outside
-    each: ``sups`` holds S | {w}, ``cols`` the flat pair index of {w, u} for
-    every member u of S, and ``members`` those u.
-    """
-    layers = []
-    for k in range(n - 1, 0, -1):
-        sets = list(combinations(range(n), k))
-        masks = [sum(1 << u for u in s) for s in sets]
-        outs = [[w for w in range(n) if w not in s] for s in sets]
-        sups = [[mask | 1 << w for w in o] for mask, o in zip(masks, outs)]
-        cols = [[[pair_index(min(u, w), max(u, w), n) for u in s] for w in o] for s, o in zip(sets, outs)]
-        layers.append(
-            (np.array(masks), np.array(sups), np.array(cols), np.array(sets, dtype=np.int8))
-        )
-    return layers
+def _side_pairs(n: int, v: int) -> list[tuple[int, int]]:
+    """The pairs of vertices other than v, in lexicographic order: pair i is
+    bit i of G_v's code."""
+    return list(combinations([u for u in range(n) if u != v], 2))
 
 
-def _completion_tables(r: np.ndarray, n: int) -> np.ndarray:
-    """Completion tables for a batch of flat rank vectors r, shape (B, p).
-
-    g[b, S, v] is the most extra indegree v can still collect once the
-    vertex set S (a bitmask) is revealed: g(all) = 0, and
-    g(S) = max over w not in S of [nn(w, S) = v] + g(S | {w}).  The last
-    vertex revealed attaches to its nearest already-revealed vertex whatever
-    order those came in, so one pass over the subsets covers all n! orders.
-    Only non-empty S are filled.
-    """
+def _graph_codes(r: np.ndarray, n: int) -> np.ndarray:
+    """G_v for a batch of flat rank vectors r, shape (B, p), as one integer
+    code per (metric, v), shape (B, n)."""
     b = r.shape[0]
-    g = np.zeros((b, 1 << n, n), dtype=np.int8)
-    vs = np.arange(n, dtype=np.int8)
-    for masks, sups, cols, members in _layer_tables(n):
-        amin = r[:, cols].argmin(axis=3)  # (B, L, n-k); ranks are distinct
-        nn = members[np.arange(len(masks))[:, None], amin]  # (B, L, n-k)
-        cand = g[:, sups] + (nn[..., None] == vs)  # (B, L, n-k, n)
-        g[:, masks] = cand.max(axis=2)
-    return g
+    mat = np.zeros((b, n, n), dtype=r.dtype)
+    i, j = np.triu_indices(n, 1)
+    mat[:, i, j] = mat[:, j, i] = r
+    codes = np.empty((b, n), dtype=np.int64)
+    for v in range(n):
+        a, c = np.array(_side_pairs(n, v), dtype=np.intp).reshape(-1, 2).T
+        side = mat[:, a, c]
+        edge = (side < mat[:, v, a]) & (side < mat[:, v, c])
+        codes[:, v] = (edge.astype(np.int64) << np.arange(len(a))).sum(axis=1)
+    return codes
+
+
+def _graph(code: int, n: int, v: int) -> list[int]:
+    """G_v decoded from its code: one neighbour bitmask per vertex label."""
+    adj = [0] * n
+    for i, (a, c) in enumerate(_side_pairs(n, v)):
+        if code >> i & 1:
+            adj[a] |= 1 << c
+            adj[c] |= 1 << a
+    return adj
+
+
+def _alpha(adj: list[int], cand: int) -> int:
+    """Independence number of the graph induced on the bitmask cand: branch
+    on a vertex of largest degree, leaving it out or taking it."""
+    if not cand:
+        return 0
+    deg, u = max(((adj[u] & cand).bit_count(), u) for u in range(len(adj)) if cand >> u & 1)
+    if deg == 0:
+        return cand.bit_count()
+    rest = cand & ~(1 << u)
+    return max(_alpha(adj, rest), 1 + _alpha(adj, rest & ~adj[u]))
 
 
 def _profiles(r: np.ndarray, n: int) -> np.ndarray:
-    """d(v) = max over first vertices u of g({u}, v), shape (B, n)."""
-    return _completion_tables(r, n)[:, [1 << u for u in range(n)]].max(axis=1)
+    """d(v) = alpha(G_v) for a batch of flat rank vectors r, shape (B, n).
+
+    A code read with v = n - 1 is the graph on labels 0..n-2, so one alpha
+    serves every (metric, v) whose G_v has that code."""
+    codes, inverse = np.unique(_graph_codes(r, n), return_inverse=True)
+    alphas = np.array([_alpha(_graph(int(c), n, n - 1), (1 << n - 1) - 1) for c in codes], dtype=np.int64)
+    return alphas[inverse].reshape(r.shape[0], n)
+
+
+def _g(rows: list[list[int]], adj: list[int], s: int, v: int) -> int:
+    """g(S, v) = alpha(G_v[W]) for the revealed set S (a non-empty bitmask)
+    and G_v's adjacency adj: W holds the vertices outside S + {v} whose
+    nearest member of S + {v} is v."""
+    t = [u for u in range(len(rows)) if (s | 1 << v) >> u & 1]
+    w = sum(1 << x for x in range(len(rows)) if x not in t and min(t, key=rows[x].__getitem__) == v)
+    return _alpha(adj, w)
 
 
 def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
     """The first order (in lexicographic enumeration) achieving the maximum
     possible max indegree, together with that value.
 
-    Rebuilt greedily from the completion table: reveal the smallest vertex
-    that keeps max over v of (indegree so far + g) at the optimum."""
+    Rebuilt greedily from g: reveal the smallest vertex that keeps max over
+    v of (indegree so far + g) at the optimum."""
     _check_order_guard(m.n)
     n = m.n
-    g = _completion_tables(np.array([m.pair_rank_list()]), n)[0].tolist()
-    best = max(max(g[1 << u]) for u in range(n))
+    r = np.array([m.pair_rank_list()])
+    best = int(_profiles(r, n).max())
+    adj = [_graph(int(c), n, v) for v, c in enumerate(_graph_codes(r, n)[0])]
     rows = m.matrix_rows()
     order: list[int] = []
     indeg = [0] * n
@@ -118,7 +149,7 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
             step = indeg[:]
             if order:
                 step[min(order, key=rows[w].__getitem__)] += 1
-            if max(d + e for d, e in zip(step, g[mask | 1 << w])) == best:
+            if max(d + _g(rows, adj[v], mask | 1 << w, v) for v, d in enumerate(step)) == best:
                 break
         order.append(w)
         indeg = step
@@ -143,22 +174,31 @@ def problem1_sum(m: RankedMetric) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _relabel_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each non-identity vertex relabeling s, the index map M with
-    relabeled[q] = t[M[q]] for flat rank vectors t."""
+    """For each vertex relabeling s other than the identity that maps {0, 1}
+    onto itself, the index map M with relabeled[q] = t[M[q]] for flat rank
+    vectors t."""
     p = n * (n - 1) // 2
     maps = []
-    for sigma in permutations(range(n)):
-        if sigma == tuple(range(n)):
-            continue
-        m = [0] * p
-        for i in range(n):
-            for j in range(i + 1, n):
-                si, sj = sigma[i], sigma[j]
-                if si > sj:
-                    si, sj = sj, si
-                m[pair_index(si, sj, n)] = pair_index(i, j, n)
-        maps.append(tuple(m))
+    for head in ((0, 1), (1, 0)):
+        for sigma in ((*head, *tail) for tail in permutations(range(2, n))):
+            if sigma == tuple(range(n)):
+                continue
+            m = [0] * p
+            for i in range(n):
+                for j in range(i + 1, n):
+                    si, sj = sigma[i], sigma[j]
+                    if si > sj:
+                        si, sj = sj, si
+                    m[pair_index(si, sj, n)] = pair_index(i, j, n)
+            maps.append(tuple(m))
     return tuple(maps)
+
+
+def _is_canonical(t: tuple[int, ...], n: int) -> bool:
+    """Whether a flat rank vector t with t[0] = 0 is the lexicographic minimum
+    of its relabeling class.  Only relabelings that map {0, 1} onto itself
+    compete: any other one moves a nonzero rank into slot 0."""
+    return all(t <= tuple(map(t.__getitem__, mp)) for mp in _relabel_maps(n))
 
 
 def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMetric]:
@@ -168,19 +208,23 @@ def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMe
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_metric_guard(n)
-    it = permutations(range(n * (n - 1) // 2))
-    while chunk := list(islice(it, 4096)):
-        if canonical:
-            chunk = compress(chunk, _canonical_mask(np.array(chunk, dtype=np.int8), n))
-        yield from (RankedMetric(n, t) for t in chunk)
+    p = n * (n - 1) // 2
+    if canonical and p:
+        # a class minimum gives its closest pair rank 0, so it lies in block 0
+        block0 = ((0, *rest) for rest in permutations(range(1, p)))
+        yield from (RankedMetric(n, t) for t in block0 if _is_canonical(t, n))
+    else:
+        yield from (RankedMetric(n, t) for t in permutations(range(p)))
 
 
 @dataclass(frozen=True)
 class Problem1Report:
     """Outcome of a full scan.  ``orderings_scanned`` counts the pair
-    orderings whose profile was evaluated (all of them, or one canonical
-    representative per relabeling class).  Counterexamples carry the flat
-    rank vector verbatim and the offending exact sum."""
+    orderings covered: all of them, or one canonical representative per
+    relabeling class.  Canonical counts are computed from the block where
+    {0, 1} has rank 0, not by evaluating representatives one by one.
+    Counterexamples carry the flat rank vector verbatim and the offending
+    exact sum."""
 
     n: int
     canonical: bool
@@ -190,23 +234,6 @@ class Problem1Report:
     counterexamples: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
-def _canonical_mask(r: np.ndarray, n: int) -> np.ndarray:
-    maps = _relabel_maps(n)
-    b = r.shape[0]
-    alive = np.ones(b, dtype=bool)
-    rows = np.arange(b)
-    for m in maps:
-        perm_t = r[:, np.asarray(m)]
-        neq = perm_t != r
-        has = neq.any(axis=1)
-        first = neq.argmax(axis=1)
-        smaller = has & (perm_t[rows, first] < r[rows, first])
-        alive &= ~smaller
-        if not alive.any():
-            break
-    return alive
-
-
 def _scan_block(args) -> tuple[int, int, int, list]:
     """Scan the lexicographic block whose leading flat ranks (pair {0, 1},
     then {0, 2}, ...) are the given prefix.
@@ -214,36 +241,24 @@ def _scan_block(args) -> tuple[int, int, int, list]:
     Returns (evaluated, max_scaled, witnesses, counterexamples); sums are
     scaled by 2^(n-1) so everything stays in integers.
     """
-    n, prefix, canonical = args
+    n, prefix = args
     p = n * (n - 1) // 2
     rest = [v for v in range(p) if v not in prefix]
     target = 2 ** (n - 1)
     lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
-    batch = max(1024, 8_000_000 // (n << n))  # ~8 MB of int8 completion table
     evaluated = 0
     max_scaled = -1
     witnesses = 0
     cex: list[tuple[tuple[int, ...], Fraction]] = []
     it = permutations(rest)
-    while True:
-        chunk = list(islice(it, batch))
-        if not chunk:
-            break
+    while chunk := list(islice(it, 1 << 15)):
         r = np.empty((len(chunk), p), dtype=np.int8)
         r[:, : len(prefix)] = prefix
         if rest:
             r[:, len(prefix) :] = np.array(chunk, dtype=np.int8)
-        if canonical:
-            alive = _canonical_mask(r, n)
-            r = r[alive]
-            if r.shape[0] == 0:
-                continue
         evaluated += r.shape[0]
-        d = _profiles(r, n)
-        scaled = lut[d].sum(axis=1)
-        mx = int(scaled.max())
-        if mx > max_scaled:
-            max_scaled = mx
+        scaled = lut[_profiles(r, n)].sum(axis=1)
+        max_scaled = max(max_scaled, int(scaled.max()))
         witnesses += int((scaled == target).sum())
         for idx in np.flatnonzero(scaled > target):
             cex.append((tuple(int(x) for x in r[idx]), Fraction(int(scaled[idx]), target)))
@@ -264,30 +279,23 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
         return Problem1Report(1, canonical, 1, Fraction(1), 1, ())
     p = n * (n - 1) // 2
     if canonical:
-        # A canonical representative is lexicographically minimal over all
-        # relabelings, and relabeling its closest pair onto {0, 1} gives
-        # that pair rank 0, so only blocks starting with rank 0 can hold
-        # one.  They are split by the rank of {0, 2} to keep the jobs busy.
+        # Block 0 holds 2(n-2)! members of every class (see the module
+        # docstring); it is split by the rank of {0, 2} to keep the jobs busy.
         prefixes = [(0, r) for r in range(1, p)] or [(0,)]
     else:
         prefixes = [(r,) for r in range(p)]
-    args = [(n, prefix, canonical) for prefix in prefixes]
+    args = [(n, prefix) for prefix in prefixes]
     if jobs > 1 and len(args) > 1:
         with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
             results = pool.map(_scan_block, args)
     else:
         results = [_scan_block(a) for a in args]
-    evaluated = sum(r[0] for r in results)
-    max_scaled = max(r[1] for r in results)
-    witnesses = sum(r[2] for r in results)
-    cex: list = []
-    for r in results:
-        cex.extend(r[3])
+    orbit = 2 * math.factorial(n - 2) if canonical and n >= 3 else 1
     return Problem1Report(
         n=n,
         canonical=canonical,
-        orderings_scanned=evaluated,
-        max_sum=Fraction(max_scaled, 2 ** (n - 1)),
-        witnesses_at_one=witnesses,
-        counterexamples=tuple(cex),
+        orderings_scanned=sum(r[0] for r in results) // orbit,
+        max_sum=Fraction(max(r[1] for r in results), 2 ** (n - 1)),
+        witnesses_at_one=sum(r[2] for r in results) // orbit,
+        counterexamples=tuple(c for r in results for c in r[3] if not canonical or _is_canonical(c[0], n)),
     )

@@ -6,8 +6,10 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from onng import LinePointSet, PointSet, RankedMetric, pair_index
@@ -128,6 +130,91 @@ def reference_sniff_format(text: str) -> str:
             if all(len(line.split()) == 3 for _, line in lines[1:]):
                 return "metric"
     return "points"
+
+
+# The order oracle as it was before it was rebuilt on independent sets: one
+# Held-Karp-style subset DP over all 2^n revealed sets, kept verbatim as the
+# reference that the closed form g(S, v) = alpha(G_v[W]), the profile and the
+# best-order rebuild must match.
+
+
+@lru_cache(maxsize=None)
+def _layer_tables(n: int):
+    """Index tables for the subset DP, one entry per popcount k = n-1 .. 1.
+
+    For the L sets S of size k (``masks``) and the n-k vertices w outside
+    each: ``sups`` holds S | {w}, ``cols`` the flat pair index of {w, u} for
+    every member u of S, and ``members`` those u.
+    """
+    layers = []
+    for k in range(n - 1, 0, -1):
+        sets = list(combinations(range(n), k))
+        masks = [sum(1 << u for u in s) for s in sets]
+        outs = [[w for w in range(n) if w not in s] for s in sets]
+        sups = [[mask | 1 << w for w in o] for mask, o in zip(masks, outs)]
+        cols = [[[pair_index(min(u, w), max(u, w), n) for u in s] for w in o] for s, o in zip(sets, outs)]
+        layers.append(
+            (np.array(masks), np.array(sups), np.array(cols), np.array(sets, dtype=np.int8))
+        )
+    return layers
+
+
+def _completion_tables(r: np.ndarray, n: int) -> np.ndarray:
+    """Completion tables for a batch of flat rank vectors r, shape (B, p).
+
+    g[b, S, v] is the most extra indegree v can still collect once the
+    vertex set S (a bitmask) is revealed: g(all) = 0, and
+    g(S) = max over w not in S of [nn(w, S) = v] + g(S | {w}).  The last
+    vertex revealed attaches to its nearest already-revealed vertex whatever
+    order those came in, so one pass over the subsets covers all n! orders.
+    Only non-empty S are filled.
+    """
+    b = r.shape[0]
+    g = np.zeros((b, 1 << n, n), dtype=np.int8)
+    vs = np.arange(n, dtype=np.int8)
+    for masks, sups, cols, members in _layer_tables(n):
+        amin = r[:, cols].argmin(axis=3)  # (B, L, n-k); ranks are distinct
+        nn = members[np.arange(len(masks))[:, None], amin]  # (B, L, n-k)
+        cand = g[:, sups] + (nn[..., None] == vs)  # (B, L, n-k, n)
+        g[:, masks] = cand.max(axis=2)
+    return g
+
+
+def reference_completion_table(m: RankedMetric) -> list[list[int]]:
+    """g[S][v] for one metric, from the subset DP."""
+    return _completion_tables(np.array([m.pair_rank_list()]), m.n)[0].tolist()
+
+
+def reference_profile(m: RankedMetric) -> tuple[int, ...]:
+    """d(v) = max over first vertices u of g({u}, v)."""
+    g = reference_completion_table(m)
+    return tuple(max(g[1 << u][v] for u in range(m.n)) for v in range(m.n))
+
+
+def reference_best_order(m: RankedMetric) -> tuple[tuple[int, ...], int]:
+    """The first optimal order and its value, rebuilt greedily from the DP
+    table: reveal the smallest vertex that keeps max over v of (indegree so
+    far + g) at the optimum."""
+    n = m.n
+    g = reference_completion_table(m)
+    best = max(max(g[1 << u]) for u in range(n))
+    rows = m.matrix_rows()
+    order: list[int] = []
+    indeg = [0] * n
+    mask = 0
+    for _ in range(n):
+        for w in range(n):
+            if mask >> w & 1:
+                continue
+            step = indeg[:]
+            if order:
+                step[min(order, key=rows[w].__getitem__)] += 1
+            if max(d + e for d, e in zip(step, g[mask | 1 << w])) == best:
+                break
+        order.append(w)
+        indeg = step
+        mask |= 1 << w
+    return tuple(order), best
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

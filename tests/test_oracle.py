@@ -1,5 +1,6 @@
 """Exhaustive enumeration: guards, frozen small cases, and the dual-route
-check that the subset-DP oracle agrees with a plain sweep over all orders."""
+checks that the independent-set oracle agrees with a plain sweep over all
+orders and with the frozen subset DP of tests/conftest.py."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onng import (
@@ -21,11 +22,14 @@ from onng import (
     gen_hard_line,
     max_indegree,
     metric_from_points,
+    pair_index,
     problem1_search,
     problem1_sum,
     random_rank_metric,
 )
-from onng.oracle import _profiles, _relabel_maps, _scan_block
+from onng.oracle import _g, _graph, _graph_codes, _profiles, _scan_block
+
+from conftest import reference_best_order, reference_completion_table, reference_profile
 
 
 def _reference(m):
@@ -82,12 +86,16 @@ def test_enumerate_counts_and_canonical_reduction():
 
 
 def test_canonical_representative_is_orbit_minimum():
-    maps = _relabel_maps(4)
-    for m in enumerate_rank_metrics(4, canonical=True):
+    # the full orbit: all n! relabelings, not only those that fix {0, 1}
+    n = 4
+    for m in enumerate_rank_metrics(n, canonical=True):
         t = tuple(m.pair_rank_list())
-        for mp in maps:
-            relabeled = tuple(t[mp[q]] for q in range(6))
-            assert t <= relabeled
+        for sigma in permutations(range(n)):
+            relabeled = [0] * len(t)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    relabeled[pair_index(*sorted((sigma[i], sigma[j])), n)] = m.rank(i, j)
+            assert t <= tuple(relabeled)
 
 
 def test_profiles_batch_matches_python_oracle_n4():
@@ -126,6 +134,42 @@ def test_dp_oracle_matches_order_sweep(m):
     profile, order, value = _reference(m)
     assert degree_profile_exhaustive(m) == profile
     assert best_order_exhaustive(m) == (order, value)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_small_metrics())
+def test_completion_closed_form_matches_dp_table(m):
+    # g(S, v) = alpha(G_v[W]) for every non-empty revealed set S and every v
+    n = m.n
+    table = reference_completion_table(m)
+    codes = _graph_codes(np.array([m.pair_rank_list()]), n)[0]
+    adj = [_graph(int(c), n, v) for v, c in enumerate(codes)]
+    rows = m.matrix_rows()
+    for s in range(1, 1 << n):
+        assert [_g(rows, adj[v], s, v) for v in range(n)] == table[s], s
+
+
+@st.composite
+def _larger_metrics(draw):
+    """Random rank metrics, and tie-heavy sets on a 4x4 lattice or a 4x4x4
+    lattice whose ties are broken by the index pair, on 8 to 10 vertices."""
+    n = draw(st.integers(8, 10))
+    if draw(st.booleans()):
+        return random_rank_metric(n, random.Random(draw(st.integers(0, 2**32))))
+    coord = st.tuples(*[st.integers(0, 3)] * draw(st.integers(2, 3)))
+    rows = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    return metric_from_points(PointSet(len(rows[0]), tuple(rows)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_larger_metrics())
+@example(metric_from_points(gen_hard_line(1).to_point_set()))
+@example(metric_from_points(gen_hard_line(2).to_point_set()))
+@example(metric_from_points(gen_hard_line(3).to_point_set()))
+def test_oracle_matches_frozen_dp(m):
+    # past n = 7 an n! sweep is too slow; the subset DP is the reference
+    assert degree_profile_exhaustive(m) == reference_profile(m)
+    assert best_order_exhaustive(m) == reference_best_order(m)
 
 
 def test_problem1_search_tiny_cases():
@@ -170,16 +214,19 @@ def test_hard_line_metric_is_an_equality_witness():
 
 def test_scan_block_covers_its_slice():
     # one lexicographic block of n=3: metrics whose {0,1} rank is fixed
-    evaluated, max_scaled, witnesses, cex = _scan_block((3, (1,), False))
+    evaluated, max_scaled, witnesses, cex = _scan_block((3, (1,)))
     assert evaluated == 2
     assert max_scaled == 4  # scaled by 2^(n-1)
     assert witnesses == 2
     assert cex == []
 
 
-def test_canonical_scan_blocks_past_the_first_are_empty():
-    # every canonical representative gives pair {0, 1} rank 0, which is why
-    # problem1_search(canonical=True) scans block 0 alone
-    for n in (3, 4):
-        for first in range(1, n * (n - 1) // 2):
-            assert _scan_block((n, (first,), True))[0] == 0
+def test_canonical_search_matches_canonical_enumeration():
+    # the search's counts are block-0 arithmetic; the enumeration evaluates
+    # one representative per class
+    for n in (1, 2, 3, 4):
+        sums = [problem1_sum(m) for m in enumerate_rank_metrics(n, canonical=True)]
+        rep = problem1_search(n, canonical=True)
+        assert rep.orderings_scanned == len(sums)
+        assert rep.witnesses_at_one == sum(s == 1 for s in sums)
+        assert rep.max_sum == max(sums)
