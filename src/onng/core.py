@@ -140,14 +140,18 @@ class PointSet:
             if len(pt) != self.dim:
                 raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {self.dim}")
             try:
-                exact.append(tuple(Fraction(c) for c in pt))
+                # a Fraction (as parse_points makes) is kept as it is
+                exact.append(tuple(c if type(c) is Fraction else Fraction(c) for c in pt))
             except (ValueError, OverflowError, TypeError) as e:
                 raise ValueError(f"point {idx} has a non-finite or non-numeric coordinate") from e
+        # Fractions are in lowest terms, so equal points have equal
+        # (numerator, denominator) keys, and ints hash far faster than Fractions.
         seen: dict = {}
         for idx, pt in enumerate(exact):
-            if pt in seen:
-                raise ValueError(f"points {seen[pt]} and {idx} are identical")
-            seen[pt] = idx
+            key = tuple((c.numerator, c.denominator) for c in pt)
+            if key in seen:
+                raise ValueError(f"points {seen[key]} and {idx} are identical")
+            seen[key] = idx
         object.__setattr__(self, "_exact", tuple(exact))
 
     @classmethod

@@ -3,8 +3,8 @@
 All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  A text is split into lines
-once (Lines); the CLI reads a file as a Text, which keeps that split, so
-sniff_format and the parse after it share it.  Coordinates are parsed as
+once (Lines); the CLI reads a file as a Text, which keeps that split and
+the plain scan below, so sniff_format and the parse after it share them.  Coordinates are parsed as
 exact rationals (decimal strings go through Fraction), so reading back a
 written file reproduces the metric bit for bit.
 
@@ -13,11 +13,19 @@ have the dimension of the first.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
-as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not), in
-blocks of lines converted by one numpy call each; no tuple or list is kept per
-line.  Of the defective lines, the first in the file is reported, by the
-first check it fails: field count, integers, pair range, repeated pair.
-The ranks are checked once, by RankedMetric.
+as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
+A plain file, as write_metric writes it, is read by one byte scan that
+never splits it into lines (plain_fields): only ASCII digits, spaces, tabs
+and "\n", no field longer than 18 digits (so every field is exact in
+int64), one field on the first line that has any, then three on every other
+line that has any.  Its fields are converted by one numpy call, and a file
+whose header and pairs pass every check becomes a RankedMetric directly.
+Every other spelling (comments, other line breaks, signs, underscores,
+other scripts' digits, longer fields) and every defective file is read from
+Lines, in blocks of lines converted by one numpy call each; no tuple or
+list is kept per line.  Of the defective lines, the first in the file is
+reported, by the first check it fails: field count, integers, pair range,
+repeated pair.  The ranks are checked once, by RankedMetric.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -50,6 +58,10 @@ _COMMENT = f"#[^{_LINE_BREAKS}]*"
 # Metric lines converted to integers per numpy call: bounds the field list.
 _BLOCK_LINES = 2**15
 _INT64 = np.iinfo(np.int64)
+# The bytes of a plain metric file, and its longest field: every integer of
+# 18 digits fits in int64, and 10**18 <= 2**63 - 1 < 10**19.
+_PLAIN_BYTES = b"0123456789 \t\n"
+_PLAIN_DIGITS = 18
 
 
 class Lines:
@@ -68,17 +80,61 @@ class Lines:
         self.data = np.flatnonzero(self.fields)
 
 
+def plain_fields(text: str) -> np.ndarray | None:
+    """Every field of a plain metric file as int64, from one scan over its
+    bytes; None if the text is not plain, which sends the reader to Lines.
+
+    Plain means: ASCII digits, spaces, tabs and "\n" only; no field longer
+    than _PLAIN_DIGITS digits; one field on the first line with any, three
+    on every later line with any.  The scan never raises.
+    """
+    if not text.isascii():
+        return None
+    # "\n" on both ends: every field has a non-digit before and after it
+    raw = f"\n{text}\n".encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    # Each byte-sized temporary is dropped as soon as it is used: together
+    # they, not the fields, set the reader's peak memory.
+    b = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(b == ord("\n"))
+    digit = b >= ord("0")  # the other plain bytes all sort below "0"
+    del b, raw
+    starts = np.flatnonzero(digit[1:] > digit[:-1])  # each field's first digit - 1
+    ends = np.flatnonzero(digit[:-1] > digit[1:])  # each field's last digit
+    del digit
+    if not starts.size:
+        return None
+    ends -= starts  # each field's length
+    if ends.max() > _PLAIN_DIGITS:
+        return None
+    del ends
+    fields = np.diff(np.searchsorted(starts, breaks))  # per line
+    fields = fields[fields != 0]
+    if fields[0] != 1 or np.any(fields[1:] != 3):
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
 class Text(str):
-    """A file's text that is split into Lines at most once, however many
-    readers ask for them."""
+    """A file's text that is scanned (plain_fields) and split into Lines at
+    most once each, however many readers ask for them."""
 
     @cached_property
     def split_lines(self) -> Lines:
         return Lines(self)
 
+    @cached_property
+    def plain_fields(self) -> np.ndarray | None:
+        return plain_fields(self)
+
 
 def _lines(text: str) -> Lines:
     return text.split_lines if isinstance(text, Text) else Lines(text)
+
+
+def _plain(text: str) -> np.ndarray | None:
+    return text.plain_fields if isinstance(text, Text) else plain_fields(text)
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -127,6 +183,11 @@ def _header(t: Lines) -> int:
 
 
 def parse_metric(text: str) -> RankedMetric:
+    fields = _plain(text)
+    if fields is not None:
+        m = _plain_metric(fields)
+        if m is not None:
+            return m
     t = _lines(text)
     if not t.data.size:
         raise ValueError("metric file has no data lines")
@@ -160,6 +221,32 @@ def parse_metric(text: str) -> RankedMetric:
     flat = np.empty(p, dtype=np.int64)
     flat[k] = ranks
     return RankedMetric(n, flat)
+
+
+def _plain_metric(fields: np.ndarray) -> RankedMetric | None:
+    """The metric of a plain file's fields, or None if its header or a pair
+    fails a check: the Lines reader then reports the first defect.  A
+    non-bijective rank vector raises here, as it does after Lines."""
+    n = int(fields[0])
+    p = n * (n - 1) // 2
+    if not 1 <= n <= RANK_PAIRS_MAX_N or fields.size != 1 + 3 * p:
+        return None
+    i, j, ranks = fields[1:].reshape(p, 3).T
+    k = _pair_keys(i, j, n)
+    if p and (k.min() < 0 or np.bincount(k).max() > 1):
+        return None
+    flat = np.empty(p, dtype=np.int64)
+    flat[k] = ranks
+    return RankedMetric(n, flat)
+
+
+def _pair_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """pair_index of each pair {i, j}, given in either order; -1 for a
+    self-pair or an id out of range for n."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    ok = (lo >= 0) & (hi < n) & (lo != hi)
+    lo, hi = np.where(ok, lo, 0), np.where(ok, hi, 1)
+    return np.where(ok, lo * (2 * n - lo - 1) // 2 + (hi - lo - 1), -1)
 
 
 def _check_pair_line(lineno: int, line: str, n: int) -> tuple[int, int]:
@@ -201,10 +288,7 @@ def _pair_rows(
         fields = " ".join(t.lines[a : min(a + _BLOCK_LINES, end)]).split()
         vals, rejected = _ints(fields)
         i, j, r = vals.reshape(-1, 3).T
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        ok = (lo >= 0) & (hi < n) & (lo != hi)
-        lo, hi = np.where(ok, lo, 0), np.where(ok, hi, 1)
-        k[pos : pos + r.size] = np.where(ok, lo * (2 * n - lo - 1) // 2 + (hi - lo - 1), -1)
+        k[pos : pos + r.size] = _pair_keys(i, j, n)
         ranks[pos : pos + r.size] = r
         pos += r.size
         if rejected:
@@ -282,6 +366,10 @@ def sniff_format(text: str) -> str:
     Anything else is points.  The one ambiguous case, a single 1-D point
     written as a bare positive integer, sniffs as the (trivial) n=1 metric;
     pass the format explicitly to override."""
+    fields = _plain(text)
+    if fields is not None:
+        n = int(fields[0])
+        return "metric" if n >= 1 and fields.size == 1 + 3 * (n * (n - 1) // 2) else "points"
     t = _lines(text)
     if not t.data.size:
         raise ValueError("input has no data lines")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -173,11 +174,14 @@ def problem1_sum(m: RankedMetric) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _relabel_maps(n: int) -> tuple[tuple[int, ...], ...]:
+def _relabel_maps(n: int) -> tuple[itemgetter, ...]:
     """For each vertex relabeling s other than the identity that maps {0, 1}
-    onto itself, the index map M with relabeled[q] = t[M[q]] for flat rank
-    vectors t."""
+    onto itself, the getter M with relabeled = M(t) for flat rank vectors t.
+    With at most one pair every relabeling fixes t, so none is returned
+    (and an itemgetter of one index would return a scalar, not a tuple)."""
     p = n * (n - 1) // 2
+    if p < 2:
+        return ()
     maps = []
     for head in ((0, 1), (1, 0)):
         for sigma in ((*head, *tail) for tail in permutations(range(2, n))):
@@ -190,7 +194,7 @@ def _relabel_maps(n: int) -> tuple[tuple[int, ...], ...]:
                     if si > sj:
                         si, sj = sj, si
                     m[pair_index(si, sj, n)] = pair_index(i, j, n)
-            maps.append(tuple(m))
+            maps.append(itemgetter(*m))
     return tuple(maps)
 
 
@@ -198,7 +202,7 @@ def _is_canonical(t: tuple[int, ...], n: int) -> bool:
     """Whether a flat rank vector t with t[0] = 0 is the lexicographic minimum
     of its relabeling class.  Only relabelings that map {0, 1} onto itself
     compete: any other one moves a nonzero rank into slot 0."""
-    return all(t <= tuple(map(t.__getitem__, mp)) for mp in _relabel_maps(n))
+    return all(t <= relabel(t) for relabel in _relabel_maps(n))
 
 
 def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMetric]:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -209,6 +210,118 @@ def test_metric_reader_matches_reference(text, block_lines):
         shared = Text(text)
         assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
         assert _outcome(parse_metric, shared) == _outcome(reference_parse_metric, text)
+
+
+_PLAIN_SPACES = (" ", "  ", "\t", " \t ", "\t\t")
+_PLAIN_HUGE = (10**18 - 1, 10**18, 2**63, 2**70, "0" * 19 + "1")
+_PLAIN_DEFECTS = ("short", "long", "self_pair", "out_of_range", "repeat",
+                  "line_count", "n_zero", "huge", "bad_rank")
+
+
+def _inject_plain(rng: random.Random, kind: str, n: int, header: list, rows: list) -> None:
+    """_inject with no negative value: every field stays a run of digits.
+    A row may have lost a field to "short", so ranks are its last field."""
+    if kind == "n_zero":
+        header[:] = [0]
+    elif kind in ("out_of_range", "bad_rank", "huge") and rows:
+        row = rng.choice(rows)
+        if kind == "out_of_range":
+            row[rng.randrange(2)] = rng.choice((n, n + 3))
+        elif kind == "bad_rank":
+            row[-1] = rng.choice((n * (n - 1) // 2, rng.choice(rows)[-1]))
+        else:  # 18 digits, 19 or more, and a 20-digit spelling of 1
+            row[rng.randrange(len(row))] = rng.choice(_PLAIN_HUGE)
+    else:
+        _inject(rng, kind, n, header, rows)
+
+
+def _plain_spell(rng: random.Random, v) -> str:
+    """An int in digits only: plain, with leading zeros, or zero-padded to
+    18 digits, the longest field the scan reads."""
+    if isinstance(v, str):
+        return v
+    style = rng.random()
+    if style < 0.02:
+        return str(v).zfill(18)
+    return "0" * (style < 0.2) * rng.randint(1, 3) + str(v)
+
+
+@st.composite
+def plain_metric_texts(draw):
+    """Metric files with n <= 12 in ASCII digits, spaces, tabs and "\n":
+    any line order, flipped pairs, runs of blanks, blank lines, leading
+    zeros, with or without a final "\n", and zero to three injected
+    defects.  A quarter of them get one "\r", "#" or "+" planted anywhere.
+    Returns the text and whether the plain scan should read it."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 12)
+    defects = draw(st.lists(st.sampled_from(_PLAIN_DEFECTS), max_size=3, unique=True))
+    ranks = list(range(n * (n - 1) // 2))
+    rng.shuffle(ranks)
+    rows = [[i, j, r] if rng.random() < 0.5 else [j, i, r]
+            for (i, j), r in zip(iter_pairs(n), ranks)]
+    rng.shuffle(rows)
+    header = [n]
+    for kind in defects:
+        _inject_plain(rng, kind, n, header, rows)
+    lines, longest = [], 0
+    for row in [header, *rows]:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(("", " ", "\t", " \t ")))
+        fields = [_plain_spell(rng, v) for v in row]
+        longest = max(longest, *map(len, fields))
+        line = rng.choice(_PLAIN_SPACES).join(fields)
+        if rng.random() < 0.2:
+            line = rng.choice(_PLAIN_SPACES) + line
+        if rng.random() < 0.2:
+            line += rng.choice(_PLAIN_SPACES)
+        lines.append(line)
+    while rng.random() < 0.15:
+        lines.append(rng.choice(("", " ", "\t")))
+    text = "\n".join(lines) + rng.choice(("\n", ""))
+    plain = all(len(row) == 3 for row in rows) and longest <= 18
+    if rng.random() < 0.25:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice("\r#+") + text[at:]
+        plain = False
+    return text, plain
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(plain_metric_texts())
+def test_plain_metric_scan_matches_reference(case):
+    # the byte scan reads what it should and declines the rest; either way
+    # the sniff and the parse, sharing one Text, answer as the reference
+    text, plain = case
+    shared = Text(text)
+    assert (shared.plain_fields is not None) == plain
+    assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
+    assert _outcome(parse_metric, shared) == _outcome(reference_parse_metric, text)
+
+
+def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch):
+    # a silent fall-back to the line reader fails here, not only in the
+    # benchmark; warnings are errors, so a numpy deprecation shows here too
+    src, ordf = tmp_path / "m.txt", tmp_path / "o.txt"
+    assert run_cli(["gen", "random-metric", "--n", "40", "--seed", "3", "-o", str(src)])[0] == 0
+    ordf.write_text(write_order(range(39, -1, -1)))
+    lines = fileio.Lines
+
+    def refuse(text):
+        # eval's order file is a plain str, and it is read line by line
+        if isinstance(text, Text):
+            raise AssertionError("a generated metric file was split into lines")
+        return lines(text)
+
+    monkeypatch.setattr(fileio, "Lines", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["order", "--strategy", "ramsey"],
+                     ["order", "--strategy", "path", "--tail", "0"],
+                     ["eval", "--order", str(ordf)]):
+            code, out, err = run_cli(argv + ["--input", str(src)])
+            assert (code, err) == (0, ""), (argv, err)
+            assert json.loads(out)["n"] == 40
 
 
 def test_order_round_trip():
