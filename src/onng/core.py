@@ -102,9 +102,11 @@ class RankedMetric:
         """Flat ranks in lexicographic pair order, as plain ints."""
         return self._flat.tolist()
 
-    def matrix_rows(self) -> list[list[int]]:
-        """Dense rank matrix as nested lists; fast lookups for hot loops."""
-        return self._matrix.tolist()
+    def matrix_rows(self) -> list[memoryview]:
+        """One read-only memoryview per row of the dense rank matrix, whose
+        items index as plain ints: fast lookups for hot loops, with no copy
+        of the matrix."""
+        return [memoryview(row).toreadonly() for row in self._matrix]
 
     def __eq__(self, other) -> bool:
         return (

@@ -56,11 +56,6 @@ def log_guarantee(n: int, dim: int) -> int:
     return (n.bit_length() - 1) // (4 * dim)
 
 
-def _pair_key(d2: int, i: int, j: int) -> tuple:
-    a, b = (i, j) if i < j else (j, i)
-    return (d2, a, b)
-
-
 def _diameter_ids(xt: np.ndarray, ids: list[int]) -> tuple[int, int]:
     # Largest squared distance; among ties the lexicographically smallest
     # position pair wins, which is the row-major first maximum.  A block of
@@ -81,15 +76,13 @@ def _diameter_ids(xt: np.ndarray, ids: list[int]) -> tuple[int, int]:
 def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int) -> tuple[list[int], list[int], int]:
     """Split ids by ordinal closeness to a vs b; returns (major, minor, far).
 
-    Each anchor lands on its own side: its distance to itself is 0."""
-    near_a = []
-    near_b = []
-    da, db = sq_dist_rows(xt, [a, b])[:, ids].tolist()
-    for p, pa, pb in zip(ids, da, db):
-        if _pair_key(pa, p, a) < _pair_key(pb, p, b):
-            near_a.append(p)
-        else:
-            near_b.append(p)
+    Each anchor lands on its own side: its distance to itself is 0.  On a
+    tie the index-pair tie-break ranks {p, a} below {p, b} exactly when
+    a < b."""
+    da, db = sq_dist_rows(xt, [a, b])[:, ids]
+    to_a = (da < db) | ((da == db) & (a < b))
+    ids = np.asarray(ids)
+    near_a, near_b = ids[to_a].tolist(), ids[~to_a].tolist()
     if len(near_a) >= len(near_b):
         return near_a, near_b, b
     return near_b, near_a, a

@@ -4,9 +4,9 @@ All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  A text is split into lines
 once (Lines); the CLI reads a file as a Text, which keeps that split and
-the plain scan below, so sniff_format and the parse after it share them.  Coordinates are parsed as
-exact rationals (decimal strings go through Fraction), so reading back a
-written file reproduces the metric bit for bit.
+the plain scan below, so sniff_format and the parse after it share them.
+Coordinates are parsed as exact rationals (decimal strings go through
+Fraction), so reading back a written file reproduces the metric bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.
@@ -14,17 +14,19 @@ have the dimension of the first.
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
-A plain file, as write_metric writes it, is read by one byte scan that
-never splits it into lines (plain_fields): only ASCII digits, spaces, tabs
-and "\n", no field longer than 18 digits (so every field is exact in
-int64), one field on the first line that has any, then three on every other
-line that has any.  Its fields are converted by one numpy call, and a file
-whose header and pairs pass every check becomes a RankedMetric directly.
-Every other spelling (comments, other line breaks, signs, underscores,
-other scripts' digits, longer fields) and every defective file is read from
-Lines, in blocks of lines converted by one numpy call each; no tuple or
-list is kept per line.  Of the defective lines, the first in the file is
-reported, by the first check it fails: field count, integers, pair range,
+parse_metric has two tokenizers, one acceptor and one explainer.  A plain
+file, as write_metric writes it, is tokenized by one byte scan that never
+splits it into lines (plain_fields): only ASCII digits, spaces, tabs and
+"\n", no field longer than 18 digits (so every field is exact in int64),
+one field on the first line that has any, then three on every other line
+that has any.  Every other spelling (comments, other line breaks, signs,
+underscores, other scripts' digits, longer fields) is tokenized from Lines,
+a block of lines per numpy call, into one int64 vector.  Either vector goes
+to one array acceptor, which checks the header, the pair count and the
+pairs and hands the ranks to RankedMetric; no tuple or list is kept per
+line.  Only a file the acceptor declines (or neither tokenizer reads) is
+read again line by line, in file order, and its first defective line is
+reported by the first check it fails: field count, integers, pair range,
 repeated pair.  The ranks are checked once, by RankedMetric.
 
 order file: one vertex id per line, a permutation of 0..n-1.
@@ -47,6 +49,7 @@ from .core import (
     PointSet,
     RankedMetric,
     iter_pairs,
+    pair_index,
 )
 
 # Exactly the characters str.splitlines breaks at ("\r\n" is "\r" then "\n").
@@ -57,7 +60,6 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = f"#[^{_LINE_BREAKS}]*"
 # Metric lines converted to integers per numpy call: bounds the field list.
 _BLOCK_LINES = 2**15
-_INT64 = np.iinfo(np.int64)
 # The bytes of a plain metric file, and its longest field: every integer of
 # 18 digits fits in int64, and 10**18 <= 2**63 - 1 < 10**19.
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -177,23 +179,71 @@ def _format_coord(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _header(t: Lines) -> int:
-    """The first data line as an integer; ValueError if it is not one."""
-    return int(t.lines[t.data[0]].strip())
-
-
 def parse_metric(text: str) -> RankedMetric:
     fields = _plain(text)
-    if fields is not None:
-        m = _plain_metric(fields)
-        if m is not None:
-            return m
-    t = _lines(text)
+    if fields is None:
+        fields = _line_fields(_lines(text))
+    m = None if fields is None else _metric(fields)
+    return m if m is not None else _explain(_lines(text))
+
+
+def _line_fields(t: Lines) -> np.ndarray | None:
+    """Every field of a metric-shaped Lines as int64: one field on the first
+    data line, three on every other.  None for any other shape, a field
+    int() rejects, or a value past int64."""
+    f = t.fields[t.data]
+    if not f.size or f[0] != 1 or np.any(f[1:] != 3):
+        return None
+    fields = np.empty(int(f.sum()), dtype=np.int64)
+    pos = 0
+    for a in range(0, len(t.lines), _BLOCK_LINES):
+        block = " ".join(t.lines[a : a + _BLOCK_LINES]).split()
+        try:
+            fields[pos : pos + len(block)] = np.array(block, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+        pos += len(block)
+        # one block's field strings at a time: they set the reader's peak
+        del block
+    return fields
+
+
+def _metric(fields: np.ndarray) -> RankedMetric | None:
+    """The metric of a file's fields (header, then "i j rank" triples), or
+    None if the header, the pair count or a pair fails a check: _explain
+    then reports the first defect.  A non-bijective rank vector raises
+    here, as RankedMetric raises it."""
+    n = int(fields[0])
+    p = n * (n - 1) // 2
+    if not 1 <= n <= RANK_PAIRS_MAX_N or fields.size != 1 + 3 * p:
+        return None
+    i, j, ranks = fields[1:].reshape(p, 3).T
+    if p and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n or np.any(i == j)):
+        return None
+    # k = pair_index(lo, hi, n), built in place in hi; ids below n fit int32
+    lo, hi = np.minimum(i, j, dtype=np.int32), np.maximum(i, j, dtype=np.int32)
+    hi -= lo
+    hi -= 1
+    lo *= 2 * n - 1 - lo
+    lo //= 2
+    hi += lo
+    if p and np.bincount(hi).max() > 1:
+        return None
+    flat = np.empty(p, dtype=np.int64)
+    flat[hi] = ranks
+    return RankedMetric(n, flat)
+
+
+def _explain(t: Lines) -> RankedMetric:
+    """A metric file read line by line in file order, for a file _metric
+    declined: raises the first defect, checking each line for its field
+    count, integers, pair range and a repeated pair, in that order.  A file
+    with no such defect ends in RankedMetric's rank check."""
     if not t.data.size:
         raise ValueError("metric file has no data lines")
-    h = int(t.data[0])
+    h, *body = t.data.tolist()
     try:
-        n = _header(t)
+        n = int(t.lines[h].strip())
     except ValueError as e:
         raise ValueError(f"line {h + 1}: header must be the vertex count") from e
     if n < 1:
@@ -201,135 +251,25 @@ def parse_metric(text: str) -> RankedMetric:
     if n > RANK_PAIRS_MAX_N:
         raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
     p = n * (n - 1) // 2
-    if t.data.size - 1 != p:
-        raise ValueError(f"expected {p} pair lines for n={n}, got {t.data.size - 1}")
-    rows, k, ranks, stop = _pair_rows(t, h + 1, n)
-    # The first defective line wins: the line _pair_rows stopped at, the
-    # first pair out of range, or the first repeat of an earlier pair.
-    bad = [] if stop is None else [stop]
-    if k.size and k.min() < 0:
-        bad.append(rows[np.argmin(k)])
-    if k.size and np.bincount(k + 1)[1:].max(initial=0) > 1:
-        order = np.argsort(k, kind="stable")
-        sk = k[order]
-        again = order[1:][(sk[1:] == sk[:-1]) & (sk[1:] >= 0)]
-        bad.append(rows[again.min()])
-    if bad:
-        first = int(min(bad))
-        pair = _check_pair_line(first + 1, t.lines[first], n)
-        raise ValueError(f"line {first + 1}: pair {pair} given twice")
-    flat = np.empty(p, dtype=np.int64)
-    flat[k] = ranks
-    return RankedMetric(n, flat)
-
-
-def _plain_metric(fields: np.ndarray) -> RankedMetric | None:
-    """The metric of a plain file's fields, or None if its header or a pair
-    fails a check: the Lines reader then reports the first defect.  A
-    non-bijective rank vector raises here, as it does after Lines."""
-    n = int(fields[0])
-    p = n * (n - 1) // 2
-    if not 1 <= n <= RANK_PAIRS_MAX_N or fields.size != 1 + 3 * p:
-        return None
-    i, j, ranks = fields[1:].reshape(p, 3).T
-    k = _pair_keys(i, j, n)
-    if p and (k.min() < 0 or np.bincount(k).max() > 1):
-        return None
-    flat = np.empty(p, dtype=np.int64)
-    flat[k] = ranks
-    return RankedMetric(n, flat)
-
-
-def _pair_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """pair_index of each pair {i, j}, given in either order; -1 for a
-    self-pair or an id out of range for n."""
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    ok = (lo >= 0) & (hi < n) & (lo != hi)
-    lo, hi = np.where(ok, lo, 0), np.where(ok, hi, 1)
-    return np.where(ok, lo * (2 * n - lo - 1) // 2 + (hi - lo - 1), -1)
-
-
-def _check_pair_line(lineno: int, line: str, n: int) -> tuple[int, int]:
-    """One pair line checked in order (field count, integers, pair range),
-    raising the first failure; returns the pair (min, max)."""
-    parts = line.split()
-    if len(parts) != 3:
-        raise ValueError(f"line {lineno}: expected 'i j rank'")
-    try:
-        i, j, _ = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError as e:
-        raise ValueError(f"line {lineno}: bad integer: {e}") from e
-    if i == j or not (0 <= i < n) or not (0 <= j < n):
-        raise ValueError(f"line {lineno}: bad pair ({i}, {j}) for n={n}")
-    return min(i, j), max(i, j)
-
-
-def _pair_rows(
-    t: Lines, start: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """The data lines from line index ``start`` on, read as "i j rank".
-
-    Returns the line index of each row read, its pair_index (-1 if the pair
-    is out of range for n), its rank, and the index of the first line with
-    the wrong field count or a field int() rejects (None if there is none);
-    reading stops before that line.  A value past int64 reads as -1, which
-    is out of range as an id and as a rank alike.
-    """
-    f = t.fields[start:]
-    miscounted = np.flatnonzero((f != 0) & (f != 3))
-    end = start + int(miscounted[0]) if miscounted.size else len(t.lines)
-    stop = end if end < len(t.lines) else None
-    rows = start + np.flatnonzero(f[: end - start])
-    k = np.empty(rows.size, dtype=np.int64)
-    ranks = np.empty(rows.size, dtype=np.int64)
-    pos = 0
-    for a in range(start, end, _BLOCK_LINES):
-        # every line here has 0 or 3 fields, so the fields come in triples
-        fields = " ".join(t.lines[a : min(a + _BLOCK_LINES, end)]).split()
-        vals, rejected = _ints(fields)
-        i, j, r = vals.reshape(-1, 3).T
-        k[pos : pos + r.size] = _pair_keys(i, j, n)
-        ranks[pos : pos + r.size] = r
-        pos += r.size
-        if rejected:
-            return rows[:pos], k[:pos], ranks[:pos], int(rows[pos])
-    return rows, k, ranks, stop
-
-
-def _ints(fields: list[str]) -> tuple[np.ndarray, bool]:
-    """The fields as int64, read as int() reads them, and whether int()
-    rejected one: the values then stop before that field's row."""
-    try:
-        return np.array(fields, dtype=np.int64), False
-    except (ValueError, OverflowError):
-        pass
-    bad = _first_rejected(fields)
-    keep = len(fields) if bad is None else bad - bad % 3
-    vals = np.array(list(map(int, fields[:keep])), dtype=object)
-    vals[(vals < _INT64.min) | (vals > _INT64.max)] = -1
-    return vals.astype(np.int64), bad is not None
-
-
-def _first_rejected(fields: list[str]) -> int | None:
-    """Index of the first field int() rejects, or None, by bisection."""
-
-    def all_ints(part: list[str]) -> bool:
+    if len(body) != p:
+        raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
+    flat: list[int | None] = [None] * p
+    for k in body:
+        parts = t.lines[k].split()
+        if len(parts) != 3:
+            raise ValueError(f"line {k + 1}: expected 'i j rank'")
         try:
-            list(map(int, part))
-        except ValueError:
-            return False
-        return True
-
-    if all_ints(fields):
-        return None
-    lo, hi = 0, len(fields)  # fields[lo:hi] holds the first rejected field
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if all_ints(fields[lo:mid]):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            i, j, r = map(int, parts)
+        except ValueError as e:
+            raise ValueError(f"line {k + 1}: bad integer: {e}") from e
+        if i == j or not (0 <= i < n) or not (0 <= j < n):
+            raise ValueError(f"line {k + 1}: bad pair ({i}, {j}) for n={n}")
+        pair = min(i, j), max(i, j)
+        key = pair_index(*pair, n)
+        if flat[key] is not None:
+            raise ValueError(f"line {k + 1}: pair {pair} given twice")
+        flat[key] = r
+    return RankedMetric(n, flat)
 
 
 def write_metric(m: RankedMetric) -> str:
@@ -375,7 +315,7 @@ def sniff_format(text: str) -> str:
         raise ValueError("input has no data lines")
     if t.fields[t.data[0]] == 1:
         try:
-            n = _header(t)
+            n = int(t.lines[t.data[0]].strip())
         except ValueError:
             return "points"
         if n >= 1 and t.data.size - 1 == n * (n - 1) // 2:

@@ -119,7 +119,7 @@ def _profiles(r: np.ndarray, n: int) -> np.ndarray:
     return alphas[inverse].reshape(r.shape[0], n)
 
 
-def _g(rows: list[list[int]], adj: list[int], s: int, v: int) -> int:
+def _g(rows: list[memoryview], adj: list[int], s: int, v: int) -> int:
     """g(S, v) = alpha(G_v[W]) for the revealed set S (a non-empty bitmask)
     and G_v's adjacency adj: W holds the vertices outside S + {v} whose
     nearest member of S + {v} is v."""

@@ -58,6 +58,12 @@ def test_rank_is_symmetric():
         for i, j in iter_pairs(m.n):
             assert m.rank(i, j) == m.rank(j, i) == rows[i][j] == rows[j][i]
             assert m.rank(i, j) == m.pair_rank_list()[pair_index(i, j, m.n)]
+        # the rows are views of the metric's own matrix, so they refuse writes
+        if m.n > 1:
+            r01 = m.rank(0, 1)
+            with pytest.raises(TypeError):
+                rows[0][1] = r01 + 1
+            assert m.rank(0, 1) == r01
 
 
 def test_unit_square_tie_break_is_lexicographic():
