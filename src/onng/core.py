@@ -9,12 +9,16 @@ index pair.  Strictness stands in for the usual general-position assumption
 (no isosceles triples): every nearest-predecessor choice is unique.
 
 A point set has one coordinate form, grid_axes (exact integers, one row per
-axis), and one distance kernel over it, sq_dist_rows.  Within the row of
-one vertex v the tie-break by index pair is simply "smaller neighbour id",
-so build_onng and path_order answer a point set's nearest-neighbour
-questions from exact squared distances and never rank all its pairs;
-metric_from_points builds the full RankedMetric only for the callers that
-compare arbitrary pairs.
+axis, computed once per point set), and one distance kernel over it,
+sq_dist_rows, which writes each block into two preallocated scratch
+buffers of about SCRATCH entries, so no scan's memory grows with its length.
+Within the row of one vertex v the tie-break by index pair is simply
+"smaller neighbour id", so build_onng and path_order answer a point set's
+nearest-neighbour questions from exact squared distances, reading their
+candidates in id order, and never rank all its pairs: build_onng scans
+only each vertex's predecessors, and path_order only the vertices not yet
+chosen.  metric_from_points builds the full RankedMetric only for the
+callers that compare arbitrary pairs.
 
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
@@ -41,6 +45,8 @@ class GuardError(ValueError):
 
 # Largest point set metric_from_points ranks: it holds n(n-1)/2 pairs.
 RANK_PAIRS_MAX_N = 2**13
+# Entries in each of the two buffers a points distance scan writes into.
+SCRATCH = 2**18
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -190,7 +196,8 @@ def integer_grid(ps: PointSet) -> tuple[list[tuple[int, ...]], bool]:
 
 def grid_axes(ps: PointSet) -> np.ndarray:
     """The point set's integer_grid coordinates as a (dim, n) array, one row
-    per axis: the one coordinate form every point computation reads.
+    per axis: the one coordinate form every point computation reads.  It is
+    computed once per point set and kept read-only.
 
     Each axis is shifted to start at 0 before any int64 cast, which leaves
     every distance as it was and keeps the values inside int64 whenever
@@ -198,32 +205,43 @@ def grid_axes(ps: PointSet) -> np.ndarray:
     are.  Otherwise the array holds Python ints (object dtype), so the
     arithmetic stays exact.
     """
-    grid, fits64 = integer_grid(ps)
-    x = np.array(grid, dtype=object).T
-    x = x - x.min(axis=1, keepdims=True)
-    return x.astype(np.int64) if fits64 else x
+    x = ps.__dict__.get("_axes")
+    if x is None:
+        grid, fits64 = integer_grid(ps)
+        x = np.array(grid, dtype=object).T
+        x = x - x.min(axis=1, keepdims=True)
+        x = x.astype(np.int64) if fits64 else x
+        x.flags.writeable = False
+        object.__setattr__(ps, "_axes", x)
+    return x
 
 
-def sq_dist_rows(xt: np.ndarray, rows) -> np.ndarray:
-    """Exact squared distances from the points ``rows`` (indexes or a slice)
-    of the axis-major array ``xt`` to all its points, shape (rows, n).
+def scratch(xt: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two buffers sq_dist_rows writes into, ``size`` entries each in
+    the dtype of the axes ``xt``.  A block scan takes max(SCRATCH, n): its
+    blocks hold about SCRATCH entries, and at least one row of n."""
+    return np.empty(size, dtype=xt.dtype), np.empty(size, dtype=xt.dtype)
 
-    Summed one axis at a time, so no (rows, n, dim) temporary is made.
+
+def sq_dist_rows(a: np.ndarray, b: np.ndarray, buf) -> np.ndarray:
+    """Exact squared distances from the points ``a`` to the points ``b``
+    (axis-major, shapes (dim, r) and (dim, c)) as an (r, c) view of
+    ``buf[0]``, valid until the next call on the same buffers.
+
+    Summed one axis at a time through ``buf[1]`` by ufuncs with ``out=``, so
+    a block allocates nothing: int64 axes stay in int64, where grid_axes
+    keeps every squared distance, and object axes stay Python ints.
     """
-    out = None
-    for c in xt:
-        sq = c[rows, None] - c
-        sq *= sq
-        if out is None:
-            out = sq
-        else:
-            out += sq
+    r, c = a.shape[1], b.shape[1]
+    out = buf[0][: r * c].reshape(r, c)
+    tmp = buf[1][: r * c].reshape(r, c)
+    for k in range(len(a)):
+        dst = tmp if k else out
+        np.subtract(a[k, :, None], b[k], out=dst)
+        np.multiply(dst, dst, out=dst)
+        if k:
+            np.add(out, tmp, out=out)
     return out
-
-
-def block_rows(n: int) -> int:
-    """Rows per block of an (rows, n) scratch matrix: about 2^20 entries."""
-    return max(1, 2**20 // n)
 
 
 def metric_from_points(ps: PointSet) -> RankedMetric:
@@ -240,13 +258,16 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     xt = grid_axes(ps)
     p = n * (n - 1) // 2
     d2 = np.empty(p, dtype=xt.dtype)
-    pos, step = 0, block_rows(n)
-    for r0 in range(0, n - 1, step):
-        r1 = min(n - 1, r0 + step)
-        upper = np.arange(n) > np.arange(r0, r1)[:, None]
-        block = sq_dist_rows(xt, slice(r0, r1))[upper]
-        d2[pos : pos + block.size] = block
-        pos += block.size
+    buf = scratch(xt, max(SCRATCH, n))
+    pos = i0 = 0
+    while i0 < n - 1:
+        # rows [i0, i1) against columns [i0 + 1, n): row i keeps the columns > i
+        i1 = min(n - 1, i0 + max(1, SCRATCH // (n - 1 - i0)))
+        block = sq_dist_rows(xt[:, i0:i1], xt[:, i0 + 1 :], buf)
+        for k in range(i1 - i0):
+            d2[pos : pos + n - 1 - i0 - k] = block[k, k:]
+            pos += n - 1 - i0 - k
+        i0 = i1
     flat = np.empty(p, dtype=np.int64)
     flat[np.argsort(d2, kind="stable")] = np.arange(p)
     return RankedMetric(n, flat)
@@ -280,47 +301,44 @@ def as_permutation(order, n: int) -> list[int]:
     raise ValueError(f"order is not a permutation of 0..{n - 1}: " + "; ".join(parts))
 
 
-def _nearest_fn(data: PointSet | RankedMetric):
-    """``nearest(rows, allowed)``: for each vertex ``rows[i]``, the nearest
-    vertex w with ``allowed[i, w]`` (every row must allow one).
-
-    A RankedMetric row is its rank row.  A point set's row is its exact
-    squared distances; equal distances go to the smaller id, the first
-    minimum, which is what metric_from_points' tie-break by index pair
-    decides for two pairs sharing a vertex.  Disallowed entries are lifted
-    to a key above every real one.
-    """
-    if isinstance(data, RankedMetric):
-        keys, top = data._matrix.__getitem__, data.n * (data.n - 1) // 2
-    else:
-        xt = grid_axes(data)
-
-        def keys(rows):
-            return sq_dist_rows(xt, rows)
-
-        top = sum(int(c.max()) ** 2 for c in xt) + 1
-
-    def nearest(rows, allowed) -> np.ndarray:
-        return np.where(allowed, keys(rows), top).argmin(axis=1)
-
-    return nearest
-
-
 def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
     """Replay an insertion order: each new vertex attaches to its closest
     predecessor, from ranks or directly from exact point geometry; either
     way the choice is unique and equals the one on metric_from_points.
-    Vertices are placed in blocks of block_rows(n) positions."""
+
+    A block of positions [p0, p1) reads only the vertices at positions
+    [0, p1), in id order, r (p0 + r) <= SCRATCH keys for r = p1 - p0; only
+    the block's own vertices are masked, each from its own position on.
+    """
     n = data.n
     seq = np.array(as_permutation(order, n), dtype=np.intp)
-    pos = np.empty(n, dtype=np.intp)
-    pos[seq] = np.arange(n)
-    nearest = _nearest_fn(data)
+    # keys(rows, cols): ranks, or exact squared distances.  Columns come in
+    # id order, so a row's first minimum is the smaller id on equal
+    # distances: what metric_from_points' tie-break by index pair decides
+    # for two pairs sharing a vertex.
+    if isinstance(data, RankedMetric):
+        mat, top = data._matrix, n * (n - 1) // 2
+
+        def keys(rows, cols):
+            return mat[rows[:, None], cols]
+    else:
+        xt = grid_axes(data)
+        buf = scratch(xt, max(SCRATCH, n))
+        top = sum(int(c.max()) ** 2 for c in xt) + 1  # above every distance
+
+        def keys(rows, cols):
+            return sq_dist_rows(xt[:, rows], xt[:, cols], buf)
+
     parents = np.zeros(n, dtype=np.intp)
-    step = block_rows(n)
-    for p0 in range(1, n, step):
-        p1 = min(n, p0 + step)
-        parents[p0:p1] = nearest(seq[p0:p1], pos < np.arange(p0, p1)[:, None])
+    p0 = 1
+    while p0 < n:
+        p1 = min(n, p0 + max(1, (math.isqrt(p0 * p0 + 4 * SCRATCH) - p0) // 2))
+        cols = np.sort(seq[:p1])
+        d = keys(seq[p0:p1], cols)
+        for j, c in enumerate(np.searchsorted(cols, seq[p0:p1]).tolist()):
+            d[: j + 1, c] = top  # position p0 + j is no predecessor of p0..p0 + j
+        parents[p0:p1] = cols[d.argmin(axis=1)]
+        p0 = p1
     parent = dict(zip(seq[1:].tolist(), parents[1:].tolist()))
     indeg = np.bincount(parents[1:], minlength=n)
     return OrderedNNG(n, parent, tuple(indeg.tolist()))
@@ -341,12 +359,27 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
     n = data.n
     if not 0 <= tail < n:
         raise ValueError(f"tail {tail} out of range for n={n}")
-    nearest = _nearest_fn(data)
-    alive = np.ones(n, dtype=bool)
+    # The unchosen vertices stay compacted in id order, so a row's first
+    # minimum is the smaller id on equal distances: row 0 holds their ids,
+    # and for a point set the rows below hold their coordinates.
+    if isinstance(data, RankedMetric):
+        mat, alive = data._matrix, np.arange(n)[None]
+
+        def nearest(v, m):
+            return mat[v, alive[0, :m]].argmin()
+    else:
+        xt = grid_axes(data)
+        alive, buf = np.vstack([np.arange(n), xt]), scratch(xt, n)
+
+        def nearest(v, m):
+            return sq_dist_rows(xt[:, v : v + 1], alive[1:, :m], buf).argmin()
+
+    alive[:, tail:-1] = alive[:, tail + 1 :]
     chain = [tail]
-    for _ in range(n - 1):
-        alive[chain[-1]] = False
-        chain.append(int(nearest([chain[-1]], alive)[0]))
+    for m in range(n - 1, 0, -1):
+        k = int(nearest(chain[-1], m))
+        chain.append(int(alive[0, k]))
+        alive[:, k : m - 1] = alive[:, k + 1 : m]
     chain.reverse()
     return tuple(chain)
 

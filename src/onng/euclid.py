@@ -14,7 +14,10 @@ collects at least log(n) / log(2 (floor(2 sqrt(d)) + 1)^d) edges.
 
 All geometry is exact: coordinates are rescaled to a common integer grid
 and cell indices come from integer square roots, so the strict separation
-inequalities above are real inequalities, not float approximations.
+inequalities above are real inequalities, not float approximations.  The
+diameter scan reads pairs through core's scratch kernel, and only among
+the points that a double sweep's lower bound and the bounding box leave
+possible; one pair of scratch buffers serves every level of the recursion.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import Order, PointSet, block_rows, grid_axes, sq_dist_rows
+from .core import SCRATCH, Order, PointSet, grid_axes, scratch, sq_dist_rows
 
 # Largest dimension for which 2 * grid_cell_bound(d) <= 16^d, keeping the
 # grid guarantee at least as strong as floor(log2(n) / 4d).  First failure
@@ -56,30 +59,43 @@ def log_guarantee(n: int, dim: int) -> int:
     return (n.bit_length() - 1) // (4 * dim)
 
 
-def _diameter_ids(xt: np.ndarray, ids: list[int]) -> tuple[int, int]:
-    # Largest squared distance; among ties the lexicographically smallest
-    # position pair wins, which is the row-major first maximum.  A block of
-    # rows starting at r0 scans only columns >= r0: the pairs with an earlier
-    # column were rows of an earlier block.
+def _diameter_ids(xt: np.ndarray, ids: list[int], buf) -> tuple[int, int]:
+    """The largest squared distance among ``ids``; among ties the
+    lexicographically smallest position pair wins."""
     sub = xt[:, ids]
-    m = len(ids)
-    step = block_rows(m)
-    best, pair = -1, (ids[0], ids[0])
-    for r0 in range(0, m, step):
-        d2 = sq_dist_rows(sub[:, r0:], slice(0, step))
+    # A double sweep's distance is a lower bound L on the diameter.  A point
+    # whose farthest bounding-box corner is nearer than sqrt(L) lies in no
+    # pair at distance >= L; the survivors keep their order, and so the
+    # tie-break.
+    far = int(sq_dist_rows(sub[:, :1], sub, buf).argmax())
+    low = sq_dist_rows(sub[:, far : far + 1], sub, buf).max()
+    reach = np.maximum(sub - sub.min(axis=1, keepdims=True), sub.max(axis=1, keepdims=True) - sub)
+    reach *= reach
+    keep = np.flatnonzero(reach.sum(axis=0) >= low)
+    sub, kept = sub[:, keep], np.asarray(ids)[keep]
+    # The row-major first maximum; a block of rows [r0, r1) scans only
+    # columns >= r0: the pairs with an earlier column were rows of an
+    # earlier block.
+    m = len(kept)
+    best, pair = -1, (-1, -1)
+    r0 = 0
+    while r0 < m:
+        r1 = min(m, r0 + max(1, SCRATCH // (m - r0)))
+        d2 = sq_dist_rows(sub[:, r0:r1], sub[:, r0:], buf)
         r, s = divmod(int(d2.argmax()), m - r0)
         if d2[r, s] > best:
-            best, pair = d2[r, s], (ids[r0 + r], ids[r0 + s])
+            best, pair = d2[r, s], (int(kept[r0 + r]), int(kept[r0 + s]))
+        r0 = r1
     return pair
 
 
-def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int) -> tuple[list[int], list[int], int]:
+def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int, buf) -> tuple[list[int], list[int], int]:
     """Split ids by ordinal closeness to a vs b; returns (major, minor, far).
 
     Each anchor lands on its own side: its distance to itself is 0.  On a
     tie the index-pair tie-break ranks {p, a} below {p, b} exactly when
     a < b."""
-    da, db = sq_dist_rows(xt, [a, b])[:, ids]
+    da, db = sq_dist_rows(xt[:, [a, b]], xt[:, ids], buf)
     to_a = (da < db) | ((da == db) & (a < b))
     ids = np.asarray(ids)
     near_a, near_b = ids[to_a].tolist(), ids[~to_a].tolist()
@@ -105,7 +121,8 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     lexicographically smallest index pair; returns (a, b) with a < b."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    return _diameter_ids(grid_axes(ps), list(range(ps.n)))
+    xt = grid_axes(ps)
+    return _diameter_ids(xt, list(range(ps.n)), scratch(xt, max(SCRATCH, ps.n)))
 
 
 def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -117,7 +134,8 @@ def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tupl
     """
     if a == b or not (0 <= a < ps.n and 0 <= b < ps.n):
         raise ValueError(f"invalid anchor pair ({a}, {b})")
-    major, minor, _far = _halfspace_ids(grid_axes(ps), list(range(ps.n)), a, b)
+    xt = grid_axes(ps)
+    major, minor, _far = _halfspace_ids(xt, list(range(ps.n)), a, b, scratch(xt, 2 * ps.n))
     return tuple(major), tuple(minor)
 
 
@@ -158,6 +176,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
     xt = grid_axes(ps)
+    buf = scratch(xt, max(SCRATCH, 2 * n))  # _halfspace_ids reads two rows of n
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []
 
@@ -168,9 +187,9 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
             u, w = sorted(ids)
             fars.append(w)
             return [u, w], u
-        a, b = _diameter_ids(xt, ids)
-        major, _minor, far = _halfspace_ids(xt, ids, a, b)
-        unit_sq = int(sq_dist_rows(xt, [a])[0, b])
+        a, b = _diameter_ids(xt, ids, buf)
+        major, _minor, far = _halfspace_ids(xt, ids, a, b, buf)
+        unit_sq = sum((int(c[a]) - int(c[b])) ** 2 for c in xt)
         cells = _cells(xt, major, unit_sq, dim)
         if len(cells) > cell_cap:
             raise AssertionError("cell count exceeded the provable cap")

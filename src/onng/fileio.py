@@ -180,11 +180,14 @@ def _format_coord(c: Fraction) -> str:
 
 
 def parse_metric(text: str) -> RankedMetric:
-    fields = _plain(text)
+    fields, lines = _plain(text), None
     if fields is None:
-        fields = _line_fields(_lines(text))
+        lines = _lines(text)
+        fields = _line_fields(lines)
     m = None if fields is None else _metric(fields)
-    return m if m is not None else _explain(_lines(text))
+    if m is not None:
+        return m
+    return _explain(_lines(text) if lines is None else lines)
 
 
 def _line_fields(t: Lines) -> np.ndarray | None:

@@ -38,6 +38,26 @@ def rand_point_set(rng: random.Random, n: int, d: int) -> PointSet:
     return PointSet(d, tuple(rows))
 
 
+def circle_points(rng: random.Random, n: int) -> PointSet:
+    """n of the 4860 integer points on the circle x^2 + y^2 = R^2 for
+    R = 5^2 * 13 * 17 * 29 * 37 * 41, drawn by rng.  Every squared distance
+    fits int64, and a set spread round the whole circle leaves the euclid
+    diameter scan's box bound nothing to prune.
+
+    Each point is a unit times a product over the primes p = a^2 + b^2 of
+    (a + bi)^j (a - bi)^(2e - j), 0 <= j <= 2e, for p^e dividing R."""
+    zs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for (a, b), e in (((2, 1), 2), ((3, 2), 1), ((4, 1), 1), ((5, 2), 1), ((6, 1), 1), ((5, 4), 1)):
+        factors = []
+        for j in range(2 * e + 1):
+            w = (1, 0)
+            for u, v in [(a, b)] * j + [(a, -b)] * (2 * e - j):
+                w = (w[0] * u - w[1] * v, w[0] * v + w[1] * u)
+            factors.append(w)
+        zs = [(x * u - y * v, x * v + y * u) for x, y in zs for u, v in factors]
+    return PointSet(2, tuple(rng.sample(zs, n)))
+
+
 def reference_metric(ps: PointSet) -> RankedMetric:
     """metric_from_points written out plainly: every pair's squared distance
     over the exact Fractions, sorted with the index pair as the tie-break."""

@@ -339,6 +339,23 @@ def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch
             assert json.loads(out)["n"] == 40
 
 
+def test_defective_str_is_split_into_lines_once(monkeypatch):
+    # a plain str the byte scan and the acceptor both decline: the line
+    # tokenizer and the explainer share one split
+    text = "3\r\n0 1 0\r\n0 2 1\r\n1 0 2\r\n"
+    splits = []
+    lines = fileio.Lines
+
+    def count(t):
+        splits.append(t)
+        return lines(t)
+
+    monkeypatch.setattr(fileio, "Lines", count)
+    with pytest.raises(ValueError, match=r"line 4: pair \(0, 1\) given twice"):
+        parse_metric(text)
+    assert len(splits) == 1
+
+
 def test_order_round_trip():
     assert parse_order(write_order((2, 0, 1))) == (2, 0, 1)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from onng import (
 )
 from onng.core import integer_grid, iter_pairs
 
-from conftest import lattice_point_sets, reference_metric
+from conftest import lattice_point_sets, rand_point_set, reference_metric
 
 
 def test_pair_index_is_bijective():
@@ -240,3 +241,34 @@ def test_path_order_on_lattices_is_a_path_to_the_tail(ps, data):
     assert max_indegree(g) == 1
     for p in range(1, ps.n):
         assert g.parent[order[p]] == order[p - 1]
+
+
+def _multi_block_point_set(kind, rng):
+    """513 to 1200 points, so build_onng scans more than one block (its
+    first is positions 1..511): shuffled tie-heavy lattices, the same scaled
+    by 2^32 (object dtype), or random points."""
+    dim, n = rng.randint(1, 3), rng.randint(513, 1200)
+    if kind == "random":
+        return rand_point_set(rng, n, dim)
+    side = {1: 1200, 2: 35, 3: 11}[dim]
+    rows = rng.sample(list(product(range(side), repeat=dim)), n)
+    if kind == "scaled":
+        rows = [tuple(c * 2**32 for c in r) for r in rows]
+    return PointSet(dim, tuple(rows))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "scaled", "random"])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_multi_block_rebuild_matches_metric_rebuild(kind, seed):
+    # a drawn seed, not st.randoms: a set of 1200 random points would be
+    # too large an input for hypothesis to draw call by call
+    rng = random.Random(seed)
+    ps = _multi_block_point_set(kind, rng)
+    assert kind != "scaled" or not integer_grid(ps)[1]
+    m = metric_from_points(ps)
+    order = list(range(ps.n))
+    rng.shuffle(order)
+    assert build_onng(ps, order) == build_onng(m, order)
+    tail = rng.randrange(ps.n)
+    assert path_order(ps, tail) == path_order(m, tail)

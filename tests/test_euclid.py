@@ -2,7 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from onng import (
     max_indegree,
     metric_from_points,
     order_euclid,
+    path_order,
 )
-from onng.core import integer_grid
-from onng.euclid import PARITY_MAX_DIM, _order_euclid_levels, grid_partition
+from onng.core import SCRATCH, grid_axes, integer_grid, scratch
+from onng.euclid import PARITY_MAX_DIM, _diameter_ids, _order_euclid_levels, grid_partition
 
-from conftest import lattice_point_sets, rand_point_set, reference_metric
+from conftest import circle_points, lattice_point_sets, rand_point_set, reference_metric
 
 
 def sq_dist(p, q):
@@ -84,9 +87,10 @@ def test_diameter_pair_numpy_path_agrees():
 
 
 def test_diameter_pair_ties_across_blocks():
-    # a 34 x 34 lattice has 1156 points, more than one block of rows, and
-    # ties its diameter between the two diagonals; ids are shuffled so the
-    # winning pair lands in different blocks
+    # a 34 x 34 lattice has 1156 points and ties its diameter between the
+    # two diagonals; ids are shuffled so the winning pair lands anywhere.
+    # The box bound keeps only the four corners, so the scan is one block:
+    # test_diameter_ids_matches_all_pairs_scan covers several
     rng = random.Random(8)
     rows = [(x, y) for x in range(34) for y in range(34)]
     for trial in range(4):
@@ -96,6 +100,63 @@ def test_diameter_pair_ties_across_blocks():
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         ties = np.argwhere(np.triu(d2 == d2.max(), 1))
         assert diameter_pair(ps) == min(map(tuple, ties.tolist()))
+
+
+def _all_pairs_diameter(ps, ids):
+    # every pair of positions: the largest squared distance, then the
+    # lexicographically smallest position pair
+    x = np.array(integer_grid(ps)[0], dtype=object)[ids]
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    i, j = min(map(tuple, np.argwhere(np.triu(d2 == d2.max(), 1)).tolist()))
+    return ids[i], ids[j]
+
+
+def _rational_circle(rng, n):
+    # t -> ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)): distinct rational points
+    # on the unit circle, whose common denominator is far past int64
+    ts = [Fraction(k, 7) for k in rng.sample(range(-300, 300), n)]
+    return PointSet(2, tuple(((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts))
+
+
+def test_diameter_ids_matches_all_pairs_scan():
+    # the box bound prunes nothing on points spread round a circle, so those
+    # run the full scan; the lattices tie their diameter many times over, and
+    # past SCRATCH // n points the scan takes more than one block of rows
+    rng = random.Random(23)
+    sets = [_rational_circle(rng, n) for n in (2, 3, 17, 60)]
+    sets += [circle_points(rng, n) for n in (5, 40, 700)]
+    sets += [rand_point_set(rng, n, d) for n, d in ((2, 1), (50, 1), (300, 2), (600, 3))]
+    for dim, side in ((1, 40), (2, 5), (2, 24), (3, 7)):
+        rows = list(product(range(side), repeat=dim))
+        rng.shuffle(rows)
+        sets.append(PointSet(dim, tuple(rows)))
+    assert any(ps.n > SCRATCH // ps.n for ps in sets)
+    for ps in sets:
+        xt = grid_axes(ps)
+        subsets = [list(range(ps.n))]
+        subsets += [sorted(rng.sample(range(ps.n), rng.randint(2, ps.n))) for _ in range(2)]
+        for ids in subsets:
+            got = _diameter_ids(xt, ids, scratch(xt, max(SCRATCH, ps.n)))
+            assert got == _all_pairs_diameter(ps, ids), (ps.n, ps.dim, len(ids))
+
+
+def test_point_kernels_peak_memory_is_bounded():
+    # each scan writes into two scratch buffers of about SCRATCH entries,
+    # 4 MiB of int64 in all, so no call may peak at twice that
+    cap = 8 * 2**20
+    rng = random.Random(29)
+    for ps in (rand_point_set(rng, 4096, 2), circle_points(rng, 4096)):
+        grid_axes(ps)  # computed once per point set
+        order = list(range(ps.n))
+        rng.shuffle(order)
+        for run in (lambda: build_onng(ps, order), lambda: path_order(ps, 0), lambda: order_euclid(ps)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cap, (ps.n, peak)
 
 
 def test_halfspace_split_properties():
