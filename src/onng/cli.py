@@ -171,8 +171,10 @@ def cmd_gen(args) -> int:
 def _order_line_points(data) -> tuple[Order, int, int]:
     if not isinstance(data, PointSet) or data.dim != 1:
         raise UsageError("line strategy needs a 1-D points input")
-    coords = [row[0] for row in data.exact()]
-    ids = sorted(range(len(coords)), key=lambda i: coords[i])
+    # order_line's splits and center are the same on the grid ints: its
+    # test 2c < a + b is unchanged by x -> den * x - origin
+    coords = data.axes[0].tolist()
+    ids = sorted(range(len(coords)), key=coords.__getitem__)
     lps = line.LinePointSet(tuple(coords[i] for i in ids))
     sorted_order, sorted_center = line.order_line(lps)
     order = tuple(ids[i] for i in sorted_order)

@@ -8,17 +8,17 @@ point set ranks its pairs by exact squared distance, ties broken by the
 index pair.  Strictness stands in for the usual general-position assumption
 (no isosceles triples): every nearest-predecessor choice is unique.
 
-A point set has one coordinate form, grid_axes (exact integers, one row per
-axis, computed once per point set), and one distance kernel over it,
-sq_dist_rows, which writes each block into two preallocated scratch
-buffers of about SCRATCH entries, so no scan's memory grows with its length.
-Within the row of one vertex v the tie-break by index pair is simply
-"smaller neighbour id", so build_onng and path_order answer a point set's
-nearest-neighbour questions from exact squared distances, reading their
-candidates in id order, and never rank all its pairs: build_onng scans
-only each vertex's predecessors, and path_order only the vertices not yet
-chosen.  metric_from_points builds the full RankedMetric only for the
-callers that compare arbitrary pairs.
+A point set stores one coordinate form, its axes: exact integers on a
+common grid, one row per axis, built once at construction.  One distance
+kernel reads them, sq_dist_rows, which writes each block into two
+preallocated scratch buffers of about SCRATCH entries, so no scan's memory
+grows with its length.  Within the row of one vertex v the tie-break by
+index pair is simply "smaller neighbour id", so build_onng and path_order
+answer a point set's nearest-neighbour questions from exact squared
+distances, reading their candidates in id order, and never rank all its
+pairs: build_onng scans only each vertex's predecessors, and path_order
+only the vertices not yet chosen.  metric_from_points builds the full
+RankedMetric only for the callers that compare arbitrary pairs.
 
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
@@ -128,92 +128,68 @@ class RankedMetric:
         return f"RankedMetric(n={self.n})"
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Points in R^dim with pairwise-distinct coordinate tuples.
+    """Points in R^dim with pairwise-distinct coordinate tuples, kept on one
+    exact integer grid.
 
-    Coordinates may be ints, Fractions, or floats; they are converted once to
-    exact rationals (floats are exact binary rationals) so that all distance
-    comparisons downstream are free of rounding.
+    Coordinates may be ints, Fractions, or floats (exact binary rationals).
+    The set keeps only ``den``, their common denominator, ``origin``, each
+    axis' shift as a Python int, and ``axes``, a read-only (dim, n) array
+    shifted to start at 0, so coordinate k of point i is
+    (origin[k] + axes[k, i]) / den.  The shift leaves every distance as it
+    was, and the array is int64 whenever every squared distance fits there,
+    however large the coordinates themselves are; otherwise it holds Python
+    ints (object dtype).  Either way distance comparisons never round.
     """
 
-    dim: int
-    points: tuple[tuple, ...]
+    __slots__ = ("dim", "den", "origin", "axes")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, rows) -> None:
+        if dim < 1:
             raise ValueError("dimension must be at least 1")
-        exact = []
-        for idx, pt in enumerate(self.points):
-            if len(pt) != self.dim:
-                raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {self.dim}")
+        if not len(rows):
+            raise ValueError("need at least one point")
+        dens = set()
+        for idx, pt in enumerate(rows):
+            if len(pt) != dim:
+                raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {dim}")
             try:
-                # a Fraction (as parse_points makes) is kept as it is
-                exact.append(tuple(c if type(c) is Fraction else Fraction(c) for c in pt))
+                dens.update(_rational(c).denominator for c in pt)
             except (ValueError, OverflowError, TypeError) as e:
                 raise ValueError(f"point {idx} has a non-finite or non-numeric coordinate") from e
-        # Fractions are in lowest terms, so equal points have equal
-        # (numerator, denominator) keys, and ints hash far faster than Fractions.
+        den = math.lcm(*dens)
+        # one tuple of grid ints per point, which is also its duplicate key
         seen: dict = {}
-        for idx, pt in enumerate(exact):
-            key = tuple((c.numerator, c.denominator) for c in pt)
-            if key in seen:
-                raise ValueError(f"points {seen[key]} and {idx} are identical")
-            seen[key] = idx
-        object.__setattr__(self, "_exact", tuple(exact))
-
-    @classmethod
-    def from_rows(cls, rows) -> "PointSet":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("need at least one point")
-        return cls(len(rows[0]), tuple(rows))
+        for idx, pt in enumerate(rows):
+            key = tuple([c.numerator * (den // c.denominator) for c in map(_rational, pt)])
+            first = seen.setdefault(key, idx)
+            if first != idx:
+                raise ValueError(f"points {first} and {idx} are identical")
+        x = np.array(list(seen), dtype=object).T
+        del seen
+        lo = x.min(axis=1)
+        x -= lo[:, None]
+        x = x.astype(np.int64) if dim * x.max() ** 2 < 2**62 else x
+        x.flags.writeable = False
+        self.dim, self.den, self.origin, self.axes = dim, den, tuple(lo.tolist()), x
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.axes.shape[1]
 
     def exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._exact  # type: ignore[attr-defined]
+        """The coordinates as exact rationals, one tuple per point."""
+        cols = ([Fraction(o + c, self.den) for c in axis.tolist()]
+                for o, axis in zip(self.origin, self.axes))
+        return tuple(zip(*cols))
+
+    def __repr__(self) -> str:
+        return f"PointSet(dim={self.dim}, n={self.n})"
 
 
-def integer_grid(ps: PointSet) -> tuple[list[tuple[int, ...]], bool]:
-    """Rescale all coordinates exactly onto a common integer grid.
-
-    Returns the integer coordinates and whether squared distances are safe
-    in int64 (if not, callers must stay on arbitrary-precision ints).
-    """
-    den = 1
-    for pt in ps.exact():
-        for c in pt:
-            den = math.lcm(den, c.denominator)
-    grid = [tuple(c.numerator * (den // c.denominator) for c in pt) for pt in ps.exact()]
-    lo = min(c for pt in grid for c in pt)
-    hi = max(c for pt in grid for c in pt)
-    fits64 = ps.dim * (hi - lo) ** 2 < 2**62
-    return grid, fits64
-
-
-def grid_axes(ps: PointSet) -> np.ndarray:
-    """The point set's integer_grid coordinates as a (dim, n) array, one row
-    per axis: the one coordinate form every point computation reads.  It is
-    computed once per point set and kept read-only.
-
-    Each axis is shifted to start at 0 before any int64 cast, which leaves
-    every distance as it was and keeps the values inside int64 whenever
-    squared distances fit there, however large the coordinates themselves
-    are.  Otherwise the array holds Python ints (object dtype), so the
-    arithmetic stays exact.
-    """
-    x = ps.__dict__.get("_axes")
-    if x is None:
-        grid, fits64 = integer_grid(ps)
-        x = np.array(grid, dtype=object).T
-        x = x - x.min(axis=1, keepdims=True)
-        x = x.astype(np.int64) if fits64 else x
-        x.flags.writeable = False
-        object.__setattr__(ps, "_axes", x)
-    return x
+def _rational(c):
+    """An int or Fraction as it is, anything else as an exact Fraction."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
 def scratch(xt: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +205,7 @@ def sq_dist_rows(a: np.ndarray, b: np.ndarray, buf) -> np.ndarray:
     ``buf[0]``, valid until the next call on the same buffers.
 
     Summed one axis at a time through ``buf[1]`` by ufuncs with ``out=``, so
-    a block allocates nothing: int64 axes stay in int64, where grid_axes
+    a block allocates nothing: int64 axes stay in int64, where PointSet
     keeps every squared distance, and object axes stay Python ints.
     """
     r, c = a.shape[1], b.shape[1]
@@ -255,7 +231,7 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     n = ps.n
     if n > RANK_PAIRS_MAX_N:
         raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
-    xt = grid_axes(ps)
+    xt = ps.axes
     p = n * (n - 1) // 2
     d2 = np.empty(p, dtype=xt.dtype)
     buf = scratch(xt, max(SCRATCH, n))
@@ -322,7 +298,7 @@ def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
         def keys(rows, cols):
             return mat[rows[:, None], cols]
     else:
-        xt = grid_axes(data)
+        xt = data.axes
         buf = scratch(xt, max(SCRATCH, n))
         top = sum(int(c.max()) ** 2 for c in xt) + 1  # above every distance
 
@@ -368,7 +344,7 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
         def nearest(v, m):
             return mat[v, alive[0, :m]].argmin()
     else:
-        xt = grid_axes(data)
+        xt = data.axes
         alive, buf = np.vstack([np.arange(n), xt]), scratch(xt, n)
 
         def nearest(v, m):

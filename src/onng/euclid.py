@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import SCRATCH, Order, PointSet, grid_axes, scratch, sq_dist_rows
+from .core import SCRATCH, Order, PointSet, scratch, sq_dist_rows
 
 # Largest dimension for which 2 * grid_cell_bound(d) <= 16^d, keeping the
 # grid guarantee at least as strong as floor(log2(n) / 4d).  First failure
@@ -121,7 +121,7 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     lexicographically smallest index pair; returns (a, b) with a < b."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    xt = grid_axes(ps)
+    xt = ps.axes
     return _diameter_ids(xt, list(range(ps.n)), scratch(xt, max(SCRATCH, ps.n)))
 
 
@@ -134,7 +134,7 @@ def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tupl
     """
     if a == b or not (0 <= a < ps.n and 0 <= b < ps.n):
         raise ValueError(f"invalid anchor pair ({a}, {b})")
-    xt = grid_axes(ps)
+    xt = ps.axes
     major, minor, _far = _halfspace_ids(xt, list(range(ps.n)), a, b, scratch(xt, 2 * ps.n))
     return tuple(major), tuple(minor)
 
@@ -157,7 +157,7 @@ def grid_partition(ps: PointSet, members, unit_sq) -> list[tuple[int, ...]]:
     us = int(unit_sq)
     if us <= 0:
         raise ValueError("unit_sq must be positive")
-    cells = _cells(grid_axes(ps), ids, us, ps.dim)
+    cells = _cells(ps.axes, ids, us, ps.dim)
     return [tuple(cells[key]) for key in sorted(cells)]
 
 
@@ -175,7 +175,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     n, dim = ps.n, ps.dim
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
-    xt = grid_axes(ps)
+    xt = ps.axes
     buf = scratch(xt, max(SCRATCH, 2 * n))  # _halfspace_ids reads two rows of n
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []

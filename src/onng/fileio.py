@@ -6,7 +6,8 @@ comment runs from '#' to the end of its line.  A text is split into lines
 once (Lines); the CLI reads a file as a Text, which keeps that split and
 the plain scan below, so sniff_format and the parse after it share them.
 Coordinates are parsed as exact rationals (decimal strings go through
-Fraction), so reading back a written file reproduces the metric bit for bit.
+Fraction), so reading back a written points file reproduces the point set
+bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.
@@ -163,7 +164,7 @@ def parse_points(text: str) -> PointSet:
             rows.append(tuple(Fraction(p) for p in parts))
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"line {lineno}: bad coordinate: {e}") from e
-    return PointSet(dim, tuple(rows))
+    return PointSet(dim, rows)
 
 
 def write_points(ps: PointSet) -> str:

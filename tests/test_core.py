@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from onng import (
     path_order,
     random_rank_metric,
 )
-from onng.core import integer_grid, iter_pairs
+from onng.core import iter_pairs
+from onng.fileio import parse_points, write_points
 
 from conftest import lattice_point_sets, rand_point_set, reference_metric
 
@@ -83,6 +85,13 @@ def test_unit_square_tie_break_is_lexicographic():
 def test_duplicate_points_rejected_naming_both():
     with pytest.raises(ValueError, match="points 1 and 3"):
         PointSet(2, ((0, 0), (2, 5), (1, 1), (2, 5)))
+    # one point spelled two ways; the first duplicate pair is named
+    half, big = (0.5, Fraction(1, 2)), (2**70 + 1, Fraction(2**71 + 2, 2))
+    for a, b in (half, big):
+        with pytest.raises(ValueError, match=r"^points 1 and 3 are identical$"):
+            PointSet(1, ((7,), (a,), (-3,), (b,), (a,), (b,)))
+    with pytest.raises(ValueError, match=r"^points 0 and 2 are identical$"):
+        PointSet(2, ((half[0], big[0]), (half[0], 0), (half[1], big[1]), (1, 1), (half[0], 0)))
 
 
 def test_point_set_accepts_mixed_exact_coordinates():
@@ -90,6 +99,58 @@ def test_point_set_accepts_mixed_exact_coordinates():
     assert ps.n == 3
     with pytest.raises(ValueError):
         PointSet(1, ((float("nan"),), (0.0,)))
+
+
+def test_point_errors_come_in_index_order_before_duplicates():
+    nan = float("nan")
+    # a ragged or non-numeric point wins over a duplicate before or after it
+    for rows, msg in (
+        (((1, 2), (0.5,), (Fraction(1, 2),)), r"^point 0 has 2 coordinates, expected 1$"),
+        (((nan,), (0.5,), (Fraction(1, 2),)), r"^point 0 has a non-finite or non-numeric coordinate$"),
+        (((0.5,), (Fraction(1, 2),), (1, 2), (nan,)), r"^point 2 has 2 coordinates, expected 1$"),
+        (((0.5,), (Fraction(1, 2),), ("x",), (1, 2)), r"^point 2 has a non-finite or non-numeric coordinate$"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            PointSet(1, rows)
+    with pytest.raises(ValueError, match="at least one point"):
+        PointSet(2, ())
+    with pytest.raises(ValueError, match="dimension"):
+        PointSet(0, ((),))
+
+
+_coords = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Distinct rows of ints, Fractions and floats, negatives included."""
+    dim = draw(st.integers(1, 3))
+    return dim, draw(st.lists(
+        st.tuples(*[_coords] * dim), min_size=1, max_size=20,
+        unique_by=lambda r: tuple(map(Fraction, r)),
+    ))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_mixed_rows())
+def test_exact_and_points_file_round_trip(dim_rows):
+    # the rows as drawn, shifted by 2^70 (coordinates past int64), and
+    # scaled by 2^32
+    dim, rows = dim_rows
+    for variant in (
+        rows,
+        [tuple(Fraction(c) + 2**70 for c in r) for r in rows],
+        [tuple(c * 2**32 for c in r) for r in rows],
+    ):
+        ps = PointSet(dim, variant)
+        assert ps.exact() == tuple(tuple(Fraction(c) for c in r) for r in variant)
+        again = parse_points(write_points(ps))
+        assert (again.den, again.origin, again.axes.dtype) == (ps.den, ps.origin, ps.axes.dtype)
+        assert np.array_equal(again.axes, ps.axes)
 
 
 def test_rank_paths_agree_numpy_vs_python():
@@ -101,14 +162,14 @@ def test_rank_paths_agree_numpy_vs_python():
         ps = PointSet(d, tuple(dict.fromkeys(rows)))
         assert metric_from_points(ps) == reference_metric(ps), (n, d)
     wide = PointSet(2, tuple((x * 2**32, y) for x, y in ((0, 0), (1, 5), (1000, 7), (3, 3))))
-    assert not integer_grid(wide)[1]
+    assert wide.axes.dtype == object
     assert metric_from_points(wide) == reference_metric(wide)
     # coordinates past int64 whose squared distances fit it: same ranks as
     # the set shifted to 0
     squares = [i * i for i in range(70)]
     far = PointSet(1, tuple((2**70 + c,) for c in squares))
     near = PointSet(1, tuple((c,) for c in squares))
-    assert integer_grid(far)[1]
+    assert far.axes.dtype != object
     assert metric_from_points(far) == metric_from_points(near) == reference_metric(near)
 
 
@@ -191,11 +252,14 @@ def test_random_rank_metric_is_seed_deterministic():
 
 def test_integer_grid_scales_to_common_denominator():
     ps = PointSet(1, ((Fraction(1, 2),), (Fraction(1, 3),), (2,)))
-    grid, fits64 = integer_grid(ps)
-    assert fits64
-    vals = [g[0] for g in grid]
-    # 1/2, 1/3, 2 over denominator 6 -> 3, 2, 12
-    assert vals == [3, 2, 12]
+    # 1/2, 1/3, 2 over denominator 6 -> 3, 2, 12, shifted by 2 to start at 0
+    assert ps.den == 6
+    assert ps.origin == (2,)
+    assert ps.axes.dtype != object
+    assert ps.axes.tolist() == [[1, 0, 10]]
+    with pytest.raises(ValueError):
+        ps.axes[0, 0] = 9
+    assert repr(ps) == "PointSet(dim=1, n=3)"
 
 
 @st.composite
@@ -213,10 +277,10 @@ def _point_sets(draw):
     if kind == "lattice":
         return ps
     if kind == "scaled":
-        ps = PointSet(ps.dim, tuple(tuple(c * 2**32 for c in r) for r in ps.points))
-        assert ps.n == 1 or not integer_grid(ps)[1]
+        ps = PointSet(ps.dim, tuple(tuple(c * 2**32 for c in r) for r in ps.exact()))
+        assert ps.n == 1 or ps.axes.dtype == object
         return ps
-    return PointSet(ps.dim, tuple(tuple(c + 2**70 for c in r) for r in ps.points))
+    return PointSet(ps.dim, tuple(tuple(c + 2**70 for c in r) for r in ps.exact()))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -265,7 +329,7 @@ def test_multi_block_rebuild_matches_metric_rebuild(kind, seed):
     # too large an input for hypothesis to draw call by call
     rng = random.Random(seed)
     ps = _multi_block_point_set(kind, rng)
-    assert kind != "scaled" or not integer_grid(ps)[1]
+    assert kind != "scaled" or ps.axes.dtype == object
     m = metric_from_points(ps)
     order = list(range(ps.n))
     rng.shuffle(order)

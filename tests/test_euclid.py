@@ -23,7 +23,7 @@ from onng import (
     order_euclid,
     path_order,
 )
-from onng.core import SCRATCH, grid_axes, integer_grid, scratch
+from onng.core import SCRATCH, scratch
 from onng.euclid import PARITY_MAX_DIM, _diameter_ids, _order_euclid_levels, grid_partition
 
 from conftest import circle_points, lattice_point_sets, rand_point_set, reference_metric
@@ -31,6 +31,14 @@ from conftest import circle_points, lattice_point_sets, rand_point_set, referenc
 
 def sq_dist(p, q):
     return sum((a - b) ** 2 for a, b in zip(p, q))
+
+
+def exact_grid(ps):
+    """ps.exact() times its common denominator, as Python ints, and that
+    denominator: reference coordinates that never read the axes they check."""
+    pts = ps.exact()
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    return [tuple(int(c * den) for c in p) for p in pts], den
 
 
 def test_grid_cell_bound_values():
@@ -67,7 +75,7 @@ def test_diameter_pair_matches_brute_force():
         n = rng.randint(2, 40)
         d = rng.randint(1, 3)
         ps = rand_point_set(rng, n, d)
-        grid, _ = integer_grid(ps)
+        grid, _ = exact_grid(ps)
         best = max(
             ((sq_dist(grid[i], grid[j]), i, j) for i in range(n) for j in range(i + 1, n)),
             key=lambda t: (t[0], -t[1], -t[2]),
@@ -78,7 +86,7 @@ def test_diameter_pair_matches_brute_force():
 def test_diameter_pair_numpy_path_agrees():
     rng = random.Random(6)
     ps = rand_point_set(rng, 200, 2)
-    grid, _ = integer_grid(ps)
+    grid, _ = exact_grid(ps)
     best = max(
         ((sq_dist(grid[i], grid[j]), i, j) for i in range(200) for j in range(i + 1, 200)),
         key=lambda t: (t[0], -t[1], -t[2]),
@@ -105,7 +113,7 @@ def test_diameter_pair_ties_across_blocks():
 def _all_pairs_diameter(ps, ids):
     # every pair of positions: the largest squared distance, then the
     # lexicographically smallest position pair
-    x = np.array(integer_grid(ps)[0], dtype=object)[ids]
+    x = np.array(exact_grid(ps)[0], dtype=object)[ids]
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
     i, j = min(map(tuple, np.argwhere(np.triu(d2 == d2.max(), 1)).tolist()))
     return ids[i], ids[j]
@@ -132,7 +140,7 @@ def test_diameter_ids_matches_all_pairs_scan():
         sets.append(PointSet(dim, tuple(rows)))
     assert any(ps.n > SCRATCH // ps.n for ps in sets)
     for ps in sets:
-        xt = grid_axes(ps)
+        xt = ps.axes
         subsets = [list(range(ps.n))]
         subsets += [sorted(rng.sample(range(ps.n), rng.randint(2, ps.n))) for _ in range(2)]
         for ids in subsets:
@@ -146,7 +154,6 @@ def test_point_kernels_peak_memory_is_bounded():
     cap = 8 * 2**20
     rng = random.Random(29)
     for ps in (rand_point_set(rng, 4096, 2), circle_points(rng, 4096)):
-        grid_axes(ps)  # computed once per point set
         order = list(range(ps.n))
         rng.shuffle(order)
         for run in (lambda: build_onng(ps, order), lambda: path_order(ps, 0), lambda: order_euclid(ps)):
@@ -175,7 +182,7 @@ def test_halfspace_split_properties():
         assert len(major) >= len(minor)
         assert (a in major) != (b in major)
         # every vertex sits on the side of the anchor it is ordinally closer to
-        grid, _ = integer_grid(ps)
+        grid, _ = exact_grid(ps)
         for side in (major, minor):
             anchor = a if a in side else b
             other = b if a in side else a
@@ -201,8 +208,9 @@ def test_grid_partition_cell_diameter_strictly_small():
         d = rng.randint(1, 3)
         ps = rand_point_set(rng, n, d)
         a, b = diameter_pair(ps)
-        grid, _ = integer_grid(ps)
-        unit_sq = sq_dist(grid[a], grid[b])
+        # grid_partition takes unit_sq in the point set's own grid units
+        unit_sq = sq_dist(*(ps.axes[:, v].tolist() for v in (a, b)))
+        grid, den = exact_grid(ps)
         clusters = grid_partition(ps, range(n), unit_sq)
         assert sorted(v for c in clusters for v in c) == list(range(n))
         assert len(clusters) <= grid_cell_bound(d)
@@ -210,7 +218,7 @@ def test_grid_partition_cell_diameter_strictly_small():
             for i in c:
                 for j in c:
                     if i < j:
-                        assert 4 * sq_dist(grid[i], grid[j]) < unit_sq
+                        assert 4 * sq_dist(grid[i], grid[j]) * ps.den**2 < unit_sq * den**2
 
 
 def test_grid_partition_validates():

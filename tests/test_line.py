@@ -124,7 +124,7 @@ def test_order_line_center_is_leftmost_on_all_ties():
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(lattice_point_sets(max_dim=1))
 def test_order_line_bound_on_tie_heavy_lattices(ps):
-    lps = LinePointSet(tuple(sorted(c for (c,) in ps.points)))
+    lps = LinePointSet(tuple(sorted(c for (c,) in ps.exact())))
     order, center = order_line(lps)
     assert order[0] == center
     g = build_onng(reference_metric(lps.to_point_set()), order)
