@@ -79,10 +79,15 @@ class RankedMetric:
         flat = np.asarray(pair_ranks)
         if flat.shape != (p,):
             raise ValueError(f"expected {p} pair ranks for n={n}, got {flat.shape}")
-        # p integers in 0..p-1, none repeated.  Ranks past int64, or not
-        # integers, come as an object or float array and are refused.
-        if p and (flat.dtype.kind not in "iu" or flat.min() < 0 or flat.max() >= p
-                  or np.bincount(flat).max() > 1):
+        # p integers in 0..p-1 that cover 0..p-1, so none is repeated.  Ranks
+        # past int64, or not integers, come as an object or float array and
+        # are refused.
+        ok = not p or (flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p)
+        if ok and p:
+            seen = np.zeros(p, dtype=bool)  # p bytes, where a bincount takes 8p
+            seen[flat] = True
+            ok = bool(seen.all())
+        if not ok:
             raise ValueError("pair ranks must be a bijection onto 0..n(n-1)/2-1")
         dtype = np.int32 if p < 2**31 - 1 else np.int64
         self.n = n

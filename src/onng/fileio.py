@@ -4,7 +4,8 @@ All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  A text is split into lines
 once (Lines); the CLI reads a file as a Text, which keeps that split and
-the plain scan below, so sniff_format and the parse after it share them.
+the result of the plain scan below, so sniff_format and the parse after it
+share them.
 Coordinates are parsed as exact rationals (decimal strings go through
 Fraction), so reading back a written points file reproduces the point set
 bit for bit.
@@ -16,19 +17,24 @@ metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
 parse_metric has two tokenizers, one acceptor and one explainer.  A plain
-file, as write_metric writes it, is tokenized by one byte scan that never
-splits it into lines (plain_fields): only ASCII digits, spaces, tabs and
-"\n", no field longer than 18 digits (so every field is exact in int64),
-one field on the first line that has any, then three on every other line
-that has any.  Every other spelling (comments, other line breaks, signs,
-underscores, other scripts' digits, longer fields) is tokenized from Lines,
-a block of lines per numpy call, into one int64 vector.  Either vector goes
-to one array acceptor, which checks the header, the pair count and the
-pairs and hands the ranks to RankedMetric; no tuple or list is kept per
-line.  Only a file the acceptor declines (or neither tokenizer reads) is
-read again line by line, in file order, and its first defective line is
+file, as write_metric writes it, is read in one pass over runs of whole
+lines of about _PLAIN_CHUNK characters (plain_scan) and never split into
+lines: only ASCII digits, spaces, tabs and "\n", no field longer than 18
+digits (so every field is exact in int64), one field on the first line that
+has any, then three on every other line that has any.  Every other spelling
+(comments, other line breaks, signs, underscores, other scripts' digits,
+longer fields) is tokenized from Lines, a block of lines per numpy call.
+Either tokenizer hands its int64 blocks to one acceptor, which checks the
+header, the pair count and the pairs and writes each rank into its pair's
+slot of the rank vector; no vector of all the fields, and no tuple or list
+per line, is kept.  The rank vector is allocated only once the header
+passes the pair-ranking guard and the file is long enough to hold its
+pairs, so a short file with a huge header allocates nothing of that size.
+Only a file the acceptor declines (or neither tokenizer reads) is read
+again line by line, in file order, and its first defective line is
 reported by the first check it fails: field count, integers, pair range,
-repeated pair.  The ranks are checked once, by RankedMetric.
+repeated pair.  A file with no such defect ends in RankedMetric's rank
+check, whose error the CLI reports.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -38,7 +44,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,6 @@ from .core import (
     OrderedNNG,
     PointSet,
     RankedMetric,
-    iter_pairs,
     pair_index,
 )
 
@@ -61,6 +67,9 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = f"#[^{_LINE_BREAKS}]*"
 # Metric lines converted to integers per numpy call: bounds the field list.
 _BLOCK_LINES = 2**15
+# Characters of a plain metric file scanned per numpy pass: bounds the
+# scan's byte-sized temporaries.
+_PLAIN_CHUNK = 2**18
 # The bytes of a plain metric file, and its longest field: every integer of
 # 18 digits fits in int64, and 10**18 <= 2**63 - 1 < 10**19.
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -83,9 +92,56 @@ class Lines:
         self.data = np.flatnonzero(self.fields)
 
 
-def plain_fields(text: str) -> np.ndarray | None:
-    """Every field of a plain metric file as int64, from one scan over its
-    bytes; None if the text is not plain, which sends the reader to Lines.
+def _chunks(text: str) -> Iterator[str]:
+    """text in runs of whole lines, each about _PLAIN_CHUNK characters and
+    cut just after a "\n" (a longer line is one run; the last run may end
+    without a "\n")."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = start + _PLAIN_CHUNK
+        cut = end if stop >= end else text.rfind("\n", start, stop) + 1
+        if cut <= start:  # no "\n" in the window
+            cut = text.find("\n", stop) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
+def _plain_block(chunk: str, header: bool) -> np.ndarray | None:
+    """The fields of a run of whole lines as int64, or None if the run is
+    not plain.  header: the run must open with the one-field header line."""
+    # "\n" on both ends: every field has a non-digit before and after it
+    raw = f"\n{chunk}\n".encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = b >= ord("0")  # the other plain bytes all sort below "0"
+    starts = np.flatnonzero(digit[1:] > digit[:-1])  # each field's first digit - 1
+    if not starts.size:
+        return np.empty(0, dtype=np.int64)  # np.fromstring reads a blank run as [0]
+    if (np.flatnonzero(digit[:-1] > digit[1:]) - starts).max() > _PLAIN_DIGITS:
+        return None
+    fields = np.diff(np.searchsorted(starts, np.flatnonzero(b == ord("\n"))))  # per line
+    fields = fields[fields != 0]
+    if fields[0] != (1 if header else 3) or np.any(fields[1:] != 3):
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ")
+
+
+class PlainScan(NamedTuple):
+    """What the one scan of a plain metric file found: its header n,
+    whether it holds exactly the 1 + 3 n(n-1)/2 fields of a metric, and the
+    metric the acceptor read from it (None if it declined)."""
+
+    n: int
+    shaped: bool
+    metric: RankedMetric | None
+
+
+def plain_scan(text: str) -> PlainScan | None:
+    """Read a plain metric file in one pass over runs of whole lines (about
+    _PLAIN_CHUNK characters each), handing each run's int64 fields to the
+    acceptor; None if the text is not plain, which sends the reader to
+    Lines.
 
     Plain means: ASCII digits, spaces, tabs and "\n" only; no field longer
     than _PLAIN_DIGITS digits; one field on the first line with any, three
@@ -93,34 +149,35 @@ def plain_fields(text: str) -> np.ndarray | None:
     """
     if not text.isascii():
         return None
-    # "\n" on both ends: every field has a non-digit before and after it
-    raw = f"\n{text}\n".encode("ascii")
-    if raw.translate(None, _PLAIN_BYTES):
+    header, count, plain = None, 0, True
+
+    def blocks() -> Iterator[np.ndarray]:
+        nonlocal header, count, plain
+        for chunk in _chunks(text):
+            block = _plain_block(chunk, header is None)
+            if block is None:
+                plain = False
+                return
+            if block.size:
+                if header is None:
+                    header = int(block[0])
+                count += block.size
+                yield block
+
+    it = blocks()
+    # every field is at least one character, with a space or "\n" after it
+    m = _metric(it, (len(text) + 1) // 2)
+    # a declined file is still read to its end: is it plain, and how many
+    # fields does it hold
+    for _ in it:
+        pass
+    if not plain or header is None:
         return None
-    # Each byte-sized temporary is dropped as soon as it is used: together
-    # they, not the fields, set the reader's peak memory.
-    b = np.frombuffer(raw, dtype=np.uint8)
-    breaks = np.flatnonzero(b == ord("\n"))
-    digit = b >= ord("0")  # the other plain bytes all sort below "0"
-    del b, raw
-    starts = np.flatnonzero(digit[1:] > digit[:-1])  # each field's first digit - 1
-    ends = np.flatnonzero(digit[:-1] > digit[1:])  # each field's last digit
-    del digit
-    if not starts.size:
-        return None
-    ends -= starts  # each field's length
-    if ends.max() > _PLAIN_DIGITS:
-        return None
-    del ends
-    fields = np.diff(np.searchsorted(starts, breaks))  # per line
-    fields = fields[fields != 0]
-    if fields[0] != 1 or np.any(fields[1:] != 3):
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=" ")
+    return PlainScan(header, count == 1 + 3 * (header * (header - 1) // 2), m)
 
 
 class Text(str):
-    """A file's text that is scanned (plain_fields) and split into Lines at
+    """A file's text that is scanned (plain_scan) and split into Lines at
     most once each, however many readers ask for them."""
 
     @cached_property
@@ -128,16 +185,16 @@ class Text(str):
         return Lines(self)
 
     @cached_property
-    def plain_fields(self) -> np.ndarray | None:
-        return plain_fields(self)
+    def plain_scan(self) -> PlainScan | None:
+        return plain_scan(self)
 
 
 def _lines(text: str) -> Lines:
     return text.split_lines if isinstance(text, Text) else Lines(text)
 
 
-def _plain(text: str) -> np.ndarray | None:
-    return text.plain_fields if isinstance(text, Text) else plain_fields(text)
+def _plain(text: str) -> PlainScan | None:
+    return text.plain_scan if isinstance(text, Text) else plain_scan(text)
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -181,61 +238,76 @@ def _format_coord(c: Fraction) -> str:
 
 
 def parse_metric(text: str) -> RankedMetric:
-    fields, lines = _plain(text), None
-    if fields is None:
-        lines = _lines(text)
-        fields = _line_fields(lines)
-    m = None if fields is None else _metric(fields)
-    if m is not None:
-        return m
-    return _explain(_lines(text) if lines is None else lines)
+    scan = _plain(text)
+    if scan is not None and scan.metric is not None:
+        return scan.metric
+    lines = _lines(text)
+    m = None if scan is not None else _metric(_line_blocks(lines), int(lines.fields.sum()))
+    return m if m is not None else _explain(lines)
 
 
-def _line_fields(t: Lines) -> np.ndarray | None:
-    """Every field of a metric-shaped Lines as int64: one field on the first
-    data line, three on every other.  None for any other shape, a field
-    int() rejects, or a value past int64."""
+def _line_blocks(t: Lines) -> Iterator[np.ndarray]:
+    """The fields of a metric-shaped Lines as int64, _BLOCK_LINES lines per
+    numpy call: one field on the first data line, three on every other.
+    Nothing for any other shape; stops at a block with a field int()
+    rejects or a value past int64, so the acceptor gets too few pairs."""
     f = t.fields[t.data]
     if not f.size or f[0] != 1 or np.any(f[1:] != 3):
-        return None
-    fields = np.empty(int(f.sum()), dtype=np.int64)
-    pos = 0
+        return
     for a in range(0, len(t.lines), _BLOCK_LINES):
         block = " ".join(t.lines[a : a + _BLOCK_LINES]).split()
+        if not block:
+            continue
         try:
-            fields[pos : pos + len(block)] = np.array(block, dtype=np.int64)
+            values = np.array(block, dtype=np.int64)
         except (ValueError, OverflowError):
-            return None
-        pos += len(block)
+            return
         # one block's field strings at a time: they set the reader's peak
         del block
-    return fields
+        yield values
 
 
-def _metric(fields: np.ndarray) -> RankedMetric | None:
-    """The metric of a file's fields (header, then "i j rank" triples), or
-    None if the header, the pair count or a pair fails a check: _explain
-    then reports the first defect.  A non-bijective rank vector raises
-    here, as RankedMetric raises it."""
-    n = int(fields[0])
+def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
+    """The metric of a file's fields, read block by block (the header
+    first, then "i j rank" triples, each block holding whole triples), or
+    None if the header, the pair count, a pair or a rank fails a check:
+    _explain then reports the first defect.  The ranks go straight into
+    their pair's slot.  most bounds the fields the file can hold, so a
+    header the file is too short for allocates nothing of size n(n-1)/2.
+    Never raises."""
+    head = next(blocks, None)
+    if head is None:
+        return None
+    n = int(head[0])
     p = n * (n - 1) // 2
-    if not 1 <= n <= RANK_PAIRS_MAX_N or fields.size != 1 + 3 * p:
+    if not 1 <= n <= RANK_PAIRS_MAX_N or 1 + 3 * p > most:
         return None
-    i, j, ranks = fields[1:].reshape(p, 3).T
-    if p and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n or np.any(i == j)):
+    # -1 marks an unfilled slot: p triples that fill every slot name every
+    # pair once.  Ranks below p < 2**31 fit int32, as RankedMetric keeps them.
+    flat = np.full(p, -1, dtype=np.int32)
+    got = 0
+    for block in chain((head[1:],), blocks):
+        i, j, ranks = block.reshape(-1, 3).T
+        got += ranks.size
+        if not ranks.size:
+            continue
+        if (got > p or min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n
+                or np.any(i == j) or ranks.min() < 0 or ranks.max() >= p):
+            return None
+        # k = pair_index(lo, hi, n), built in place in hi; ids below n fit int32
+        lo, hi = np.minimum(i, j, dtype=np.int32), np.maximum(i, j, dtype=np.int32)
+        hi -= lo
+        hi -= 1
+        lo *= 2 * n - 1 - lo
+        lo //= 2
+        hi += lo
+        flat[hi] = ranks
+    if got != p or (p and flat.min() < 0):
         return None
-    # k = pair_index(lo, hi, n), built in place in hi; ids below n fit int32
-    lo, hi = np.minimum(i, j, dtype=np.int32), np.maximum(i, j, dtype=np.int32)
-    hi -= lo
-    hi -= 1
-    lo *= 2 * n - 1 - lo
-    lo //= 2
-    hi += lo
-    if p and np.bincount(hi).max() > 1:
+    try:
+        return RankedMetric(n, flat)
+    except ValueError:  # a repeated rank
         return None
-    flat = np.empty(p, dtype=np.int64)
-    flat[hi] = ranks
-    return RankedMetric(n, flat)
 
 
 def _explain(t: Lines) -> RankedMetric:
@@ -277,9 +349,15 @@ def _explain(t: Lines) -> RankedMetric:
 
 
 def write_metric(m: RankedMetric) -> str:
-    out = [str(m.n)]
-    for (i, j), r in zip(iter_pairs(m.n), m.pair_rank_list()):
-        out.append(f"{i} {j} {r}")
+    n, ranks = m.n, m.pair_rank_list()
+    ids = [str(v) for v in range(n)]
+    out = [str(n)]
+    off = 0
+    for i in range(n - 1):
+        # one join per row: the pairs (i, j), j > i, in order
+        k = n - 1 - i
+        out.append("\n".join(map(f"{i} {{}} {{}}".format, ids[i + 1 :], ranks[off : off + k])))
+        off += k
     return "\n".join(out) + "\n"
 
 
@@ -310,10 +388,9 @@ def sniff_format(text: str) -> str:
     Anything else is points.  The one ambiguous case, a single 1-D point
     written as a bare positive integer, sniffs as the (trivial) n=1 metric;
     pass the format explicitly to override."""
-    fields = _plain(text)
-    if fields is not None:
-        n = int(fields[0])
-        return "metric" if n >= 1 and fields.size == 1 + 3 * (n * (n - 1) // 2) else "points"
+    scan = _plain(text)
+    if scan is not None:
+        return "metric" if scan.n >= 1 and scan.shaped else "points"
     t = _lines(text)
     if not t.data.size:
         raise ValueError("input has no data lines")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -215,11 +216,13 @@ def _parse_outcome(text, want):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(metric_texts(), st.sampled_from([1, 2, 5, fileio._BLOCK_LINES]))
-def test_metric_reader_matches_reference(text, block_lines):
-    # small blocks put the defects and repeated pairs across block joins;
-    # the sniff and the parse share one Text, as in the CLI
-    with mock.patch.object(fileio, "_BLOCK_LINES", block_lines):
+@given(metric_texts(), st.sampled_from([1, 2, 5, fileio._BLOCK_LINES]),
+       st.sampled_from([1, 4, 16, fileio._PLAIN_CHUNK]))
+def test_metric_reader_matches_reference(text, block_lines, chunk):
+    # small blocks and runs put the defects and repeated pairs across their
+    # joins; the sniff and the parse share one Text, as in the CLI
+    with mock.patch.object(fileio, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
         shared = Text(text)
         assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
         want = _outcome(reference_parse_metric, text)
@@ -302,16 +305,77 @@ def plain_metric_texts(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(plain_metric_texts())
-def test_plain_metric_scan_matches_reference(case):
-    # the byte scan reads what it should and declines the rest; either way
-    # the sniff and the parse, sharing one Text, answer as the reference
+@given(plain_metric_texts(), st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
+def test_plain_metric_scan_matches_reference(case, chunk):
+    # the plain scan reads what it should and declines the rest, whatever
+    # its run length; either way the sniff and the parse, sharing one Text,
+    # answer as the reference
     text, plain = case
+    with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+        shared = Text(text)
+        assert (shared.plain_scan is not None) == plain
+        assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
+        want = _outcome(reference_parse_metric, text)
+        assert _parse_outcome(shared, want) == want
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("\n\n 3\n\n\n0 1 0\n \t\n2 0 1\n\n\n1 2 2", True),  # no final "\n"
+    ("3\n0 1 0\n\n\n\n0 2 1\n1 2 2\n\n\n", True),
+    ("3\n0 1 0\n0 1 1\n1 2 2\n", True),  # a repeated pair
+    ("3\n0 1 0\n0 2 1\n", True),  # a pair line short
+    ("2\n\n\n0 1 0\n0 1 0\n", True),  # a pair line too many
+    ("3\n0 1 0\n0 2 1\n1 2 2\n\n\r", False),  # not plain, in its last run only
+    ("3\n0 1 0\n0 2 1\n1 2 " + "0" * 19 + "2\n", False),  # a field past 18 digits
+])
+def test_plain_scan_runs_join_anywhere(text, plain):
+    # every run length from one character up, so a join falls after the
+    # header, inside each blank-line run, and before a missing final "\n"
+    whole = fileio.plain_scan(text)
+    assert (whole is not None) == plain
+    for chunk in range(1, len(text) + 2):
+        with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+            assert fileio.plain_scan(text) == whole, chunk
+    assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
+    assert _outcome(parse_metric, text) == _outcome(reference_parse_metric, text)
+
+
+def test_metric_reader_peak_memory_is_bounded():
+    # the plain scan holds one run of lines at a time, so the rank vector,
+    # the seen mask and RankedMetric's matrix (2, 0.5 and 4 MiB at n = 1024)
+    # set the peak, and no temporary the size of the 7.3 MB file shows
+    cap = 16 * 2**20
+    shared = Text(write_metric(random_rank_metric(1024, random.Random(31))))
+    tracemalloc.start()
+    try:
+        fmt = sniff_format(shared)
+        m = parse_metric(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fmt, m.n) == ("metric", 1024)
+    assert peak < cap, peak
+
+
+def test_huge_header_allocates_nothing_per_pair(tmp_path):
+    # n = 8192 passes the guard, but three pair lines cannot hold its
+    # 33550336 pairs: refused before any vector of that size is made
+    text = "8192\n0 1 0\n0 2 1\n1 2 2\n"
+    src = tmp_path / "h.txt"
+    src.write_text(text)
+    code, out, err = run_cli(["order", "--strategy", "ramsey", "--input-format", "metric",
+                              "--input", str(src)])
+    assert (code, out) == (1, "")
+    assert err == f"onng: error: {src}: expected 33550336 pair lines for n=8192, got 3\n"
     shared = Text(text)
-    assert (shared.plain_fields is not None) == plain
-    assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
-    want = _outcome(reference_parse_metric, text)
-    assert _parse_outcome(shared, want) == want
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expected 33550336 pair lines for n=8192, got 3"):
+            parse_metric(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch):
