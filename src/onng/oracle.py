@@ -27,13 +27,16 @@ values are exact Fractions.
 
 The scan splits into independent lexicographic blocks by the rank assigned
 to the pair {0, 1}; blocks are merged in block order, so the result is
-identical at every parallelism degree.  For n >= 3 no relabeling but the
-identity fixes a strict pair order (one that moves i to j != i moves {i, k}
-for any k outside {i, j}), so every relabeling class has n! members, and
-exactly 2(n-2)! of them give {0, 1} rank 0: those that carry the class's
-closest pair onto {0, 1}.  A canonical scan is therefore block 0, split
-further by the rank of {0, 2}, with its counts divided by 2(n-2)!.  For
-n <= 2 a class is a single metric and the counts stand as scanned.
+identical at every parallelism degree.  Within a block, each chunk of rank
+vectors is one lexicographic head followed by one lexicographic permutation
+table of at most 7! = 5,040 rows, so a chunk's memory is bounded and rows
+still come in block order.  For n >= 3 no relabeling but the identity fixes
+a strict pair order (one that moves i to j != i moves {i, k} for any k
+outside {i, j}), so every relabeling class has n! members, and exactly
+2(n-2)! of them give {0, 1} rank 0: those that carry the class's closest
+pair onto {0, 1}.  A canonical scan is therefore block 0, split further by
+the rank of {0, 2}, with its counts divided by 2(n-2)!.  For n <= 2 a class
+is a single metric and the counts stand as scanned.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterator
 
@@ -65,22 +68,27 @@ def _check_metric_guard(n: int) -> None:
         raise GuardError(f"n={n} exceeds the metric-enumeration guard (n <= {METRIC_ENUM_MAX_N})")
 
 
-def _side_pairs(n: int, v: int) -> list[tuple[int, int]]:
-    """The pairs of vertices other than v, in lexicographic order: pair i is
-    bit i of G_v's code."""
-    return list(combinations([u for u in range(n) if u != v], 2))
+@lru_cache(maxsize=None)
+def _side_pairs(n: int, v: int) -> np.ndarray:
+    """The pairs of vertices other than v, in lexicographic order, as a
+    read-only (C(n-1, 2), 2) index array: pair i is bit i of G_v's code."""
+    pairs = np.array(list(combinations([u for u in range(n) if u != v], 2)), dtype=np.intp).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _graph_codes(r: np.ndarray, n: int) -> np.ndarray:
     """G_v for a batch of flat rank vectors r, shape (B, p), as one integer
     code per (metric, v), shape (B, n)."""
+    if (bits := (n - 1) * (n - 2) // 2) > 63:
+        raise OverflowError(f"n={n}: G_v has {bits} possible edges, more than an int64 code holds")
     b = r.shape[0]
     mat = np.zeros((b, n, n), dtype=r.dtype)
     i, j = np.triu_indices(n, 1)
     mat[:, i, j] = mat[:, j, i] = r
     codes = np.empty((b, n), dtype=np.int64)
     for v in range(n):
-        a, c = np.array(_side_pairs(n, v), dtype=np.intp).reshape(-1, 2).T
+        a, c = _side_pairs(n, v).T
         side = mat[:, a, c]
         edge = (side < mat[:, v, a]) & (side < mat[:, v, c])
         codes[:, v] = (edge.astype(np.int64) << np.arange(len(a))).sum(axis=1)
@@ -90,7 +98,7 @@ def _graph_codes(r: np.ndarray, n: int) -> np.ndarray:
 def _graph(code: int, n: int, v: int) -> list[int]:
     """G_v decoded from its code: one neighbour bitmask per vertex label."""
     adj = [0] * n
-    for i, (a, c) in enumerate(_side_pairs(n, v)):
+    for i, (a, c) in enumerate(_side_pairs(n, v).tolist()):
         if code >> i & 1:
             adj[a] |= 1 << c
             adj[c] |= 1 << a
@@ -109,13 +117,19 @@ def _alpha(adj: list[int], cand: int) -> int:
     return max(_alpha(adj, rest), 1 + _alpha(adj, rest & ~adj[u]))
 
 
+@lru_cache(maxsize=1 << 12)
+def _code_alpha(code: int, n: int) -> int:
+    """alpha of the graph a code names, read with v = n - 1 (labels 0..n-2);
+    memoised, since a scan meets the same few codes in every chunk."""
+    return _alpha(_graph(code, n, n - 1), (1 << n - 1) - 1)
+
+
 def _profiles(r: np.ndarray, n: int) -> np.ndarray:
     """d(v) = alpha(G_v) for a batch of flat rank vectors r, shape (B, n).
 
-    A code read with v = n - 1 is the graph on labels 0..n-2, so one alpha
-    serves every (metric, v) whose G_v has that code."""
+    One alpha serves every (metric, v) whose G_v has the same code."""
     codes, inverse = np.unique(_graph_codes(r, n), return_inverse=True)
-    alphas = np.array([_alpha(_graph(int(c), n, n - 1), (1 << n - 1) - 1) for c in codes], dtype=np.int64)
+    alphas = np.array([_code_alpha(int(c), n) for c in codes], dtype=np.int64)
     return alphas[inverse].reshape(r.shape[0], n)
 
 
@@ -152,6 +166,8 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
                 step[min(order, key=rows[w].__getitem__)] += 1
             if max(d + _g(rows, adj[v], mask | 1 << w, v) for v, d in enumerate(step)) == best:
                 break
+        else:
+            raise RuntimeError(f"no vertex after the prefix {tuple(order)} keeps the optimum {best}")
         order.append(w)
         indeg = step
         mask |= 1 << w
@@ -238,9 +254,24 @@ class Problem1Report:
     counterexamples: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
+@lru_cache(maxsize=None)
+def _perm_table(k: int) -> np.ndarray:
+    """Every permutation of range(k) in lexicographic order, one read-only
+    int8 row each: the permutations of range(m - 1) are extended by each
+    head f, with the values f and above shifted up by one."""
+    t = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, k + 1):
+        heads = np.repeat(np.arange(m, dtype=np.int8), len(t))
+        tails = np.tile(t, (m, 1))
+        t = np.column_stack((heads, tails + (tails >= heads[:, None])))
+    t.flags.writeable = False
+    return t
+
+
 def _scan_block(args) -> tuple[int, int, int, list]:
     """Scan the lexicographic block whose leading flat ranks (pair {0, 1},
-    then {0, 2}, ...) are the given prefix.
+    then {0, 2}, ...) are the given prefix, one head at a time: the first
+    unused ranks, then the other k <= 7 permuted by the table.
 
     Returns (evaluated, max_scaled, witnesses, counterexamples); sums are
     scaled by 2^(n-1) so everything stays in integers.
@@ -248,18 +279,19 @@ def _scan_block(args) -> tuple[int, int, int, list]:
     n, prefix = args
     p = n * (n - 1) // 2
     rest = [v for v in range(p) if v not in prefix]
+    k = min(len(rest), 7)
+    table = _perm_table(k)
     target = 2 ** (n - 1)
     lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
     evaluated = 0
     max_scaled = -1
     witnesses = 0
     cex: list[tuple[tuple[int, ...], Fraction]] = []
-    it = permutations(rest)
-    while chunk := list(islice(it, 1 << 15)):
-        r = np.empty((len(chunk), p), dtype=np.int8)
-        r[:, : len(prefix)] = prefix
-        if rest:
-            r[:, len(prefix) :] = np.array(chunk, dtype=np.int8)
+    r = np.empty((len(table), p), dtype=np.int8)
+    r[:, : len(prefix)] = prefix
+    for head in permutations(rest, len(rest) - k):
+        r[:, len(prefix) : p - k] = head
+        r[:, p - k :] = np.array([v for v in rest if v not in head], dtype=np.int8)[table]
         evaluated += r.shape[0]
         scaled = lut[_profiles(r, n)].sum(axis=1)
         max_scaled = max(max_scaled, int(scaled.max()))

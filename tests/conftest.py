@@ -7,12 +7,12 @@ import io
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from onng import LinePointSet, PointSet, RankedMetric, pair_index
+from onng import LinePointSet, PointSet, RankedMetric, oracle, pair_index
 from onng.cli import main as cli_main
 
 
@@ -235,6 +235,37 @@ def reference_best_order(m: RankedMetric) -> tuple[tuple[int, ...], int]:
         indeg = step
         mask |= 1 << w
     return tuple(order), best
+
+
+# The Problem-1 block scan as it was before its chunks came from a
+# permutation table: chunks of 2^15 tuples from itertools.permutations, kept
+# verbatim (but for reading _profiles through the module, so a test can
+# patch it under both scans) as the reference oracle._scan_block must match.
+
+
+def reference_scan_block(args) -> tuple[int, int, int, list]:
+    n, prefix = args
+    p = n * (n - 1) // 2
+    rest = [v for v in range(p) if v not in prefix]
+    target = 2 ** (n - 1)
+    lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
+    evaluated = 0
+    max_scaled = -1
+    witnesses = 0
+    cex: list[tuple[tuple[int, ...], Fraction]] = []
+    it = permutations(rest)
+    while chunk := list(islice(it, 1 << 15)):
+        r = np.empty((len(chunk), p), dtype=np.int8)
+        r[:, : len(prefix)] = prefix
+        if rest:
+            r[:, len(prefix) :] = np.array(chunk, dtype=np.int8)
+        evaluated += r.shape[0]
+        scaled = lut[oracle._profiles(r, n)].sum(axis=1)
+        max_scaled = max(max_scaled, int(scaled.max()))
+        witnesses += int((scaled == target).sum())
+        for idx in np.flatnonzero(scaled > target):
+            cex.append((tuple(int(x) for x in r[idx]), Fraction(int(scaled[idx]), target)))
+    return evaluated, max_scaled, witnesses, cex
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -3,6 +3,7 @@ checks that the independent-set oracle agrees with a plain sweep over all
 orders and with the frozen subset DP of tests/conftest.py."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,14 +23,20 @@ from onng import (
     gen_hard_line,
     max_indegree,
     metric_from_points,
+    oracle,
     pair_index,
     problem1_search,
     problem1_sum,
     random_rank_metric,
 )
-from onng.oracle import _g, _graph, _graph_codes, _profiles, _scan_block
+from onng.oracle import _g, _graph, _graph_codes, _perm_table, _profiles, _scan_block
 
-from conftest import reference_best_order, reference_completion_table, reference_profile
+from conftest import (
+    reference_best_order,
+    reference_completion_table,
+    reference_profile,
+    reference_scan_block,
+)
 
 
 def _reference(m):
@@ -230,3 +237,72 @@ def test_canonical_search_matches_canonical_enumeration():
         assert rep.orderings_scanned == len(sums)
         assert rep.witnesses_at_one == sum(s == 1 for s in sums)
         assert rep.max_sum == max(sums)
+
+
+def test_graph_codes_refuse_more_bits_than_int64_holds():
+    # G_v has C(n-1, 2) possible edges: 55 at n = 12, 66 at n = 13
+    r12, r13 = (np.array([random_rank_metric(n, random.Random(5)).pair_rank_list()]) for n in (12, 13))
+    assert _graph_codes(r12, 12).shape == (1, 12)
+    with pytest.raises(OverflowError, match="66 possible edges"):
+        _graph_codes(r13, 13)
+
+
+def test_best_order_raises_when_no_vertex_keeps_the_optimum(monkeypatch):
+    # a g that falls short everywhere leaves the greedy rebuild no candidate
+    m = random_rank_metric(5, random.Random(3))
+    monkeypatch.setattr(oracle, "_g", lambda rows, adj, s, v: -1)
+    with pytest.raises(RuntimeError, match="keeps the optimum"):
+        best_order_exhaustive(m)
+
+
+def test_perm_table_is_lexicographic():
+    for k in range(8):
+        table = _perm_table(k)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert [tuple(row) for row in table.tolist()] == list(permutations(range(k)))
+
+
+def _blocks(n):
+    """Every block problem1_search scans at n >= 2, full and canonical."""
+    p = n * (n - 1) // 2
+    return [(n, (r,)) for r in range(p)] + [(n, (0, r)) for r in range(1, p)]
+
+
+def test_scan_block_matches_frozen_scan():
+    blocks = [b for n in range(2, 5) for b in _blocks(n)] + [(5, (0, 1)), (5, (0, 9)), (5, (4,))]
+    for block in blocks:
+        assert _scan_block(block) == reference_scan_block(block), block
+
+
+def test_scan_counterexamples_keep_their_order(monkeypatch):
+    # no rank metric on n <= 5 exceeds 1, so lower d(v) on a third of the
+    # rows: the counterexamples must come out of both scans alike, in order
+    profiles = oracle._profiles
+
+    def short(r, n):
+        d = profiles(r, n)
+        return np.where((r[:, -2:-1] + r[:, -1:]) % 3 == 0, np.maximum(d - 1, 0), d)
+
+    monkeypatch.setattr(oracle, "_profiles", short)
+    for block in _blocks(4) + [(5, (0, 9))]:
+        new = _scan_block(block)
+        assert new[3], block
+        assert new == reference_scan_block(block), block
+    for canonical in (False, True):
+        rep = problem1_search(4, canonical=canonical)
+        assert rep.counterexamples and rep.max_sum > 1
+        assert problem1_search(4, canonical=canonical, jobs=3) == rep
+
+
+def test_scan_block_peak_memory_is_bounded():
+    # a chunk is at most 7! = 5040 rows, so its codes, masks and shifted
+    # bits stay near 1 MiB however large the block
+    _scan_block((5, (0, 1)))  # fill the tables and alpha caches first
+    tracemalloc.start()
+    try:
+        result = _scan_block((5, (4,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[0] == 362_880
+    assert peak < 4 * 2**20, peak
