@@ -154,38 +154,37 @@ class PointSet:
             raise ValueError("dimension must be at least 1")
         if not len(rows):
             raise ValueError("need at least one point")
-        dens = set()
+        q = []  # every coordinate as an exact rational, point after point
         for idx, pt in enumerate(rows):
             if len(pt) != dim:
                 raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {dim}")
             try:
-                dens.update(_rational(c).denominator for c in pt)
+                q.extend(map(_rational, pt))
             except (ValueError, OverflowError, TypeError) as e:
                 raise ValueError(f"point {idx} has a non-finite or non-numeric coordinate") from e
-        den = math.lcm(*dens)
-        # one tuple of grid ints per point, which is also its duplicate key
+        den = math.lcm(*{c.denominator for c in q})
+        q = [c.numerator * (den // c.denominator) for c in q]
+        # one tuple of grid ints per point is its duplicate key
         seen: dict = {}
-        for idx, pt in enumerate(rows):
-            key = tuple([c.numerator * (den // c.denominator) for c in map(_rational, pt)])
-            first = seen.setdefault(key, idx)
+        for idx in range(len(rows)):
+            first = seen.setdefault(tuple(q[idx * dim : (idx + 1) * dim]), idx)
             if first != idx:
                 raise ValueError(f"points {first} and {idx} are identical")
-        x = np.array(list(seen), dtype=object).T
         del seen
-        lo = x.min(axis=1)
-        x -= lo[:, None]
-        x = x.astype(np.int64) if dim * x.max() ** 2 < 2**62 else x
-        x.flags.writeable = False
-        self.dim, self.den, self.origin, self.axes = dim, den, tuple(lo.tolist()), x
+        _on_grid(self, den, np.array(q, dtype=object).reshape(-1, dim).T)
 
     @property
     def n(self) -> int:
         return self.axes.shape[1]
 
-    def exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The coordinates as exact rationals, one tuple per point."""
-        cols = ([Fraction(o + c, self.den) for c in axis.tolist()]
-                for o, axis in zip(self.origin, self.axes))
+    def exact(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The coordinates as exact rationals, one tuple per point: ints on
+        an integer grid (den 1), Fractions otherwise."""
+        if self.den == 1:
+            cols = ([o + c for c in axis.tolist()] for o, axis in zip(self.origin, self.axes))
+        else:
+            cols = ([Fraction(o + c, self.den) for c in axis.tolist()]
+                    for o, axis in zip(self.origin, self.axes))
         return tuple(zip(*cols))
 
     def __repr__(self) -> str:
@@ -195,6 +194,20 @@ class PointSet:
 def _rational(c):
     """An int or Fraction as it is, anything else as an exact Fraction."""
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
+def _on_grid(ps: PointSet, den: int, x: np.ndarray) -> PointSet:
+    """Fill ps from the grid ints x, shape (dim, n), of distinct points
+    x / den: each axis shifted to start at 0, its shift kept in origin, and
+    the axes read-only, in int64 whenever every squared distance fits there
+    and as Python ints otherwise.  x is an int64 array whose spread fits
+    int64, or an object array of Python ints; it is shifted in place."""
+    lo = x.min(axis=1)
+    x -= lo[:, None]
+    x = x.astype(np.int64 if len(x) * int(x.max()) ** 2 < 2**62 else object, copy=False)
+    x.flags.writeable = False
+    ps.dim, ps.den, ps.origin, ps.axes = len(x), den, tuple(lo.tolist()), x
+    return ps
 
 
 def scratch(xt: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +242,11 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     """Ordinal form of a point set: pairs sorted by squared distance.
 
     Squared distances are exact (integer arithmetic after common rescaling)
-    and are collected block by block in lexicographic pair order, so one
-    stable sort breaks every exact tie by the index pair, smaller (min, max)
-    first.  Distinctness of the points is enforced by PointSet.
+    and are collected block by block in lexicographic pair order, so a
+    pair's position is its index pair: one unstable sort, then a re-sort of
+    each run of equal distances by position, breaks every exact tie by the
+    index pair, smaller (min, max) first.  Distinctness of the points is
+    enforced by PointSet.
     """
     n = ps.n
     if n > RANK_PAIRS_MAX_N:
@@ -249,8 +264,21 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
             d2[pos : pos + n - 1 - i0 - k] = block[k, k:]
             pos += n - 1 - i0 - k
         i0 = i1
+    order = np.argsort(d2)
+    d2 = d2[order]
+    tie = np.concatenate(([False], d2[1:] == d2[:-1]))  # order[k] ties order[k - 1]
+    del d2
+    if tie.any():
+        # the sorted slots of every run of equal distances, and each slot's
+        # run number: sorting (run, position) keys puts each run in position
+        # order and leaves the runs where they are
+        at = np.flatnonzero(tie | np.append(tie[1:], False))
+        run = np.cumsum(~tie[at]) * p
+        keys = order[at] + run
+        keys.sort()
+        order[at] = keys - run
     flat = np.empty(p, dtype=np.int64)
-    flat[np.argsort(d2, kind="stable")] = np.arange(p)
+    flat[order] = np.arange(p)
     return RankedMetric(n, flat)
 
 

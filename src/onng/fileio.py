@@ -4,14 +4,21 @@ All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  A text is split into lines
 once (Lines); the CLI reads a file as a Text, which keeps that split and
-the result of the plain scan below, so sniff_format and the parse after it
-share them.
-Coordinates are parsed as exact rationals (decimal strings go through
-Fraction), so reading back a written points file reproduces the point set
-bit for bit.
+the results of the plain scans below, so sniff_format and the parse after
+it share them.
+Coordinates are read as exact rationals, so reading back a written points
+file reproduces the point set bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
-have the dimension of the first.
+have the dimension of the first.  A plain file, as gen random-points and
+gen hard-line write it, is read in one numpy scan of its bytes straight onto
+the integer grid (points_scan) and never split into lines: only ASCII
+digits, "-", ".", spaces, tabs and "\n", every field -?digits(.digits)? of
+at most 18 digits once scaled to the file's largest decimal count, the same
+field count on every line, and no two points equal.  Every other spelling
+(comments, other line breaks, "+", "1/3", ".5", "1e3", longer fields) and
+every defective file goes through Lines and one Fraction per field, which
+words the error.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
@@ -41,6 +48,7 @@ order file: one vertex id per line, a permutation of 0..n-1.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -56,6 +64,7 @@ from .core import (
     OrderedNNG,
     PointSet,
     RankedMetric,
+    _on_grid,
     pair_index,
 )
 
@@ -74,6 +83,8 @@ _PLAIN_CHUNK = 2**18
 # 18 digits fits in int64, and 10**18 <= 2**63 - 1 < 10**19.
 _PLAIN_BYTES = b"0123456789 \t\n"
 _PLAIN_DIGITS = 18
+# The bytes of a plain points file: the metric file's, a sign and a point.
+_POINT_BYTES = _PLAIN_BYTES + b"-."
 
 
 class Lines:
@@ -176,9 +187,70 @@ def plain_scan(text: str) -> PlainScan | None:
     return PlainScan(header, count == 1 + 3 * (header * (header - 1) // 2), m)
 
 
+def points_scan(text: str) -> PointSet | None:
+    """A plain points file read straight onto the integer grid in one numpy
+    scan, or None if the text is not plain, which sends the reader to Lines.
+
+    Plain means: ASCII digits, "-", ".", spaces, tabs and "\n" only; every
+    field -?digits(.digits)?, with at most _PLAIN_DIGITS digits once scaled
+    to the file's largest decimal count D; the same field count on every
+    line with any; no two points equal.  Every field is then exact in int64
+    at scale 10**D, and the common denominator is 10**D over the gcd of
+    10**D and every field.  The scan never raises.
+    """
+    if not text.isascii():
+        return None
+    # "\n" on both ends: every field has a separator before and after it
+    raw = f"\n{text}\n".encode("ascii")
+    if raw.translate(None, _POINT_BYTES):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    field = b > ord(" ")  # "-", "." and the digits; tab and "\n" sort below " "
+    starts = np.flatnonzero(field[1:] > field[:-1]) + 1
+    if not starts.size:
+        return None
+    ends = np.flatnonzero(field[:-1] > field[1:]) + 1
+    # "-" only first in a field and before a digit, "." only between digits
+    digit = b >= ord("0")
+    minus = np.flatnonzero(b == ord("-"))
+    dots = np.flatnonzero(b == ord("."))
+    if (np.any(field[minus - 1]) or not np.all(digit[minus + 1])
+            or not (np.all(digit[dots - 1]) and np.all(digit[dots + 1]))):
+        return None
+    # at most one "." per field; its decimals are the digits after it
+    at = np.searchsorted(starts, dots, side="right") - 1
+    if np.any(at[1:] == at[:-1]):
+        return None
+    decimals = np.zeros(starts.size, dtype=np.int64)
+    decimals[at] = ends[at] - dots - 1
+    d = int(decimals.max())
+    digits = ends - starts - (b[starts] == ord("-")) - (decimals > 0) + (d - decimals)
+    if digits.max() > _PLAIN_DIGITS:
+        return None
+    fields = np.diff(np.searchsorted(starts, np.flatnonzero(b == ord("\n"))))  # per line
+    fields = fields[fields != 0]
+    dim = int(fields[0])
+    if np.any(fields != dim):
+        return None
+    v = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=" ")
+    v *= 10 ** (d - decimals)
+    x = v.reshape(-1, dim).T
+    # equal points are adjacent once sorted
+    order = np.lexsort(x)
+    same = np.ones(order.size - 1, dtype=bool)
+    for axis in x:
+        col = axis[order]
+        same &= col[1:] == col[:-1]
+    if same.any():
+        return None
+    g = math.gcd(10**d, int(np.gcd.reduce(v)))
+    v //= g
+    return _on_grid(PointSet.__new__(PointSet), 10**d // g, x)
+
+
 class Text(str):
-    """A file's text that is scanned (plain_scan) and split into Lines at
-    most once each, however many readers ask for them."""
+    """A file's text that is scanned (plain_scan, points_scan) and split into
+    Lines at most once each, however many readers ask for them."""
 
     @cached_property
     def split_lines(self) -> Lines:
@@ -187,6 +259,10 @@ class Text(str):
     @cached_property
     def plain_scan(self) -> PlainScan | None:
         return plain_scan(self)
+
+    @cached_property
+    def points_scan(self) -> PointSet | None:
+        return points_scan(self)
 
 
 def _lines(text: str) -> Lines:
@@ -197,6 +273,10 @@ def _plain(text: str) -> PlainScan | None:
     return text.plain_scan if isinstance(text, Text) else plain_scan(text)
 
 
+def _points(text: str) -> PointSet | None:
+    return text.points_scan if isinstance(text, Text) else points_scan(text)
+
+
 def _data_lines(text: str) -> list[tuple[int, str]]:
     """(line number, line) of every data line, for the point and order parsers."""
     t = _lines(text)
@@ -204,6 +284,9 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_points(text: str) -> PointSet:
+    ps = _points(text)
+    if ps is not None:
+        return ps
     lines = _data_lines(text)
     if not lines:
         raise ValueError("points file has no data lines")
@@ -391,6 +474,11 @@ def sniff_format(text: str) -> str:
     scan = _plain(text)
     if scan is not None:
         return "metric" if scan.n >= 1 and scan.shaped else "points"
+    # every line of a plain points file has the same field count, so it is
+    # metric-shaped only as one line holding a positive int: digits alone,
+    # which plain_scan has read
+    if _points(text) is not None:
+        return "points"
     t = _lines(text)
     if not t.data.size:
         raise ValueError("input has no data lines")

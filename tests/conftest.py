@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from onng import LinePointSet, PointSet, RankedMetric, oracle, pair_index
 from onng.cli import main as cli_main
+from onng.fileio import Lines
 
 
 def rand_line_set(rng: random.Random, n: int) -> LinePointSet:
@@ -150,6 +151,39 @@ def reference_sniff_format(text: str) -> str:
             if all(len(line.split()) == 3 for _, line in lines[1:]):
                 return "metric"
     return "points"
+
+
+# The points reader as it was before plain files were scanned onto the grid:
+# every file split into Lines and one Fraction per field, kept verbatim (but
+# for splitting the text itself) as the reference fileio.parse_points must
+# match, error text and line number included.
+
+
+def _point_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of every data line, for the point and order parsers."""
+    t = Lines(text)
+    return [(k + 1, t.lines[k]) for k in t.data.tolist()]
+
+
+def reference_parse_points(text: str) -> PointSet:
+    lines = _point_lines(text)
+    if not lines:
+        raise ValueError("points file has no data lines")
+    rows: list[tuple[Fraction, ...]] = []
+    dim = None
+    for lineno, line in lines:
+        parts = line.split()
+        if dim is None:
+            dim = len(parts)
+        elif len(parts) != dim:
+            raise ValueError(
+                f"line {lineno}: expected {dim} coordinates, got {len(parts)}"
+            )
+        try:
+            rows.append(tuple(Fraction(p) for p in parts))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValueError(f"line {lineno}: bad coordinate: {e}") from e
+    return PointSet(dim, rows)
 
 
 # The order oracle as it was before it was rebuilt on independent sets: one

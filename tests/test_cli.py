@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -29,7 +30,7 @@ import onng.core as core
 import onng.fileio as fileio
 import onng.oracle as oracle
 
-from conftest import reference_parse_metric, reference_sniff_format, run_cli
+from conftest import reference_parse_metric, reference_parse_points, reference_sniff_format, run_cli
 
 
 # ------------------------------------------------------------- file formats
@@ -418,6 +419,175 @@ def test_defective_str_is_split_into_lines_once(monkeypatch):
     with pytest.raises(ValueError, match=r"line 4: pair \(0, 1\) given twice"):
         parse_metric(text)
     assert len(splits) == 1
+
+
+_POINT_FIELD = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_POINT_DEFECTS = ("ragged", "duplicate", "lead_dot", "trail_dot", "double_minus",
+                  "inner_minus", "double_dot", "long")
+
+
+def _is_plain_points(text: str) -> bool:
+    """What the points scan must read, written out plainly: the plain bytes,
+    every field -?digits(.digits)? of at most 18 digits at the file's
+    largest decimal count, one field count on every line, distinct points."""
+    if set(text) - set("0123456789-. \t\n"):
+        return False
+    rows = [row for row in (line.split() for line in text.split("\n")) if row]
+    fields = [f for row in rows for f in row]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        return False
+    if not all(map(_POINT_FIELD.fullmatch, fields)):
+        return False
+    d = max(len(f.partition(".")[2]) for f in fields)
+    if any(len(f.lstrip("-").replace(".", "")) + d - len(f.partition(".")[2]) > 18 for f in fields):
+        return False
+    return len({tuple(map(Fraction, row)) for row in rows}) == len(rows)
+
+
+def _point_field(rng: random.Random, d: int) -> str:
+    """-?digits(.digits)? with up to d decimals: leading zeros, "-0", trailing
+    zeros, and now and then the full 18 digits at scale 10**d."""
+    decimals = rng.randint(0, d)
+    width = 18 - d if rng.random() < 0.1 else rng.randint(1, 3)
+    whole = str(rng.randrange(10**width)).zfill(width if rng.random() < 0.3 else 1)
+    frac = "".join(rng.choice("0123456789") for _ in range(decimals))
+    return ("-" if rng.random() < 0.3 else "") + whole + ("." + frac if frac else "")
+
+
+def _respell(rng: random.Random, f: str) -> str:
+    """The same number spelled another way: 0.5 as 0.50, 3 as 3.0 or 03."""
+    if "." in f:
+        return f + "0"
+    sign, digits = ("-", f[1:]) if f.startswith("-") else ("", f)
+    return f + ".0" if rng.random() < 0.5 else sign + "0" + digits
+
+
+def _inject_point(rng: random.Random, kind: str, rows: list) -> None:
+    """Plant one defect in a random row of field strings."""
+    row = rng.choice(rows)
+    k = rng.randrange(len(row))
+    if kind == "ragged":
+        if len(row) > 1 and rng.random() < 0.5:
+            row.pop(k)
+        else:
+            row.append("7")
+    elif kind == "duplicate":
+        row[:] = [_respell(rng, f) if rng.random() < 0.5 else f for f in rng.choice(rows)]
+    elif kind == "long":  # 19 digits, or 20 that spell a small number
+        row[k] = rng.choice(("1" * 19, "0" * 19 + "5", "-" + "9" * 19))
+    else:
+        digits = str(rng.randrange(100))
+        row[k] = {"lead_dot": "." + digits, "trail_dot": digits + ".",
+                  "double_minus": "--" + digits, "inner_minus": digits + "-2",
+                  "double_dot": digits + "..2"}[kind]
+
+
+@st.composite
+def plain_points_texts(draw):
+    """Points files with d <= 4 and n <= 80 in ASCII digits, "-", ".",
+    spaces, tabs and "\n": mixed decimal counts, negatives, "-0", leading
+    zeros, 18-digit fields, runs of blanks, blank lines, with or without a
+    final "\n", and zero to three injected defects.  A quarter of them get
+    one "#", "\r", "+" or "/" planted anywhere."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dim, n, d = rng.randint(1, 4), rng.randint(1, 80), rng.randint(0, 6)
+    rows = [[_point_field(rng, d) for _ in range(dim)] for _ in range(n)]
+    for kind in draw(st.lists(st.sampled_from(_POINT_DEFECTS), max_size=3)):
+        _inject_point(rng, kind, rows)
+    lines = []
+    for row in rows:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(("", " ", "\t", " \t ")))
+        line = rng.choice(_PLAIN_SPACES).join(row)
+        if rng.random() < 0.2:
+            line = rng.choice(_PLAIN_SPACES) + line
+        if rng.random() < 0.2:
+            line += rng.choice(_PLAIN_SPACES)
+        lines.append(line)
+    text = "\n".join(lines) + rng.choice(("\n", ""))
+    if rng.random() < 0.25:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice("#\r+/") + text[at:]
+    return text
+
+
+def _points_outcome(fn, text):
+    got = _outcome(fn, text)
+    if isinstance(got, PointSet):
+        return got.dim, got.den, got.origin, got.axes.dtype, got.axes.tolist()
+    return got
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(plain_points_texts())
+def test_plain_points_scan_matches_reference(text):
+    # the points scan reads exactly the plain files and declines the rest;
+    # either way the sniff and the parse, sharing one Text, answer as the
+    # reference, and a plain file is never split into lines
+    plain = _is_plain_points(text)
+    shared, splits = Text(text), []
+    lines = fileio.Lines
+
+    def spy(t):
+        splits.append(t)
+        return lines(t)
+
+    with mock.patch.object(fileio, "Lines", spy):
+        sniffed = _outcome(sniff_format, shared)
+        got = _points_outcome(parse_points, shared)
+    assert (shared.points_scan is not None) == plain
+    assert sniffed == _outcome(reference_sniff_format, text)
+    assert got == _points_outcome(reference_parse_points, text)
+    if plain:
+        assert not splits
+
+
+def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch):
+    # a silent fall-back to the line reader fails here, not only in the
+    # benchmark; warnings are errors, so a numpy deprecation shows here too
+    pts, hl, ordf = tmp_path / "p.txt", tmp_path / "h.txt", tmp_path / "o.txt"
+    for argv in (["gen", "random-points", "--n", "40", "--d", "3", "--seed", "3", "-o", str(pts)],
+                 ["gen", "hard-line", "--k", "5", "--n", "40", "-o", str(hl)]):
+        assert run_cli(argv)[0] == 0
+    ordf.write_text(write_order(range(39, -1, -1)))
+    lines = fileio.Lines
+
+    def refuse(text):
+        # eval's order file is a plain str, and it is read line by line
+        if isinstance(text, Text):
+            raise AssertionError("a generated points file was split into lines")
+        return lines(text)
+
+    monkeypatch.setattr(fileio, "Lines", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for src, argv in ((pts, ["order", "--strategy", "euclid"]),
+                          (pts, ["order", "--strategy", "path", "--tail", "0"]),
+                          (hl, ["order", "--strategy", "line"]),
+                          (hl, ["order", "--strategy", "path", "--tail", "0"]),
+                          (pts, ["eval", "--order", str(ordf)]),
+                          (hl, ["eval", "--order", str(ordf)])):
+            code, out, err = run_cli(argv + ["--input", str(src)])
+            assert (code, err) == (0, ""), (argv, err)
+            assert json.loads(out)["n"] == 40
+
+
+def test_points_reader_peak_memory_is_bounded():
+    # one scan of the bytes and a few vectors per field: no Fraction or
+    # line string per field, and no copy of the points beyond the axes
+    cap = int(2.5 * 2**20)
+    code, out, _ = run_cli(["gen", "random-points", "--n", "4096", "--d", "3", "--seed", "17"])
+    assert code == 0
+    shared = Text(out)
+    tracemalloc.start()
+    try:
+        fmt = sniff_format(shared)
+        ps = parse_points(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fmt, ps.n, ps.dim) == ("points", 4096, 3)
+    assert peak < cap, peak
 
 
 def test_order_round_trip():
