@@ -47,6 +47,17 @@ class GuardError(ValueError):
 RANK_PAIRS_MAX_N = 2**13
 # Entries in each of the two buffers a points distance scan writes into.
 SCRATCH = 2**18
+# Replaying rng.shuffle: 32-bit words drawn per getrandbits call, and the most
+# steps one block of draws resolves.
+SHUFFLE_WORDS = 2**16
+SHUFFLE_STEPS = 2**14
+
+
+def check_pair_guard(n: int) -> None:
+    """Refuse, before any O(n^2) allocation, a metric on more than
+    RANK_PAIRS_MAX_N vertices."""
+    if n > RANK_PAIRS_MAX_N:
+        raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -108,6 +119,12 @@ class RankedMetric:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"invalid vertex pair ({i}, {j})")
         return int(self._matrix[i, j])
+
+    def pair_ranks(self) -> np.ndarray:
+        """Flat ranks in lexicographic pair order, as a read-only array."""
+        view = self._flat.view()
+        view.flags.writeable = False
+        return view
 
     def pair_rank_list(self) -> list[int]:
         """Flat ranks in lexicographic pair order, as plain ints."""
@@ -249,8 +266,7 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     enforced by PointSet.
     """
     n = ps.n
-    if n > RANK_PAIRS_MAX_N:
-        raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
+    check_pair_guard(n)
     xt = ps.axes
     p = n * (n - 1) // 2
     d2 = np.empty(p, dtype=xt.dtype)
@@ -394,7 +410,128 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
 
 
 def random_rank_metric(n: int, rng: random.Random) -> RankedMetric:
-    """Uniformly random strict pair order on [0, n)."""
-    flat = list(range(n * (n - 1) // 2))
-    rng.shuffle(flat)
-    return RankedMetric(n, flat)
+    """Uniformly random strict pair order on [0, n).
+
+    Exactly RankedMetric(n, x) for x = list(range(n(n-1)/2)) after
+    rng.shuffle(x), and rng is left in the state that shuffle leaves it in:
+    gen random-metric's bytes and every seeded caller depend on that draw.
+    shuffle spends a Python call per pair, so shuffled_range replays it in
+    numpy from the same word stream instead.
+    """
+    check_pair_guard(n)
+    if n < 1:
+        raise ValueError("a metric needs at least one vertex")
+    return RankedMetric(n, shuffled_range(n * (n - 1) // 2, rng))
+
+
+def shuffled_range(p: int, rng: random.Random) -> np.ndarray:
+    """list(range(p)) after rng.shuffle, as an int32 array, with rng left
+    where shuffle leaves it."""
+    return _swap(_draws(p, rng))
+
+
+def _draws(p: int, rng: random.Random) -> np.ndarray:
+    """j[i] for i = p-1 down to 1: the slot rng.shuffle swaps with slot i on
+    a list of p items (j[0] is 0), read from the same Mersenne Twister words.
+
+    shuffle draws j = _randbelow(i + 1): with k = (i + 1).bit_length(), each
+    32-bit word w gives r = w >> (32 - k), redrawn while r > i.  getrandbits
+    of 32 * N bits returns N consecutive words, the first in the lowest bits.
+    A block of steps with one k and bounds i + 1 in lo..hi accepts every word
+    with r < lo and rejects every word with r >= hi, whichever step reads it;
+    only the words in between are walked in order, with the step each one
+    falls on.  The words come in chunks, the state before each chunk still
+    unread is kept, and at the end rng is reset to the one that holds the
+    first unused word and moved past the used ones.
+    """
+    j = np.zeros(p, dtype=np.int32)
+    words = np.empty(0, dtype=np.uint32)
+    pos = start = 0  # next word of `words`, and the stream index of words[0]
+    saved: list = []  # (state, stream index of its first word), oldest first
+    hi = p  # bound of the next step
+    while hi > 1:
+        k = hi.bit_length()
+        lo = max(1 << (k - 1), hi + 1 - min(SHUFFLE_STEPS, max(32, (1 << k) >> 5)), 2)
+        m = hi - lo + 1
+        want = _window(m, k, lo)
+        while True:
+            if pos + want > len(words):
+                while len(saved) > 1 and saved[1][1] <= start + pos:
+                    del saved[0]
+                saved.append((rng.getstate(), start + len(words)))
+                c = max(min(SHUFFLE_WORDS, 2 * hi), want)  # about what is left, at most
+                new = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), dtype="<u4")
+                start += pos
+                words, pos = np.concatenate((words[pos:], new)), 0
+            r = words[pos : pos + want] >> (32 - k)
+            ok = r < lo
+            near = np.flatnonzero(~ok & (r < hi))  # lo <= r < hi
+            taken = 0  # words in `near` accepted so far
+            for w, s, v in zip(near.tolist(), np.cumsum(ok)[near].tolist(), r[near].tolist()):
+                # the word falls on step s + taken, whose bound is hi - s - taken;
+                # past the block's last step that bound is below lo
+                if v < hi - s - taken:
+                    ok[w] = True
+                    taken += 1
+            used = np.flatnonzero(ok)[:m]
+            if len(used) == m:
+                break
+            want *= 2
+        j[lo - 1 : hi][::-1] = r[used]
+        pos += int(used[-1]) + 1
+        hi = lo - 1
+    if saved:
+        state, first = [s for s in saved if s[1] <= start + pos][-1]
+        rng.setstate(state)
+        rng.getrandbits(32 * (start + pos - first))
+    return j
+
+
+def _window(m: int, k: int, lo: int) -> int:
+    """Words read at first for m steps of bit length k whose bounds are at
+    least lo: their expected count is at most m 2^k / lo, and each step's
+    count has variance below 2, so a window this long rarely falls short;
+    one that does is read again twice as long."""
+    return int(m * (1 << k) / lo * 1.02 + 4 * math.sqrt(m)) + 32
+
+
+def _swap(j: np.ndarray) -> np.ndarray:
+    """range(p) after the swaps x[i], x[j[i]] for i = p-1 down to 1.
+
+    Slot i is final after its own swap, and then holds what slot j[i] held
+    just before it.  If an earlier swap s (s > i) also had j[s] = j[i], the
+    latest such s put there what slot s held before its own swap; otherwise
+    slot j[i] still held j[i].  What slot s held before its swap is likewise
+    what the first swap t with j[t] = s put there, and s itself when none
+    did: the end of a chain of rising links, found by pointer jumping.  Such
+    an s has j[s] < s (or is 0), so no swap t = s has j[t] = s, and t > s.
+    """
+    p = len(j)
+    x = np.arange(p, dtype=np.int32)
+    if p < 2:
+        return x
+    # the swaps grouped by j and, within a group, in rising i
+    key = j[1:].astype(np.int64)
+    key <<= 32
+    key |= np.arange(1, p)
+    key.sort()
+    sj = (key >> 32).astype(np.int32)
+    si = key.astype(np.int32)  # the low 32 bits
+    del key
+    same = sj[:-1] == sj[1:]
+    # link[q]: the first swap t with j[t] = q, or q itself; t = q when
+    # j[q] = q, a link no chain reads
+    head = np.flatnonzero(np.concatenate(([True], ~same)))
+    live = sj[head]
+    link = x.copy()
+    link[live] = si[head]
+    while len(live):
+        a = link[live]
+        b = link[a]
+        link[live] = b
+        live = live[a != b]
+    at = np.flatnonzero(same)
+    sj[at] = link[si[at + 1]]
+    x[si] = sj
+    x[0] = link[0]
+    return x

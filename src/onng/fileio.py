@@ -59,12 +59,12 @@ import numpy as np
 
 from .core import (
     RANK_PAIRS_MAX_N,
-    GuardError,
     Order,
     OrderedNNG,
     PointSet,
     RankedMetric,
     _on_grid,
+    check_pair_guard,
     pair_index,
 )
 
@@ -79,6 +79,8 @@ _BLOCK_LINES = 2**15
 # Characters of a plain metric file scanned per numpy pass: bounds the
 # scan's byte-sized temporaries.
 _PLAIN_CHUNK = 2**18
+# Pair lines write_metric formats per numpy pass: bounds its byte table.
+_WRITE_LINES = 2**16
 # The bytes of a plain metric file, and its longest field: every integer of
 # 18 digits fits in int64, and 10**18 <= 2**63 - 1 < 10**19.
 _PLAIN_BYTES = b"0123456789 \t\n"
@@ -407,8 +409,7 @@ def _explain(t: Lines) -> RankedMetric:
         raise ValueError(f"line {h + 1}: header must be the vertex count") from e
     if n < 1:
         raise ValueError(f"line {h + 1}: vertex count must be positive")
-    if n > RANK_PAIRS_MAX_N:
-        raise GuardError(f"n={n} exceeds the pair-ranking guard (n <= {RANK_PAIRS_MAX_N})")
+    check_pair_guard(n)
     p = n * (n - 1) // 2
     if len(body) != p:
         raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
@@ -432,16 +433,48 @@ def _explain(t: Lines) -> RankedMetric:
 
 
 def write_metric(m: RankedMetric) -> str:
-    n, ranks = m.n, m.pair_rank_list()
-    ids = [str(v) for v in range(n)]
-    out = [str(n)]
-    off = 0
-    for i in range(n - 1):
-        # one join per row: the pairs (i, j), j > i, in order
-        k = n - 1 - i
-        out.append("\n".join(map(f"{i} {{}} {{}}".format, ids[i + 1 :], ranks[off : off + k])))
-        off += k
-    return "\n".join(out) + "\n"
+    """Header n, then "i j rank" for every pair i < j in lexicographic order.
+
+    Each block of whole rows, about _WRITE_LINES lines, is one byte table
+    with a line per row: right-aligned digit columns padded with NUL, whose
+    bytes other than NUL, read row after row, are the block's text."""
+    n, ranks = m.n, m.pair_ranks()
+    wi, wr = len(str(n - 1)), len(str(max(len(ranks) - 1, 0)))
+    rows = np.arange(n)
+    ids = _digits(rows, wi)
+    off = rows * (2 * n - rows - 1) // 2  # off[i]: flat index of the pair (i, i + 1)
+    out = [f"{n}\n"]
+    i0 = 0
+    while i0 < n - 1:
+        # rows i0..i1-1: as many as fit in _WRITE_LINES lines, at least one
+        i1 = max(i0 + 1, int(np.searchsorted(off, off[i0] + _WRITE_LINES, "right")) - 1)
+        f0, f1 = int(off[i0]), int(off[i1])
+        count = n - 1 - rows[i0:i1]
+        tab = np.zeros((f1 - f0, 2 * wi + wr + 3), dtype=np.uint8)
+        tab[:, :wi] = ids[np.repeat(rows[i0:i1], count)]
+        # j = f - off[i] + i + 1 for the pair (i, j) at flat index f
+        tab[:, wi + 1 : 2 * wi + 1] = ids[np.arange(f0, f1) - np.repeat(off[i0:i1] - rows[i0:i1] - 1, count)]
+        tab[:, 2 * wi + 2 : -1] = _digits(ranks[f0:f1], wr)
+        tab[:, [wi, 2 * wi + 1]] = ord(" ")
+        tab[:, -1] = ord("\n")
+        out.append(tab[tab != 0].tobytes().decode("ascii"))
+        i0 = i1
+    return "".join(out)
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The decimal digits of the non-negative ints v, each below
+    10**width, as ASCII, one row each, right-aligned in ``width`` columns,
+    with NUL in the columns a shorter number leaves empty."""
+    tab = np.zeros((len(v), width), dtype=np.uint8)
+    for c in range(width - 1, -1, -1):
+        q, d = np.divmod(v, 10)
+        d += ord("0")
+        if c < width - 1:
+            d[v == 0] = 0  # past the number's first digit
+        tab[:, c] = d
+        v = q
+    return tab
 
 
 def parse_order(text: str, n: int | None = None) -> Order:

@@ -302,6 +302,21 @@ def reference_scan_block(args) -> tuple[int, int, int, list]:
     return evaluated, max_scaled, witnesses, cex
 
 
+def reference_write_metric(m: RankedMetric) -> str:
+    """write_metric as it was before its numpy byte table, verbatim: one
+    join per row over precomputed id strings."""
+    n, ranks = m.n, m.pair_rank_list()
+    ids = [str(v) for v in range(n)]
+    out = [str(n)]
+    off = 0
+    for i in range(n - 1):
+        # one join per row: the pairs (i, j), j > i, in order
+        k = n - 1 - i
+        out.append("\n".join(map(f"{i} {{}} {{}}".format, ids[i + 1 :], ranks[off : off + k])))
+        off += k
+    return "\n".join(out) + "\n"
+
+
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -30,7 +30,13 @@ import onng.core as core
 import onng.fileio as fileio
 import onng.oracle as oracle
 
-from conftest import reference_parse_metric, reference_parse_points, reference_sniff_format, run_cli
+from conftest import (
+    reference_parse_metric,
+    reference_parse_points,
+    reference_sniff_format,
+    reference_write_metric,
+    run_cli,
+)
 
 
 # ------------------------------------------------------------- file formats
@@ -339,6 +345,20 @@ def test_plain_scan_runs_join_anywhere(text, plain):
             assert fileio.plain_scan(text) == whole, chunk
     assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
     assert _outcome(parse_metric, text) == _outcome(reference_parse_metric, text)
+
+
+def test_write_metric_matches_reference_writer(monkeypatch):
+    # ids and ranks cross decimal widths at n = 5, 11, 15, 46, 100, 142, 448,
+    # 1000; n = 1024 spans several blocks of lines
+    rng = random.Random(64)
+    for n in [*range(1, 65), 99, 100, 101, 1000, 1024]:
+        m = random_rank_metric(n, rng)
+        assert write_metric(m) == reference_write_metric(m), n
+    # blocks of one row when a row is longer than a block
+    monkeypatch.setattr(fileio, "_WRITE_LINES", 5)
+    for n in (1, 2, 7, 30):
+        m = random_rank_metric(n, rng)
+        assert write_metric(m) == reference_write_metric(m), n
 
 
 def test_metric_reader_peak_memory_is_bounded():
@@ -782,6 +802,21 @@ def test_guard_refusals_exit_2(tmp_path):
                               "--input", str(huge)])
     assert (code, out) == (2, "")
     assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
+
+
+def test_gen_random_metric_refuses_past_the_pair_guard():
+    # refused before any per-pair allocation: n = 10^6 would hold 5 * 10^11
+    code, out, err = run_cli(["gen", "random-metric", "--n", "8193", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["gen", "random-metric", "--n", str(10**6), "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and "pair-ranking guard" in err
+    assert peak < 2**20, peak
 
 
 def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):

@@ -20,7 +20,8 @@ from onng import (
     path_order,
     random_rank_metric,
 )
-from onng.core import iter_pairs
+import onng.core as core
+from onng.core import iter_pairs, shuffled_range
 from onng.fileio import parse_points, write_points
 
 from conftest import lattice_point_sets, rand_point_set, reference_metric
@@ -248,6 +249,64 @@ def test_random_rank_metric_is_seed_deterministic():
     assert a == b
     assert a != c
     assert sorted(a.pair_rank_list()) == list(range(36))
+
+
+def _replays_shuffle(p: int, rng: random.Random) -> None:
+    """shuffled_range(p, rng) against the interpreter's own shuffle, run on
+    a copy of rng: the same permutation, and rng left in the same state."""
+    ref_rng = random.Random()
+    ref_rng.setstate(rng.getstate())
+    ref = list(range(p))
+    ref_rng.shuffle(ref)
+    got = shuffled_range(p, rng)
+    assert got.dtype == np.int32 and got.tolist() == ref, p
+    assert rng.getstate() == ref_rng.getstate(), p
+
+
+def test_shuffled_range_replays_shuffle_around_powers_of_two():
+    # every bit length's first and last bound; one rng shared by all calls
+    rng = random.Random(41)
+    for p in [0, 1, 2] + sorted({2**k + d for k in range(1, 17) for d in (-1, 0, 1)}):
+        _replays_shuffle(p, rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5000), min_size=1, max_size=4), st.integers(0, 2**64))
+def test_shuffled_range_replays_shuffle_calls_in_a_row(sizes, seed):
+    rng = random.Random(seed)
+    for p in sizes:
+        _replays_shuffle(p, rng)
+
+
+def test_shuffled_range_keeps_gauss_next():
+    rng = random.Random(7)
+    rng.gauss(0.0, 1.0)  # leaves the second normal deviate in the state
+    assert rng.getstate()[2] is not None
+    _replays_shuffle(3000, rng)
+    assert rng.getstate()[2] is not None
+
+
+@pytest.mark.parametrize("window", [lambda m, k, lo: m // 2 + 1, lambda m, k, lo: (4 * m + 8) << max(0, 13 - k)])
+def test_shuffled_range_with_windows_off_and_small_chunks(monkeypatch, window):
+    # chunks of exactly one window: windows of half a block fall short every
+    # time, and windows far too long, doubling at each smaller bit length,
+    # leave the first unused word several chunks before the last one drawn
+    monkeypatch.setattr(core, "_window", window)
+    monkeypatch.setattr(core, "SHUFFLE_WORDS", 1)
+    monkeypatch.setattr(core, "SHUFFLE_STEPS", 40)
+    rng = random.Random(43)
+    for p in (2, 3, 64, 65, 1000, 4097):
+        _replays_shuffle(p, rng)
+
+
+def test_random_rank_metric_is_the_shuffled_pair_listing():
+    # metrics in a row from one rng, as acceptance criterion 5 draws them
+    rng, ref = random.Random(105), random.Random(105)
+    for n in (1, 2, 3, 16, 64, 256, 1):
+        flat = list(range(n * (n - 1) // 2))
+        ref.shuffle(flat)
+        assert random_rank_metric(n, rng) == RankedMetric(n, flat), n
+        assert rng.getstate() == ref.getstate(), n
 
 
 def test_integer_grid_scales_to_common_denominator():

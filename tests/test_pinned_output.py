@@ -3,10 +3,12 @@ recorded once, so a change to how points are stored or read cannot change
 what the CLI prints.  Acceptance criterion 8 compares reruns within one
 checkout; this file compares against the recorded bytes.
 
-The inputs cover both generators, random 2-D and 3-D points, the hard line,
-and hand-written files with 1/3, negative decimals and coordinates past
-int64 (one whose squared distances still fit int64 after the shift to 0,
-and two whose do not).
+The inputs cover both points generators, random 2-D and 3-D points, the
+hard line, and hand-written files with 1/3, negative decimals and
+coordinates past int64 (one whose squared distances still fit int64 after
+the shift to 0, and two whose do not).  gen random-metric is pinned in a
+table of its own, at n = 1, 2, 12 and 1024: its bytes replay
+random.Random.shuffle, and no command above reads them.
 """
 
 import hashlib
@@ -164,3 +166,28 @@ PINNED = {
 
 def test_cli_stdout_matches_pinned_digests(tmp_path):
     assert stdout_digests(tmp_path) == PINNED
+
+
+METRIC_GENS = {
+    "metric_1": ["gen", "random-metric", "--n", "1", "--seed", "3"],
+    "metric_2": ["gen", "random-metric", "--n", "2", "--seed", "5"],
+    "metric_12": ["gen", "random-metric", "--n", "12", "--seed", "7"],
+    "metric_1024": ["gen", "random-metric", "--n", "1024", "--seed", "14"],
+}
+
+# recorded from the generator that called random.Random.shuffle itself
+PINNED_METRIC_GENS = {
+    "metric_1": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "metric_2": "c2908471e4603c8f6ab9f52329290021cb5ba5790af41d584a8400c9fca19c03",
+    "metric_12": "81fcda83a88a7e8e3de2ad5ede7539af25f3981e4de45a25e65970e7c62c795c",
+    "metric_1024": "47ee0c3b3986391fbb0412e4193c9b9003e6add5147108722c24fdcae09e66f9",
+}
+
+
+def test_gen_random_metric_matches_pinned_digests():
+    digests = {}
+    for name, argv in METRIC_GENS.items():
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == PINNED_METRIC_GENS
