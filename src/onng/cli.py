@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import euclid, fileio, line, oracle, ramsey
 from .core import (
@@ -24,9 +25,10 @@ from .core import (
     RankedMetric,
     as_permutation,
     build_onng,
+    check_pair_guard,
     metric_from_points,
     path_order,
-    random_rank_metric,
+    shuffled_range,
 )
 
 SEARCH_CONFIRM_N = 5
@@ -91,27 +93,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write text, or each of its parts as it is made, to path or stdout."""
+    parts = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _load_input(path: str, fmt: str) -> PointSet | RankedMetric:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fileio.Text(fh.read())  # split once, for the sniff and the parse
+        with open(path, "rb") as fh:
+            src = fileio.Source(fh)  # scanned once, for the sniff and the parse
+            if fmt == "auto":
+                fmt = fileio.sniff_format(src)
+            if fmt == "metric":
+                return fileio.parse_metric(src)
+            return fileio.parse_points(src)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from e
-    try:
-        if fmt == "auto":
-            fmt = fileio.sniff_format(text)
-        if fmt == "metric":
-            return fileio.parse_metric(text)
-        return fileio.parse_points(text)
-    except oracle.GuardError:  # exit 2, not an input error
+    except (oracle.GuardError, UnicodeDecodeError):
+        # exit 2, not an input error; a file that is not UTF-8 is worded by
+        # the decoder alone, with no path
         raise
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from e
@@ -162,9 +167,11 @@ def cmd_gen(args) -> int:
         return 0
     if args.n < 1:
         raise UsageError("random-metric needs --n >= 1")
-    rng = random.Random(args.seed)
-    m = random_rank_metric(args.n, rng)
-    _emit(fileio.write_metric(m), args.output)
+    check_pair_guard(args.n)  # before any draw, and before -o is made
+    # the ranks random_rank_metric would give, written block by block with
+    # no RankedMetric and no whole-file str
+    ranks = shuffled_range(args.n * (args.n - 1) // 2, random.Random(args.seed))
+    _emit(fileio.metric_blocks(args.n, ranks), args.output)
     return 0
 
 

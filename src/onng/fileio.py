@@ -2,10 +2,10 @@
 
 All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
-comment runs from '#' to the end of its line.  A text is split into lines
-once (Lines); the CLI reads a file as a Text, which keeps that split and
-the results of the plain scans below, so sniff_format and the parse after
-it share them.
+comment runs from '#' to the end of its line.  Files are read in binary
+(Source): the plain scans read bytes, and only a reader that falls back to
+Lines decodes the file whole.  A Source keeps each scan and the split, so
+sniff_format and the parse after it share them; a str gets a Source too.
 Coordinates are read as exact rationals, so reading back a written points
 file reproduces the point set bit for bit.
 
@@ -13,47 +13,48 @@ points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.  A plain file, as gen random-points and
 gen hard-line write it, is read in one numpy scan of its bytes straight onto
 the integer grid (points_scan) and never split into lines: only ASCII
-digits, "-", ".", spaces, tabs and "\n", every field -?digits(.digits)? of
-at most 18 digits once scaled to the file's largest decimal count, the same
-field count on every line, and no two points equal.  Every other spelling
-(comments, other line breaks, "+", "1/3", ".5", "1e3", longer fields) and
-every defective file goes through Lines and one Fraction per field, which
-words the error.
+digits, "-", ".", spaces, tabs and "\n" or "\r\n", every field
+-?digits(.digits)? of at most 18 digits once scaled to the file's largest
+decimal count, the same field count on every line, and no two points equal.
+Every other spelling (comments, other line breaks, "+", "1/3", ".5", "1e3",
+longer fields) and every defective file goes through Lines and one Fraction
+per field, which words the error.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
 parse_metric has two tokenizers, one acceptor and one explainer.  A plain
 file, as write_metric writes it, is read in one pass over runs of whole
-lines of about _PLAIN_CHUNK characters (plain_scan) and never split into
-lines: only ASCII digits, spaces, tabs and "\n", no field longer than 18
-digits (so every field is exact in int64), one field on the first line that
-has any, then three on every other line that has any.  Every other spelling
-(comments, other line breaks, signs, underscores, other scripts' digits,
-longer fields) is tokenized from Lines, a block of lines per numpy call.
-Either tokenizer hands its int64 blocks to one acceptor, which checks the
-header, the pair count and the pairs and writes each rank into its pair's
-slot of the rank vector; no vector of all the fields, and no tuple or list
-per line, is kept.  The rank vector is allocated only once the header
-passes the pair-ranking guard and the file is long enough to hold its
+lines of about _PLAIN_CHUNK bytes (plain_scan) and never decoded or split
+into lines: only ASCII digits, spaces, tabs and "\n" or "\r\n", no field
+longer than 18 digits (so every field is exact in int64), one field on the
+first line that has any, then three on every other line that has any.
+Every other spelling (comments, other line breaks, signs, underscores, other
+scripts' digits, longer fields) is tokenized from Lines, a block of lines per
+numpy call.  Either tokenizer hands its int64 blocks to one acceptor, which
+checks the header, the pair count and the pairs and writes each rank into
+its pair's slot of the rank vector; no vector of all the fields, and no
+tuple or list per line, is kept.  The rank vector is allocated only once the
+header passes the pair-ranking guard and the file is long enough to hold its
 pairs, so a short file with a huge header allocates nothing of that size.
-Only a file the acceptor declines (or neither tokenizer reads) is read
-again line by line, in file order, and its first defective line is
-reported by the first check it fails: field count, integers, pair range,
-repeated pair.  A file with no such defect ends in RankedMetric's rank
-check, whose error the CLI reports.
+Only a file the acceptor declines (or neither tokenizer reads) is read again
+line by line, in file order, and its first defective line is reported by the
+first check it fails: field count, integers, pair range, repeated pair.  A
+file with no such defect ends in RankedMetric's rank check, whose error the
+CLI reports.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,7 +77,7 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = f"#[^{_LINE_BREAKS}]*"
 # Metric lines converted to integers per numpy call: bounds the field list.
 _BLOCK_LINES = 2**15
-# Characters of a plain metric file scanned per numpy pass: bounds the
+# Bytes of a plain metric file read and scanned per numpy pass: bounds the
 # scan's byte-sized temporaries.
 _PLAIN_CHUNK = 2**18
 # Pair lines write_metric formats per numpy pass: bounds its byte table.
@@ -105,25 +106,14 @@ class Lines:
         self.data = np.flatnonzero(self.fields)
 
 
-def _chunks(text: str) -> Iterator[str]:
-    """text in runs of whole lines, each about _PLAIN_CHUNK characters and
-    cut just after a "\n" (a longer line is one run; the last run may end
-    without a "\n")."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = start + _PLAIN_CHUNK
-        cut = end if stop >= end else text.rfind("\n", start, stop) + 1
-        if cut <= start:  # no "\n" in the window
-            cut = text.find("\n", stop) + 1 or end
-        yield text[start:cut]
-        start = cut
-
-
-def _plain_block(chunk: str, header: bool) -> np.ndarray | None:
+def _plain_block(run: bytes, header: bool) -> np.ndarray | None:
     """The fields of a run of whole lines as int64, or None if the run is
     not plain.  header: the run must open with the one-field header line."""
+    # "\r\n" is a line break, as in text mode; "in" is far faster than replace
+    if b"\r" in run:
+        run = run.replace(b"\r\n", b"\n")
     # "\n" on both ends: every field has a non-digit before and after it
-    raw = f"\n{chunk}\n".encode("ascii")
+    raw = b"".join((b"\n", run, b"\n"))
     if raw.translate(None, _PLAIN_BYTES):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
@@ -150,60 +140,21 @@ class PlainScan(NamedTuple):
     metric: RankedMetric | None
 
 
-def plain_scan(text: str) -> PlainScan | None:
-    """Read a plain metric file in one pass over runs of whole lines (about
-    _PLAIN_CHUNK characters each), handing each run's int64 fields to the
-    acceptor; None if the text is not plain, which sends the reader to
-    Lines.
+def points_scan(data: bytes) -> PointSet | None:
+    """A plain points file's bytes read straight onto the integer grid in one
+    numpy scan, or None if they are not plain, which sends the reader to Lines.
 
-    Plain means: ASCII digits, spaces, tabs and "\n" only; no field longer
-    than _PLAIN_DIGITS digits; one field on the first line with any, three
-    on every later line with any.  The scan never raises.
+    Plain means: ASCII digits, "-", ".", spaces, tabs and "\n" (or "\r\n")
+    only; every field -?digits(.digits)?, with at most _PLAIN_DIGITS digits
+    once scaled to the file's largest decimal count D; the same field count
+    on every line with any; no two points equal.  Every field is then exact
+    in int64 at scale 10**D, and the common denominator is 10**D over the
+    gcd of 10**D and every field.  The scan never raises.
     """
-    if not text.isascii():
-        return None
-    header, count, plain = None, 0, True
-
-    def blocks() -> Iterator[np.ndarray]:
-        nonlocal header, count, plain
-        for chunk in _chunks(text):
-            block = _plain_block(chunk, header is None)
-            if block is None:
-                plain = False
-                return
-            if block.size:
-                if header is None:
-                    header = int(block[0])
-                count += block.size
-                yield block
-
-    it = blocks()
-    # every field is at least one character, with a space or "\n" after it
-    m = _metric(it, (len(text) + 1) // 2)
-    # a declined file is still read to its end: is it plain, and how many
-    # fields does it hold
-    for _ in it:
-        pass
-    if not plain or header is None:
-        return None
-    return PlainScan(header, count == 1 + 3 * (header * (header - 1) // 2), m)
-
-
-def points_scan(text: str) -> PointSet | None:
-    """A plain points file read straight onto the integer grid in one numpy
-    scan, or None if the text is not plain, which sends the reader to Lines.
-
-    Plain means: ASCII digits, "-", ".", spaces, tabs and "\n" only; every
-    field -?digits(.digits)?, with at most _PLAIN_DIGITS digits once scaled
-    to the file's largest decimal count D; the same field count on every
-    line with any; no two points equal.  Every field is then exact in int64
-    at scale 10**D, and the common denominator is 10**D over the gcd of
-    10**D and every field.  The scan never raises.
-    """
-    if not text.isascii():
-        return None
+    if b"\r" in data:  # a line break, as in _plain_block
+        data = data.replace(b"\r\n", b"\n")
     # "\n" on both ends: every field has a separator before and after it
-    raw = f"\n{text}\n".encode("ascii")
+    raw = b"".join((b"\n", data, b"\n"))
     if raw.translate(None, _POINT_BYTES):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
@@ -250,46 +201,91 @@ def points_scan(text: str) -> PointSet | None:
     return _on_grid(PointSet.__new__(PointSet), 10**d // g, x)
 
 
-class Text(str):
-    """A file's text that is scanned (plain_scan, points_scan) and split into
-    Lines at most once each, however many readers ask for them."""
+class Source:
+    """One input, read in binary and decoded only for Lines; len() is its
+    byte count.  Each scan and the split are made at most once, however many
+    readers ask.  fh must stay open while they do; one that cannot seek (a
+    pipe) is read whole first.  A str is read as UTF-8 and is its own text."""
+
+    def __init__(self, fh: BinaryIO | str) -> None:
+        if isinstance(fh, str):
+            self.text = fh
+            fh = io.BytesIO(fh.encode("utf-8", "surrogatepass"))
+        elif not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        self._fh, self._size = fh, fh.seek(0, io.SEEK_END)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def text(self) -> str:
+        """The file as open(path, "r", encoding="utf-8").read() reads it."""
+        self._fh.seek(0)
+        wrapper = io.TextIOWrapper(self._fh, encoding="utf-8")
+        try:
+            return wrapper.read()
+        finally:
+            wrapper.detach()  # fh stays open
 
     @cached_property
     def split_lines(self) -> Lines:
-        return Lines(self)
+        return Lines(self.text)
 
     @cached_property
     def plain_scan(self) -> PlainScan | None:
-        return plain_scan(self)
+        """A plain metric file (see the module docstring) read in one pass
+        over runs of whole lines (_PLAIN_CHUNK bytes, then the rest of the
+        last line), each run's int64 fields handed to the acceptor; None if
+        the file is not plain, which sends it to Lines.  Never raises."""
+        header, count, plain = None, 0, True
+
+        def blocks() -> Iterator[np.ndarray]:
+            nonlocal header, count, plain
+            self._fh.seek(0)
+            while run := self._fh.read(_PLAIN_CHUNK):
+                if not run.endswith(b"\n"):
+                    run += self._fh.readline()  # whole lines: no "\r\n" is split
+                block = _plain_block(run, header is None)
+                if block is None:
+                    plain = False
+                    return
+                if block.size:
+                    if header is None:
+                        header = int(block[0])
+                    count += block.size
+                    yield block
+
+        it = blocks()
+        # every field is at least one byte, with a space or "\n" after it
+        m = _metric(it, (self._size + 1) // 2)
+        # a declined file is still read to its end: is it plain, how many fields
+        for _ in it:
+            pass
+        if not plain or header is None:
+            return None
+        return PlainScan(header, count == 1 + 3 * (header * (header - 1) // 2), m)
 
     @cached_property
     def points_scan(self) -> PointSet | None:
-        return points_scan(self)
+        self._fh.seek(0)
+        return points_scan(self._fh.read())
 
 
-def _lines(text: str) -> Lines:
-    return text.split_lines if isinstance(text, Text) else Lines(text)
+def _source(text: str | Source) -> Source:
+    return text if isinstance(text, Source) else Source(text)
 
 
-def _plain(text: str) -> PlainScan | None:
-    return text.plain_scan if isinstance(text, Text) else plain_scan(text)
-
-
-def _points(text: str) -> PointSet | None:
-    return text.points_scan if isinstance(text, Text) else points_scan(text)
-
-
-def _data_lines(text: str) -> list[tuple[int, str]]:
+def _data_lines(t: Lines) -> list[tuple[int, str]]:
     """(line number, line) of every data line, for the point and order parsers."""
-    t = _lines(text)
     return [(k + 1, t.lines[k]) for k in t.data.tolist()]
 
 
-def parse_points(text: str) -> PointSet:
-    ps = _points(text)
-    if ps is not None:
-        return ps
-    lines = _data_lines(text)
+def parse_points(text: str | Source) -> PointSet:
+    src = _source(text)
+    if src.points_scan is not None:
+        return src.points_scan
+    lines = _data_lines(src.split_lines)
     if not lines:
         raise ValueError("points file has no data lines")
     rows: list[tuple[Fraction, ...]] = []
@@ -322,11 +318,12 @@ def _format_coord(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def parse_metric(text: str) -> RankedMetric:
-    scan = _plain(text)
+def parse_metric(text: str | Source) -> RankedMetric:
+    src = _source(text)
+    scan = src.plain_scan
     if scan is not None and scan.metric is not None:
         return scan.metric
-    lines = _lines(text)
+    lines = src.split_lines
     m = None if scan is not None else _metric(_line_blocks(lines), int(lines.fields.sum()))
     return m if m is not None else _explain(lines)
 
@@ -433,17 +430,20 @@ def _explain(t: Lines) -> RankedMetric:
 
 
 def write_metric(m: RankedMetric) -> str:
-    """Header n, then "i j rank" for every pair i < j in lexicographic order.
+    """Header n, then "i j rank" for every pair i < j in lexicographic order."""
+    return "".join(metric_blocks(m.n, m.pair_ranks()))
 
-    Each block of whole rows, about _WRITE_LINES lines, is one byte table
-    with a line per row: right-aligned digit columns padded with NUL, whose
-    bytes other than NUL, read row after row, are the block's text."""
-    n, ranks = m.n, m.pair_ranks()
+
+def metric_blocks(n: int, ranks: np.ndarray) -> Iterator[str]:
+    """write_metric's text for n vertices and their flat pair ranks, one
+    block at a time: the header, then blocks of about _WRITE_LINES lines of
+    whole rows, each one byte table with a line per row: right-aligned digit
+    columns padded with NUL, whose non-NUL bytes, row after row, are its text."""
     wi, wr = len(str(n - 1)), len(str(max(len(ranks) - 1, 0)))
     rows = np.arange(n)
     ids = _digits(rows, wi)
     off = rows * (2 * n - rows - 1) // 2  # off[i]: flat index of the pair (i, i + 1)
-    out = [f"{n}\n"]
+    yield f"{n}\n"
     i0 = 0
     while i0 < n - 1:
         # rows i0..i1-1: as many as fit in _WRITE_LINES lines, at least one
@@ -457,9 +457,8 @@ def write_metric(m: RankedMetric) -> str:
         tab[:, 2 * wi + 2 : -1] = _digits(ranks[f0:f1], wr)
         tab[:, [wi, 2 * wi + 1]] = ord(" ")
         tab[:, -1] = ord("\n")
-        out.append(tab[tab != 0].tobytes().decode("ascii"))
+        yield tab[tab != 0].tobytes().decode("ascii")
         i0 = i1
-    return "".join(out)
 
 
 def _digits(v: np.ndarray, width: int) -> np.ndarray:
@@ -478,7 +477,7 @@ def _digits(v: np.ndarray, width: int) -> np.ndarray:
 
 
 def parse_order(text: str, n: int | None = None) -> Order:
-    lines = _data_lines(text)
+    lines = _data_lines(Lines(text))
     if not lines:
         raise ValueError("order file has no data lines")
     ids = []
@@ -498,21 +497,22 @@ def write_order(order: Iterable[int]) -> str:
     return "".join(f"{v}\n" for v in order)
 
 
-def sniff_format(text: str) -> str:
+def sniff_format(text: str | Source) -> str:
     """Guess 'metric' or 'points'.  Metric requires the full shape: a lone
     positive integer header n, then exactly n(n-1)/2 three-field lines.
     Anything else is points.  The one ambiguous case, a single 1-D point
     written as a bare positive integer, sniffs as the (trivial) n=1 metric;
     pass the format explicitly to override."""
-    scan = _plain(text)
+    src = _source(text)
+    scan = src.plain_scan
     if scan is not None:
         return "metric" if scan.n >= 1 and scan.shaped else "points"
     # every line of a plain points file has the same field count, so it is
     # metric-shaped only as one line holding a positive int: digits alone,
     # which plain_scan has read
-    if _points(text) is not None:
+    if src.points_scan is not None:
         return "points"
-    t = _lines(text)
+    t = src.split_lines
     if not t.data.size:
         raise ValueError("input has no data lines")
     if t.fields[t.data[0]] == 1:

@@ -42,7 +42,6 @@ is a single metric and the counts stand as scanned.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -322,6 +321,8 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
         prefixes = [(r,) for r in range(p)]
     args = [(n, prefix) for prefix in prefixes]
     if jobs > 1 and len(args) > 1:
+        import multiprocessing  # only here: every other command skips its import
+
         with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
             results = pool.map(_scan_block, args)
     else:

@@ -1,11 +1,19 @@
 """File formats and the CLI surface: round trips, schemas, exit codes."""
 
+import contextlib
+import gc
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import tempfile
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -15,7 +23,7 @@ from hypothesis import strategies as st
 from onng import PointSet, RankedMetric, build_onng, metric_from_points, random_rank_metric
 from onng.core import iter_pairs
 from onng.fileio import (
-    Text,
+    Source,
     parse_metric,
     parse_order,
     parse_points,
@@ -212,6 +220,22 @@ def _outcome(fn, text):
         return "ValueError", str(e)
 
 
+@contextlib.contextmanager
+def _on_disk(text: str):
+    """text written to a file as UTF-8, its line breaks as they are, and
+    opened as the CLI opens its input.  Yields the open file and the text
+    open(path, "r", encoding="utf-8") reads from it, which is what the CLI
+    parsed before it read files in binary."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            decoded = fh.read()
+        with open(path, "rb") as fh:
+            yield fh, decoded
+
+
 def _parse_outcome(text, want):
     """parse_metric's outcome on text; a valid file (want is a metric) must
     be read without the line-by-line explainer."""
@@ -224,16 +248,21 @@ def _parse_outcome(text, want):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(metric_texts(), st.sampled_from([1, 2, 5, fileio._BLOCK_LINES]),
-       st.sampled_from([1, 4, 16, fileio._PLAIN_CHUNK]))
+       st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
 def test_metric_reader_matches_reference(text, block_lines, chunk):
     # small blocks and runs put the defects and repeated pairs across their
-    # joins; the sniff and the parse share one Text, as in the CLI
+    # joins; read from a str, and from a file on disk whose one Source the
+    # sniff and the parse share, as in the CLI
     with mock.patch.object(fileio, "_BLOCK_LINES", block_lines), \
             mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-        shared = Text(text)
-        assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
+        assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
         want = _outcome(reference_parse_metric, text)
-        assert _parse_outcome(shared, want) == want
+        assert _parse_outcome(text, want) == want
+        with _on_disk(text) as (fh, decoded):
+            shared = Source(fh)
+            assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, decoded)
+            want = _outcome(reference_parse_metric, decoded)
+            assert _parse_outcome(shared, want) == want
 
 
 _PLAIN_SPACES = (" ", "  ", "\t", " \t ", "\t\t")
@@ -275,7 +304,8 @@ def plain_metric_texts(draw):
     """Metric files with n <= 12 in ASCII digits, spaces, tabs and "\n":
     any line order, flipped pairs, runs of blanks, blank lines, leading
     zeros, with or without a final "\n", and zero to three injected
-    defects.  A quarter of them get one "\r", "#" or "+" planted anywhere.
+    defects.  A quarter of them get one "\r", "#" or "+" planted anywhere;
+    only a "\r" that makes a "\r\n" leaves the file plain.
     Returns the text and whether the plain scan should read it."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(1, 12)
@@ -305,9 +335,10 @@ def plain_metric_texts(draw):
     text = "\n".join(lines) + rng.choice(("\n", ""))
     plain = all(len(row) == 3 for row in rows) and longest <= 18
     if rng.random() < 0.25:
-        at = rng.randrange(len(text) + 1)
-        text = text[:at] + rng.choice("\r#+") + text[at:]
-        plain = False
+        at, c = rng.randrange(len(text) + 1), rng.choice("\r#+")
+        # a "\r" just before a "\n" makes a "\r\n", a plain line break
+        plain = plain and c == "\r" and text[at : at + 1] == "\n"
+        text = text[:at] + c + text[at:]
     return text, plain
 
 
@@ -315,15 +346,22 @@ def plain_metric_texts(draw):
 @given(plain_metric_texts(), st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
 def test_plain_metric_scan_matches_reference(case, chunk):
     # the plain scan reads what it should and declines the rest, whatever
-    # its run length; either way the sniff and the parse, sharing one Text,
-    # answer as the reference
+    # its run length, from a str and from a file on disk; either way the
+    # sniff and the parse, sharing one Source, answer as the reference
     text, plain = case
     with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-        shared = Text(text)
-        assert (shared.plain_scan is not None) == plain
-        assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
-        want = _outcome(reference_parse_metric, text)
-        assert _parse_outcome(shared, want) == want
+        _check_plain_source(Source(text), text, plain)
+        with _on_disk(text) as (fh, decoded):
+            _check_plain_source(Source(fh), decoded, plain)
+
+
+def _check_plain_source(shared, text, plain):
+    # a lone "\r" is a byte the plain scan declines, whatever the decoder
+    # makes of it
+    assert (shared.plain_scan is not None) == plain
+    assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
+    want = _outcome(reference_parse_metric, text)
+    assert _parse_outcome(shared, want) == want
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -333,16 +371,23 @@ def test_plain_metric_scan_matches_reference(case, chunk):
     ("3\n0 1 0\n0 2 1\n", True),  # a pair line short
     ("2\n\n\n0 1 0\n0 1 0\n", True),  # a pair line too many
     ("3\n0 1 0\n0 2 1\n1 2 2\n\n\r", False),  # not plain, in its last run only
+    ("3\r\n0 1 0\r\n\r\n0 2 1\r\n1 2 2", True),  # no read splits a "\r\n"
     ("3\n0 1 0\n0 2 1\n1 2 " + "0" * 19 + "2\n", False),  # a field past 18 digits
 ])
 def test_plain_scan_runs_join_anywhere(text, plain):
-    # every run length from one character up, so a join falls after the
-    # header, inside each blank-line run, and before a missing final "\n"
-    whole = fileio.plain_scan(text)
+    # every run length from one byte up, from a str and from a file on disk,
+    # so a read ends mid-line, and a join falls after the header, inside
+    # each blank-line run, and before a missing final "\n"
+    whole = Source(text).plain_scan
     assert (whole is not None) == plain
-    for chunk in range(1, len(text) + 2):
-        with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-            assert fileio.plain_scan(text) == whole, chunk
+    with _on_disk(text) as (fh, decoded):
+        for chunk in range(1, len(text) + 2):
+            with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+                assert Source(text).plain_scan == whole, chunk
+                assert Source(fh).plain_scan == whole, chunk
+        shared = Source(fh)
+        assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, decoded)
+        assert _outcome(parse_metric, shared) == _outcome(reference_parse_metric, decoded)
     assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
     assert _outcome(parse_metric, text) == _outcome(reference_parse_metric, text)
 
@@ -361,21 +406,89 @@ def test_write_metric_matches_reference_writer(monkeypatch):
         assert write_metric(m) == reference_write_metric(m), n
 
 
-def test_metric_reader_peak_memory_is_bounded():
+def test_metric_reader_peak_memory_is_bounded(tmp_path):
     # the plain scan holds one run of lines at a time, so the rank vector,
     # the seen mask and RankedMetric's matrix (2, 0.5 and 4 MiB at n = 1024)
     # set the peak, and no temporary the size of the 7.3 MB file shows
     cap = 16 * 2**20
-    shared = Text(write_metric(random_rank_metric(1024, random.Random(31))))
+    src = tmp_path / "m.txt"
+    src.write_text(write_metric(random_rank_metric(1024, random.Random(31))))
+    with open(src, "rb") as fh:
+        shared = Source(fh)
+        tracemalloc.start()
+        try:
+            fmt = sniff_format(shared)
+            m = parse_metric(shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (fmt, m.n) == ("metric", 1024)
+    assert peak < cap, peak
+
+
+def test_load_input_metric_peak_memory_is_bounded(tmp_path):
+    # the whole command's read, from the path: no copy of the 7.3 MB file's
+    # bytes or text is held, so the rank vector and matrix set the peak
+    cap = 10 * 2**20
+    src = tmp_path / "m.txt"
+    assert run_cli(["gen", "random-metric", "--n", "1024", "--seed", "31", "-o", str(src)])[0] == 0
     tracemalloc.start()
     try:
-        fmt = sniff_format(shared)
-        m = parse_metric(shared)
+        m = cli._load_input(str(src), "auto")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (fmt, m.n) == ("metric", 1024)
+    assert m.n == 1024
     assert peak < cap, peak
+
+
+@pytest.mark.parametrize("data, fmt", [
+    (b"3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # plain metric
+    (b"0.5 1\n-2 3.25\n", "auto"),  # plain points
+    (b"# c\n3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # decoded whole
+    (b"3\n0 1 0\n0 1 1\n1 2 2\n", "metric"),  # declined, then explained
+    (b"3\n0 1 0\xff\n", "auto"),  # not UTF-8
+    (b"8193\n0 1 0\n", "metric"),  # past the pair guard
+])
+def test_load_input_closes_its_file(tmp_path, data, fmt):
+    # whatever the reader does with the file, and whether it returns or
+    # raises, the file is closed when _load_input is done with it: an
+    # unclosed file's ResourceWarning counts as an error
+    src = tmp_path / "f.txt"
+    src.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            cli._load_input(str(src), fmt)
+        except (cli.UsageError, ValueError):
+            pass
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    if leaks:
+        raise AssertionError(f"unclosed: {leaks[0].message}")
+
+
+def test_load_input_reads_a_pipe_whole(tmp_path):
+    # a FIFO cannot seek: it is read once, whole, and reads as the same
+    # bytes in a regular file do
+    text = write_metric(random_rank_metric(30, random.Random(5)))
+    reg, fifo = tmp_path / "m.txt", tmp_path / "m.fifo"
+    reg.write_text(text)
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    argv = ["order", "--strategy", "ramsey", "--input"]
+    got = run_cli(argv + [str(fifo)])
+    writer.join(timeout=10)
+    if writer.is_alive():
+        raise AssertionError("the FIFO was never read")
+    assert got[0] == 0, got
+    assert got == run_cli(argv + [str(reg)])
 
 
 def test_huge_header_allocates_nothing_per_pair(tmp_path):
@@ -388,7 +501,7 @@ def test_huge_header_allocates_nothing_per_pair(tmp_path):
                               "--input", str(src)])
     assert (code, out) == (1, "")
     assert err == f"onng: error: {src}: expected 33550336 pair lines for n=8192, got 3\n"
-    shared = Text(text)
+    shared = Source(text)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="expected 33550336 pair lines for n=8192, got 3"):
@@ -399,21 +512,39 @@ def test_huge_header_allocates_nothing_per_pair(tmp_path):
     assert peak < 2**20, peak
 
 
-def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch):
-    # a silent fall-back to the line reader fails here, not only in the
-    # benchmark; warnings are errors, so a numpy deprecation shows here too
-    src, ordf = tmp_path / "m.txt", tmp_path / "o.txt"
-    assert run_cli(["gen", "random-metric", "--n", "40", "--seed", "3", "-o", str(src)])[0] == 0
-    ordf.write_text(write_order(range(39, -1, -1)))
+class _Undecoded(Source):
+    """A Source whose file may not be decoded whole; a str stays its own
+    text."""
+
+    @cached_property
+    def text(self) -> str:
+        raise AssertionError("a generated file was decoded whole")
+
+
+def _refuse_lines(monkeypatch, order_text: str) -> None:
+    """Make a generated input file that is decoded or split into lines fail,
+    not only in the benchmark; eval's order file is a str, and it is read
+    line by line."""
     lines = fileio.Lines
 
     def refuse(text):
-        # eval's order file is a plain str, and it is read line by line
-        if isinstance(text, Text):
-            raise AssertionError("a generated metric file was split into lines")
+        if text != order_text:
+            raise AssertionError("a generated file was split into lines")
         return lines(text)
 
     monkeypatch.setattr(fileio, "Lines", refuse)
+    monkeypatch.setattr(fileio, "Source", _Undecoded)
+
+
+def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch):
+    # a silent fall-back to the line reader, or a decode of the whole file,
+    # fails here; warnings are errors, so a numpy deprecation shows here too
+    # also once rewritten with CRLF line breaks
+    src, crlf, ordf = tmp_path / "m.txt", tmp_path / "crlf.txt", tmp_path / "o.txt"
+    assert run_cli(["gen", "random-metric", "--n", "40", "--seed", "3", "-o", str(src)])[0] == 0
+    crlf.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    ordf.write_text(write_order(range(39, -1, -1)))
+    _refuse_lines(monkeypatch, ordf.read_text())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["order", "--strategy", "ramsey"],
@@ -422,12 +553,13 @@ def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch
             code, out, err = run_cli(argv + ["--input", str(src)])
             assert (code, err) == (0, ""), (argv, err)
             assert json.loads(out)["n"] == 40
+            assert run_cli(argv + ["--input", str(crlf)]) == (code, out, err), argv
 
 
 def test_defective_str_is_split_into_lines_once(monkeypatch):
-    # a plain str the byte scan and the acceptor both decline: the line
-    # tokenizer and the explainer share one split
-    text = "3\r\n0 1 0\r\n0 2 1\r\n1 0 2\r\n"
+    # a str the byte scan (at a lone "\r") and the acceptor both decline:
+    # the line tokenizer and the explainer share one split
+    text = "3\r0 1 0\r0 2 1\r1 0 2\r"
     splits = []
     lines = fileio.Lines
 
@@ -447,9 +579,10 @@ _POINT_DEFECTS = ("ragged", "duplicate", "lead_dot", "trail_dot", "double_minus"
 
 
 def _is_plain_points(text: str) -> bool:
-    """What the points scan must read, written out plainly: the plain bytes,
-    every field -?digits(.digits)? of at most 18 digits at the file's
+    """What the points scan must read, written out plainly: the plain bytes
+    ("\r\n" read as "\n"), every field -?digits(.digits)? of at most 18 digits at the file's
     largest decimal count, one field count on every line, distinct points."""
+    text = text.replace("\r\n", "\n")
     if set(text) - set("0123456789-. \t\n"):
         return False
     rows = [row for row in (line.split() for line in text.split("\n")) if row]
@@ -542,10 +675,10 @@ def _points_outcome(fn, text):
 @given(plain_points_texts())
 def test_plain_points_scan_matches_reference(text):
     # the points scan reads exactly the plain files and declines the rest;
-    # either way the sniff and the parse, sharing one Text, answer as the
+    # either way the sniff and the parse, sharing one Source, answer as the
     # reference, and a plain file is never split into lines
     plain = _is_plain_points(text)
-    shared, splits = Text(text), []
+    shared, splits = Source(text), []
     lines = fileio.Lines
 
     def spy(t):
@@ -563,22 +696,17 @@ def test_plain_points_scan_matches_reference(text):
 
 
 def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch):
-    # a silent fall-back to the line reader fails here, not only in the
-    # benchmark; warnings are errors, so a numpy deprecation shows here too
+    # a silent fall-back to the line reader, or a decode of the whole file,
+    # fails here; warnings are errors, so a numpy deprecation shows here too
+    # also once rewritten with CRLF line breaks
     pts, hl, ordf = tmp_path / "p.txt", tmp_path / "h.txt", tmp_path / "o.txt"
     for argv in (["gen", "random-points", "--n", "40", "--d", "3", "--seed", "3", "-o", str(pts)],
                  ["gen", "hard-line", "--k", "5", "--n", "40", "-o", str(hl)]):
         assert run_cli(argv)[0] == 0
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(pts.read_bytes().replace(b"\n", b"\r\n"))
     ordf.write_text(write_order(range(39, -1, -1)))
-    lines = fileio.Lines
-
-    def refuse(text):
-        # eval's order file is a plain str, and it is read line by line
-        if isinstance(text, Text):
-            raise AssertionError("a generated points file was split into lines")
-        return lines(text)
-
-    monkeypatch.setattr(fileio, "Lines", refuse)
+    _refuse_lines(monkeypatch, ordf.read_text())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for src, argv in ((pts, ["order", "--strategy", "euclid"]),
@@ -586,7 +714,8 @@ def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch
                           (hl, ["order", "--strategy", "line"]),
                           (hl, ["order", "--strategy", "path", "--tail", "0"]),
                           (pts, ["eval", "--order", str(ordf)]),
-                          (hl, ["eval", "--order", str(ordf)])):
+                          (hl, ["eval", "--order", str(ordf)]),
+                          (crlf, ["order", "--strategy", "euclid"])):
             code, out, err = run_cli(argv + ["--input", str(src)])
             assert (code, err) == (0, ""), (argv, err)
             assert json.loads(out)["n"] == 40
@@ -598,7 +727,7 @@ def test_points_reader_peak_memory_is_bounded():
     cap = int(2.5 * 2**20)
     code, out, _ = run_cli(["gen", "random-points", "--n", "4096", "--d", "3", "--seed", "17"])
     assert code == 0
-    shared = Text(out)
+    shared = Source(out)
     tracemalloc.start()
     try:
         fmt = sniff_format(shared)
@@ -804,11 +933,15 @@ def test_guard_refusals_exit_2(tmp_path):
     assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
 
 
-def test_gen_random_metric_refuses_past_the_pair_guard():
+def test_gen_random_metric_refuses_past_the_pair_guard(tmp_path):
     # refused before any per-pair allocation: n = 10^6 would hold 5 * 10^11
     code, out, err = run_cli(["gen", "random-metric", "--n", "8193", "--seed", "1"])
     assert (code, out) == (2, "")
     assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
+    # and before the output file is made
+    dest = tmp_path / "m.txt"
+    assert run_cli(["gen", "random-metric", "--n", "8193", "--seed", "1", "-o", str(dest)])[0] == 2
+    assert not dest.exists()
     tracemalloc.start()
     try:
         code, out, err = run_cli(["gen", "random-metric", "--n", str(10**6), "--seed", "1"])
@@ -817,6 +950,32 @@ def test_gen_random_metric_refuses_past_the_pair_guard():
         tracemalloc.stop()
     assert (code, out) == (2, "") and "pair-ranking guard" in err
     assert peak < 2**20, peak
+
+
+def test_gen_random_metric_is_written_block_by_block(tmp_path, monkeypatch):
+    # the bytes of write_metric(random_rank_metric(n, Random(seed))), made
+    # block by block from the shuffled ranks: no RankedMetric is built and
+    # no whole-file str is joined
+    want = write_metric(random_rank_metric(300, random.Random(9)))
+
+    def refuse(*args):
+        raise AssertionError("gen random-metric built a whole metric or text")
+
+    monkeypatch.setattr(core.RankedMetric, "__init__", refuse)
+    monkeypatch.setattr(fileio, "write_metric", refuse)
+    monkeypatch.setattr(fileio, "_WRITE_LINES", 1000)  # about 45 blocks
+    dest = tmp_path / "m.txt"
+    assert run_cli(["gen", "random-metric", "--n", "300", "--seed", "9"]) == (0, want, "")
+    assert run_cli(["gen", "random-metric", "--n", "300", "--seed", "9", "-o", str(dest)]) == (0, "", "")
+    assert dest.read_text() == want
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a parallel Problem-1 search needs it; every other command would
+    # pay for its import
+    code = "import sys, onng.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
@@ -875,6 +1034,41 @@ def test_metric_file_spelling_does_not_change_output(tmp_path):
         assert want[0] == 0, want
         for fmt in ("auto", "metric"):
             assert run_cli(argv + ["--input-format", fmt, "--input", str(messy)]) == want, (argv, fmt)
+
+
+_DECODE_ERROR = "onng: error: 'utf-8' codec can't decode byte {byte} in position {at}: invalid start byte\n"
+
+
+@pytest.mark.parametrize("data, errors", [
+    # bytes that are not UTF-8: the whole-file decode words the error, with
+    # no path and the byte's offset in the file, past the decoder's first
+    # 8 KiB too
+    (b"3\n0 1 0\n0 2 1\n1 2 2\xff\n",
+     [_DECODE_ERROR.format(byte="0xff", at=19)] * 3),
+    (b"3\n0 1 0\n0 2 1\n# " + b"x" * 9000 + b"\n1 2 2 \xfe\n",
+     [_DECODE_ERROR.format(byte="0xfe", at=9023)] * 3),
+    # a UTF-8 byte order mark is read as part of the first field
+    (b"\xef\xbb\xbf3\n0 1 0\n0 2 1\n1 2 2\n",
+     ["onng: error: {src}: line 1: bad coordinate: Invalid literal for Fraction: '\\ufeff3'\n",
+      "onng: error: {src}: line 1: header must be the vertex count\n",
+      "onng: error: {src}: line 1: bad coordinate: Invalid literal for Fraction: '\\ufeff3'\n"]),
+    # CRLF and lone "\r" line breaks count one line each
+    (b"3\r\n0 1 0\r\n0 2 1\r\n1 0 2\r\n",
+     ["onng: error: {src}: line 4: pair (0, 1) given twice\n"] * 2
+     + ["onng: error: {src}: line 2: expected 1 coordinates, got 3\n"]),
+    (b"3\r0 1 0\r\r0 2 1\r1 0 2\r",
+     ["onng: error: {src}: line 5: pair (0, 1) given twice\n"] * 2
+     + ["onng: error: {src}: line 2: expected 1 coordinates, got 3\n"]),
+])
+def test_metric_fallback_errors_are_pinned(tmp_path, data, errors):
+    # the files no byte scan reads are decoded as open(path, "r",
+    # encoding="utf-8") decodes them; these errors are the CLI's before the
+    # reader went binary, exit code, stdout and stderr included
+    src = tmp_path / "m.txt"
+    src.write_bytes(data)
+    for fmt, err in zip(("auto", "metric", "points"), errors):
+        got = run_cli(["order", "--strategy", "ramsey", "--input-format", fmt, "--input", str(src)])
+        assert got == (1, "", err.format(src=src)), fmt
 
 
 def test_points_and_their_metric_file_report_alike(tmp_path):
