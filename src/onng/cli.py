@@ -122,12 +122,6 @@ def _load_input(path: str, fmt: str) -> PointSet | RankedMetric:
         raise UsageError(f"{path}: {e}") from e
 
 
-def _as_metric(data: PointSet | RankedMetric) -> RankedMetric:
-    if isinstance(data, RankedMetric):
-        return data
-    return metric_from_points(data)
-
-
 def _report_json(strategy, data, order, guarantee, center):
     g = build_onng(data, order)
     report = {
@@ -210,16 +204,17 @@ def cmd_order(args) -> int:
         if data.dim <= euclid.PARITY_MAX_DIM:
             guarantee = max(grid_g, euclid.log_guarantee(data.n, data.dim))
     elif strategy == "ramsey":
-        m = _as_metric(data)
-        if m.n == 1:
+        check_pair_guard(data.n)  # until the report's build_onng scales past it
+        if data.n == 1:
             order, guarantee = (0,), 0
         else:
-            order, k_achieved, witness = ramsey.order_metric(m)
+            order, k_achieved, witness = ramsey.order_metric(data)
             guarantee = k_achieved - 1
             center = witness.hub if witness is not None else None
     else:  # brute: refuse before ranking all pairs of a large point set
         oracle._check_order_guard(data.n)
-        order, value = oracle.best_order_exhaustive(_as_metric(data))
+        m = metric_from_points(data) if isinstance(data, PointSet) else data
+        order, value = oracle.best_order_exhaustive(m)
         guarantee = value
 
     text, g = _report_json(strategy, data, order, guarantee, center)

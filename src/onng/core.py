@@ -12,13 +12,13 @@ A point set stores one coordinate form, its axes: exact integers on a
 common grid, one row per axis, built once at construction.  One distance
 kernel reads them, sq_dist_rows, which writes each block into two
 preallocated scratch buffers of about SCRATCH entries, so no scan's memory
-grows with its length.  Within the row of one vertex v the tie-break by
-index pair is simply "smaller neighbour id", so build_onng and path_order
-answer a point set's nearest-neighbour questions from exact squared
-distances, reading their candidates in id order, and never rank all its
-pairs: build_onng scans only each vertex's predecessors, and path_order
-only the vertices not yet chosen.  metric_from_points builds the full
-RankedMetric only for the callers that compare arbitrary pairs.
+grows with its length.  Every comparison a strategy makes is between two
+pairs that share a vertex, and between {v, a} and {v, b} the tie-break by
+index pair is simply "smaller neighbour id".  So one key source,
+key_source, answers them all from ranks or exact squared distances, and
+build_onng, path_order and the Ramsey process, which read only it, never
+rank all pairs of a point set.  metric_from_points builds the full
+RankedMetric only for the exhaustive oracle and as the tests' reference.
 
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
@@ -298,6 +298,34 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     return RankedMetric(n, flat)
 
 
+def key_source(data: PointSet | RankedMetric):
+    """How the pairs {v, a} and {v, b} compare, for either input: (table,
+    keys, top).  table(ids) lays vertices out as columns, ids in row 0 and
+    below them what keys reads (a point set's axes).  keys(a, b) is the
+    (len a, len b) array of exact keys of the pairs {a_i, b_j}: ranks, or
+    squared distances in scratch buffers of max(SCRATCH, 2n) that the next
+    call overwrites.  Those rank as metric_from_points ranks them when the
+    caller breaks a tie to the smaller id (the first minimum over ascending
+    ids, or a strict comparison).  top exceeds every key."""
+    n = data.n
+    if isinstance(data, RankedMetric):
+        mat, below, top = data._matrix, np.empty((0, n), dtype=np.intp), n * (n - 1) // 2
+
+        def keys(a, b):
+            return mat[a[0][:, None], b[0]]
+    else:
+        below, buf = data.axes, scratch(data.axes, max(SCRATCH, 2 * n))
+        top = sum(int(c.max()) ** 2 for c in below) + 1
+
+        def keys(a, b):
+            return sq_dist_rows(a[1:], b[1:], buf)
+
+    def table(ids):
+        return np.vstack([ids, below[:, ids]])
+
+    return table, keys, top
+
+
 @dataclass(frozen=True)
 class OrderedNNG:
     """Result of one insertion run: each non-first vertex points at its parent."""
@@ -328,8 +356,8 @@ def as_permutation(order, n: int) -> list[int]:
 
 def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
     """Replay an insertion order: each new vertex attaches to its closest
-    predecessor, from ranks or directly from exact point geometry; either
-    way the choice is unique and equals the one on metric_from_points.
+    predecessor, read from key_source; the choice is unique and equals the
+    one on metric_from_points.
 
     A block of positions [p0, p1) reads only the vertices at positions
     [0, p1), in id order, r (p0 + r) <= SCRATCH keys for r = p1 - p0; only
@@ -337,29 +365,13 @@ def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
     """
     n = data.n
     seq = np.array(as_permutation(order, n), dtype=np.intp)
-    # keys(rows, cols): ranks, or exact squared distances.  Columns come in
-    # id order, so a row's first minimum is the smaller id on equal
-    # distances: what metric_from_points' tie-break by index pair decides
-    # for two pairs sharing a vertex.
-    if isinstance(data, RankedMetric):
-        mat, top = data._matrix, n * (n - 1) // 2
-
-        def keys(rows, cols):
-            return mat[rows[:, None], cols]
-    else:
-        xt = data.axes
-        buf = scratch(xt, max(SCRATCH, n))
-        top = sum(int(c.max()) ** 2 for c in xt) + 1  # above every distance
-
-        def keys(rows, cols):
-            return sq_dist_rows(xt[:, rows], xt[:, cols], buf)
-
+    table, keys, top = key_source(data)
     parents = np.zeros(n, dtype=np.intp)
     p0 = 1
     while p0 < n:
         p1 = min(n, p0 + max(1, (math.isqrt(p0 * p0 + 4 * SCRATCH) - p0) // 2))
-        cols = np.sort(seq[:p1])
-        d = keys(seq[p0:p1], cols)
+        cols = np.sort(seq[:p1])  # in id order: a row's first minimum breaks ties
+        d = keys(table(seq[p0:p1]), table(cols))
         for j, c in enumerate(np.searchsorted(cols, seq[p0:p1]).tolist()):
             d[: j + 1, c] = top  # position p0 + j is no predecessor of p0..p0 + j
         parents[p0:p1] = cols[d.argmin(axis=1)]
@@ -384,25 +396,17 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
     n = data.n
     if not 0 <= tail < n:
         raise ValueError(f"tail {tail} out of range for n={n}")
-    # The unchosen vertices stay compacted in id order, so a row's first
-    # minimum is the smaller id on equal distances: row 0 holds their ids,
-    # and for a point set the rows below hold their coordinates.
-    if isinstance(data, RankedMetric):
-        mat, alive = data._matrix, np.arange(n)[None]
-
-        def nearest(v, m):
-            return mat[v, alive[0, :m]].argmin()
-    else:
-        xt = data.axes
-        alive, buf = np.vstack([np.arange(n), xt]), scratch(xt, n)
-
-        def nearest(v, m):
-            return sq_dist_rows(xt[:, v : v + 1], alive[1:, :m], buf).argmin()
-
+    # The unchosen vertices stay compacted in id order in a copy of the
+    # table of all, so a row's first minimum is the smaller id on equal
+    # distances.
+    table, keys, _ = key_source(data)
+    every = table(np.arange(n))
+    alive = every.copy()
     alive[:, tail:-1] = alive[:, tail + 1 :]
     chain = [tail]
     for m in range(n - 1, 0, -1):
-        k = int(nearest(chain[-1], m))
+        v = chain[-1]
+        k = int(keys(every[:, v : v + 1], alive[:, :m]).argmin())
         chain.append(int(alive[0, k]))
         alive[:, k : m - 1] = alive[:, k + 1 : m]
     chain.reverse()

@@ -26,8 +26,11 @@ always form a Red clique and k - 1 Green (Blue) vertices anchored at one
 Red vertex always form a Green (Blue) star, which is what the success
 thresholds extract.
 
-The whole module is pure: the coloring oracle is an arbitrary callable on
-ascending triples and is never mutated.
+run_process reads a RankedMetric or a PointSet only through core.key_source,
+one numpy comparison over the waiting set per Red u and picked v.  In a
+triple u < v < w a tie of squared distances ranks {u, v} before {u, w}
+before {v, w}, so strict comparisons give the colors of the ranks and no
+pair is ranked; color_triple is kept as the oracle verify_structure reads.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable, Optional
 
-from .core import Order, RankedMetric, build_onng, max_indegree
+import numpy as np
+
+from .core import Order, PointSet, RankedMetric, build_onng, key_source, max_indegree
 
 Coloring = Callable[[int, int, int], "TripleColor"]
 
@@ -133,82 +138,73 @@ class ProcessStats:
     blue_edges: int
 
 
-def run_process(coloring: Coloring, n: int, k: int) -> Optional[MonoStructure]:
-    """Search for a size-k monochromatic structure; None when the waiting
-    set drains first."""
-    return run_process_traced(coloring, n, k)[0]
+def run_process(data: PointSet | RankedMetric, n: int, k: int) -> Optional[MonoStructure]:
+    """Search the first n vertices for a size-k monochromatic structure;
+    None when the waiting set drains first."""
+    return run_process_traced(data, n, k)[0]
 
 
 def run_process_traced(
-    coloring: Coloring, n: int, k: int
+    data: PointSet | RankedMetric, n: int, k: int
 ) -> tuple[Optional[MonoStructure], ProcessStats]:
     if k < 3:
         raise ValueError("k must be at least 3")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    waiting = list(range(n))
-    reds: list[int] = []
-    greens: list[int] = []
-    blues: list[int] = []
-    anchor_g: dict[int, list[int]] = {}
-    anchor_b: dict[int, list[int]] = {}
-    red_edges = green_edges = blue_edges = 0
+    if not 1 <= n <= data.n:
+        raise ValueError(f"n must be in [1, {data.n}]")
+    table, keys, _ = key_source(data)
+    waiting = table(np.arange(n))  # ids ascending in row 0
+    members: dict[TripleColor, list[int]] = {c: [] for c in TripleColor}
+    anchors: dict[TripleColor, dict[int, list[int]]] = {TripleColor.GREEN: {}, TripleColor.BLUE: {}}
+    edges = dict.fromkeys(TripleColor, 0)
+    reds = members[TripleColor.RED]
     picked = 0
     star_need = (k - 1) ** 2
 
     def stats() -> ProcessStats:
-        return ProcessStats(
-            picked, len(reds), len(greens), len(blues), red_edges, green_edges, blue_edges
-        )
+        return ProcessStats(picked, *map(len, members.values()), *edges.values())
 
-    while waiting:
-        v = waiting.pop(0)
+    while waiting.shape[1]:
+        v, vt, waiting = int(waiting[0, 0]), waiting[:, :1], waiting[:, 1:]
         picked += 1
-        vcolor = TripleColor.RED
-        anchor = -1
+        vcolor, anchor = TripleColor.RED, -1
         for u in reds:
-            # picks ascend, so u < v < w for every waiting w
-            m = len(waiting)
-            cols = [coloring(u, v, w) for w in waiting]
-            cg = sum(1 for c in cols if c is TripleColor.GREEN)
-            cb = sum(1 for c in cols if c is TripleColor.BLUE)
-            if m > 0 and cg * k >= m:
-                green_edges += 1
-                vcolor, anchor = TripleColor.GREEN, u
-                waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.GREEN]
-                if len(waiting) * k < m:
-                    raise AssertionError("a Green edge kept fewer than |W|/k waiters")
-                break
-            if m > 0 and cb * k >= m:
-                blue_edges += 1
-                vcolor, anchor = TripleColor.BLUE, u
-                waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.BLUE]
-                if len(waiting) * k < m:
-                    raise AssertionError("a Blue edge kept fewer than |W|/k waiters")
-                break
-            red_edges += 1
-            waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.RED]
-            # a Red edge deletes fewer than 2|W|/k waiters
-            if len(waiting) * k < m * (k - 2):
-                raise AssertionError("a Red edge deleted more than 2|W|/k waiters")
-        if vcolor is TripleColor.RED:
-            reds.append(v)
-        elif vcolor is TripleColor.GREEN:
-            greens.append(v)
-            anchor_g.setdefault(anchor, []).append(v)
-        else:
-            blues.append(v)
-            anchor_b.setdefault(anchor, []).append(v)
+            # picks ascend, so u < v < w for every waiting w: these strict
+            # comparisons are color_triple's on the pair ranks
+            m = waiting.shape[1]
+            d = keys(table([u, v]), np.hstack([vt, waiting]))
+            uv, uw, vw = d[0, 0], d[0, 1:], d[1, 1:]
+            red = (vw < uv) & (vw < uw)
+            green = ~red & (uw < uv)
+            for color, keep in ((TripleColor.GREEN, green), (TripleColor.BLUE, ~red & ~green)):
+                if m > 0 and int(keep.sum()) * k >= m:
+                    break
+            else:
+                color, keep = TripleColor.RED, red
+            edges[color] += 1
+            waiting = waiting[:, keep]
+            if color is TripleColor.RED:
+                # a Red edge deletes fewer than 2|W|/k waiters
+                if waiting.shape[1] * k < m * (k - 2):
+                    raise AssertionError("a Red edge deleted more than 2|W|/k waiters")
+                continue
+            if waiting.shape[1] * k < m:
+                raise AssertionError(f"a {color.name.title()} edge kept fewer than |W|/k waiters")
+            vcolor, anchor = color, u
+            break
+        members[vcolor].append(v)
+        if vcolor is not TripleColor.RED:
+            anchors[vcolor].setdefault(anchor, []).append(v)
 
         # success checks after every insertion; Red beats Green beats Blue
         if len(reds) == k:
             return MonoStructure(StructureKind.RED_CLIQUE, tuple(reds)), stats()
-        if len(greens) >= star_need:
-            return _extract_star(anchor_g, k, StructureKind.GREEN_STAR), stats()
-        if len(blues) >= star_need:
-            return _extract_star(anchor_b, k, StructureKind.BLUE_STAR), stats()
+        for color, kind in ((TripleColor.GREEN, StructureKind.GREEN_STAR),
+                            (TripleColor.BLUE, StructureKind.BLUE_STAR)):
+            if len(members[color]) >= star_need:
+                return _extract_star(anchors[color], k, kind), stats()
 
     # drained without a hit: the auxiliary graph must have stayed small
+    red_edges, green_edges, blue_edges = edges.values()
     if picked >= k + 2 * (k - 1) ** 2:
         raise AssertionError(f"{picked} picks exceed the cap for k={k}")
     if green_edges + blue_edges >= 2 * (k - 1) ** 2:
@@ -248,26 +244,26 @@ def synthesize_order(s: MonoStructure, n: int) -> Order:
     return tuple(lead + rest)
 
 
-def order_metric(m: RankedMetric) -> tuple[Order, int, Optional[MonoStructure]]:
+def order_metric(data: PointSet | RankedMetric) -> tuple[Order, int, Optional[MonoStructure]]:
     """Adaptive search: largest k in [3, max(3, ceil(log2 n))] for which the
     process finds a witness, synthesized into an order.
 
     Returns (order, k_achieved, witness).  When every k fails, falls back to
     the best of the three degenerate pair orders on {0, 1} with k_achieved=2
     and no witness; the rebuilt order still has max indegree >= k_achieved-1.
+    On a point set it equals order_metric(metric_from_points(data)).
     """
-    n = m.n
+    n = data.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    coloring = coloring_from_metric(m)
     k_max = max(3, (n - 1).bit_length())
     for k in range(k_max, 2, -1):
-        found = run_process(coloring, n, k)
+        found = run_process(data, n, k)
         if found is not None:
             return synthesize_order(found, n), k, found
     candidates = [
         synthesize_order(MonoStructure(kind, (0, 1)), n)
         for kind in (StructureKind.RED_CLIQUE, StructureKind.GREEN_STAR, StructureKind.BLUE_STAR)
     ]
-    best = max(candidates, key=lambda order: max_indegree(build_onng(m, order)))
+    best = max(candidates, key=lambda order: max_indegree(build_onng(data, order)))
     return best, 2, None

@@ -317,6 +317,64 @@ def reference_write_metric(m: RankedMetric) -> str:
     return "\n".join(out) + "\n"
 
 
+# The Ramsey deletion process as it was before it read core.key_source: one
+# call of a triple-coloring closure per waiting vertex, kept as the
+# reference the vectorised ramsey.run_process_traced must match, structure
+# and every ProcessStats field.
+
+
+def reference_run_process(coloring, n: int, k: int):
+    from onng.ramsey import MonoStructure, ProcessStats, StructureKind, TripleColor, _extract_star
+
+    waiting = list(range(n))
+    reds, greens, blues = [], [], []
+    anchor_g: dict = {}
+    anchor_b: dict = {}
+    red_edges = green_edges = blue_edges = picked = 0
+    star_need = (k - 1) ** 2
+
+    def stats():
+        return ProcessStats(picked, len(reds), len(greens), len(blues),
+                            red_edges, green_edges, blue_edges)
+
+    while waiting:
+        v = waiting.pop(0)
+        picked += 1
+        vcolor, anchor = TripleColor.RED, -1
+        for u in reds:
+            m = len(waiting)
+            cols = [coloring(u, v, w) for w in waiting]
+            cg = sum(1 for c in cols if c is TripleColor.GREEN)
+            cb = sum(1 for c in cols if c is TripleColor.BLUE)
+            if m > 0 and cg * k >= m:
+                green_edges += 1
+                vcolor, anchor = TripleColor.GREEN, u
+                waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.GREEN]
+                break
+            if m > 0 and cb * k >= m:
+                blue_edges += 1
+                vcolor, anchor = TripleColor.BLUE, u
+                waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.BLUE]
+                break
+            red_edges += 1
+            waiting = [w for w, c in zip(waiting, cols) if c is TripleColor.RED]
+        if vcolor is TripleColor.RED:
+            reds.append(v)
+        elif vcolor is TripleColor.GREEN:
+            greens.append(v)
+            anchor_g.setdefault(anchor, []).append(v)
+        else:
+            blues.append(v)
+            anchor_b.setdefault(anchor, []).append(v)
+        if len(reds) == k:
+            return MonoStructure(StructureKind.RED_CLIQUE, tuple(reds)), stats()
+        if len(greens) >= star_need:
+            return _extract_star(anchor_g, k, StructureKind.GREEN_STAR), stats()
+        if len(blues) >= star_need:
+            return _extract_star(anchor_b, k, StructureKind.BLUE_STAR), stats()
+    return None, stats()
+
+
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -117,7 +117,7 @@ def test_criterion_5_ramsey_witnesses_and_counters():
             k_max = max(3, (n - 1).bit_length())
             stop = k if witness is not None else 2
             for kk in range(k_max, stop, -1):
-                found, stats = run_process_traced(col, n, kk)
+                found, stats = run_process_traced(m, n, kk)
                 assert found is None
                 assert stats.picked < kk + 2 * (kk - 1) ** 2, (n, trial, kk)
                 assert stats.green_edges + stats.blue_edges < 2 * (kk - 1) ** 2

@@ -990,14 +990,32 @@ def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
 
 
 def test_ramsey_refuses_huge_point_sets_before_ranking_pairs(tmp_path, monkeypatch):
-    def refuse(xt, rows):
-        raise AssertionError("ranked all pairs past the pair-ranking guard")
+    def refuse(*args):
+        raise AssertionError("measured distances past the pair-ranking guard")
 
     monkeypatch.setattr(core, "sq_dist_rows", refuse)
     src = tmp_path / "p.txt"
     assert run_cli(["gen", "hard-line", "--k", "13", "--n", "8193", "-o", str(src)])[0] == 0
     code, out, err = run_cli(["order", "--strategy", "ramsey", "--input", str(src)])
-    assert (code, out) == (2, "") and err.startswith("onng: refused:"), err
+    assert (code, out) == (2, "")
+    assert err == "onng: refused: n=8193 exceeds the pair-ranking guard (n <= 8192)\n"
+
+
+def test_ramsey_on_points_ranks_no_pairs(tmp_path, monkeypatch):
+    # the process reads exact squared distances through core.key_source,
+    # and prints what it prints on the metric of the same points
+    pts, met = tmp_path / "p.txt", tmp_path / "m.txt"
+    run_cli(["gen", "random-points", "--n", "300", "--d", "2", "--seed", "4", "-o", str(pts)])
+    met.write_text(write_metric(metric_from_points(parse_points(pts.read_text()))))
+    want = run_cli(["order", "--strategy", "ramsey", "--input", str(met)])
+
+    def refuse(ps):
+        raise AssertionError("ramsey ranked all pairs of a point set")
+
+    monkeypatch.setattr(cli, "metric_from_points", refuse)
+    monkeypatch.setattr(core, "metric_from_points", refuse)
+    got = run_cli(["order", "--strategy", "ramsey", "--input", str(pts)])
+    assert got[0] == 0 and got == want
 
 
 def test_bad_ranks_are_input_errors(tmp_path):
@@ -1078,7 +1096,9 @@ def test_points_and_their_metric_file_report_alike(tmp_path):
     ordf.write_text(write_order(tuple(range(69, -1, -1))))
     for argv in (["eval", "--order", str(ordf)],
                  ["eval", "--order", str(ordf), "--format", "dot"],
-                 ["order", "--strategy", "path", "--tail", "5"]):
+                 ["order", "--strategy", "path", "--tail", "5"],
+                 ["order", "--strategy", "ramsey"],
+                 ["order", "--strategy", "ramsey", "--format", "dot"]):
         on_points = run_cli(argv + ["--input", str(pts)])
         on_metric = run_cli(argv + ["--input", str(met)])
         assert on_points[0] == 0

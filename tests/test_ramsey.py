@@ -4,14 +4,18 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onng
 from onng import (
     MonoStructure,
     PointSet,
+    RankedMetric,
     StructureKind,
     TripleColor,
     build_onng,
@@ -20,12 +24,15 @@ from onng import (
     max_indegree,
     metric_from_points,
     order_metric,
+    pair_index,
     random_rank_metric,
     run_process,
     run_process_traced,
     synthesize_order,
     verify_structure,
 )
+
+from conftest import circle_points, lattice_point_sets, reference_run_process
 
 
 def _line_metric(*coords):
@@ -39,8 +46,6 @@ def test_color_triple_cases():
     m = _line_metric(0, 1, 100)  # closest pair is {0, 1}
     assert color_triple(m, 0, 1, 2) is TripleColor.BLUE
     # a metric where {i1,i3} is shortest cannot come from the line; use ranks
-    from onng import RankedMetric
-
     m = RankedMetric(3, (1, 0, 2))  # rank({0,2}) = 0
     assert color_triple(m, 0, 1, 2) is TripleColor.GREEN
 
@@ -84,24 +89,41 @@ def test_mono_structure_validation():
 
 def test_run_process_finds_red_clique_on_clustered_line():
     m = _line_metric(0, 10, 11)
-    found = run_process(coloring_from_metric(m), 3, 3)
+    found = run_process(m, 3, 3)
     assert found == MonoStructure(StructureKind.RED_CLIQUE, (0, 1, 2))
 
 
 def test_run_process_validates():
-    col = coloring_from_metric(_line_metric(0, 1, 3))
+    m = _line_metric(0, 1, 3)
     with pytest.raises(ValueError):
-        run_process(col, 3, 2)
+        run_process(m, 3, 2)
     with pytest.raises(ValueError):
-        run_process(col, 0, 3)
+        run_process(m, 0, 3)
+    with pytest.raises(ValueError):
+        run_process(m, 4, 3)
+
+
+def _span_metric(n, key):
+    """The RankedMetric ranking the pairs (i, j), i < j, by key(i, j)."""
+    pairs = sorted(combinations(range(n), 2), key=lambda p: key(*p))
+    flat = [0] * len(pairs)
+    for r, (i, j) in enumerate(pairs):
+        flat[pair_index(i, j, n)] = r
+    return RankedMetric(n, flat)
 
 
 def test_run_process_counters_on_synthetic_drains():
-    # constant colorings drive the process into specific drain shapes
-    for const in (TripleColor.GREEN, TripleColor.BLUE):
+    # constant colorings drive the process into specific drain shapes:
+    # lexicographic pair ranks make every triple Blue, and ranks by
+    # descending span j - i make every triple Green
+    for const, key in ((TripleColor.GREEN, lambda i, j: (i - j, i)),
+                       (TripleColor.BLUE, lambda i, j: (i, j))):
         for n in (1, 5, 17, 60):
+            m = _span_metric(n, key)
+            col = coloring_from_metric(m)
+            assert all(col(*t) is const for t in combinations(range(n), 3))
             for k in (3, 4, 5):
-                found, stats = run_process_traced(lambda a, b, c: const, n, k)
+                found, stats = run_process_traced(m, n, k)
                 if found is None:
                     assert stats.picked < k + 2 * (k - 1) ** 2
                     assert stats.green_edges + stats.blue_edges < 2 * (k - 1) ** 2
@@ -118,7 +140,7 @@ def test_run_process_counters_on_random_drains():
         m = random_rank_metric(n, rng)
         col = coloring_from_metric(m)
         for k in (3, 4, 5, 6):
-            found, stats = run_process_traced(col, n, k)
+            found, stats = run_process_traced(m, n, k)
             assert stats.picked <= n
             if found is None:
                 drains += 1
@@ -129,6 +151,52 @@ def test_run_process_counters_on_random_drains():
                 assert verify_structure(col, found)
                 assert len(found.vertices) == k
     assert drains > 0
+
+
+@st.composite
+def _ramsey_point_sets(draw):
+    """Tie-heavy lattices, co-circular points, and lattices scaled by 2^32
+    and shifted by 2^70 (object dtype: coordinates and squared distances
+    both past int64)."""
+    kind = draw(st.sampled_from(["lattice", "circle", "huge"]))
+    if kind == "circle":
+        return circle_points(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(3, 80)))
+    ps = draw(lattice_point_sets(max_dim=5 if kind == "lattice" else 3, min_n=3))
+    if kind == "lattice":
+        return ps
+    ps = PointSet(ps.dim, tuple(tuple(c * 2**32 + 2**70 for c in r) for r in ps.exact()))
+    assert ps.axes.dtype == object
+    return ps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_ramsey_point_sets())
+def test_process_on_points_equals_process_on_their_metric(ps):
+    # the strict comparisons of exact squared distances inside a triple
+    # u < v < w color it as the index-pair tie-break of metric_from_points
+    # does: same structure and every ProcessStats field, for every k
+    m = metric_from_points(ps)
+    for k in range(3, 7):
+        assert run_process_traced(ps, ps.n, k) == run_process_traced(m, ps.n, k), k
+    assert order_metric(ps) == order_metric(m)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_process_matches_the_triple_coloring_reference(seed, on_lattice):
+    # the vectorised process against the closure it replaced, on random
+    # metrics and on the metrics of tie-heavy lattices
+    rng = random.Random(seed)
+    n = rng.randint(1, 90)
+    if on_lattice:
+        side = rng.randint(2, 6)
+        rows = rng.sample([(x, y) for x in range(side) for y in range(side)], min(n, side * side))
+        m = metric_from_points(PointSet(2, tuple(rows)))
+    else:
+        m = random_rank_metric(n, rng)
+    col = coloring_from_metric(m)
+    for k in range(3, 8):
+        assert run_process_traced(m, m.n, k) == reference_run_process(col, m.n, k), k
 
 
 def test_synthesize_order_shapes():
