@@ -98,9 +98,12 @@ def _emit(text: str | Iterable[str], path: str | None) -> None:
     parts = (text,) if isinstance(text, str) else text
     if path is None:
         sys.stdout.writelines(parts)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from e
 
 
 def _load_input(path: str, fmt: str) -> PointSet | RankedMetric:
@@ -222,8 +225,7 @@ def cmd_order(args) -> int:
         text = fileio.render_dot(g)
     _emit(text, args.output)
     if args.save_order is not None:
-        with open(args.save_order, "w", encoding="utf-8") as fh:
-            fh.write(fileio.write_order(order))
+        _emit(fileio.write_order(order), args.save_order)
     return 0
 
 

@@ -76,12 +76,13 @@ class RankedMetric:
     """Strict total order on the unordered vertex pairs of [0, n).
 
     ``rank(i, j)`` is a bijection from the n(n-1)/2 pairs onto
-    0 .. n(n-1)/2 - 1; smaller rank means closer.  The flat rank vector is
-    kept in lexicographic pair order, and a dense symmetric matrix backs
-    constant-time lookups (diagonal entries hold an out-of-range sentinel).
+    0 .. n(n-1)/2 - 1; smaller rank means closer.  The metric keeps one
+    form, the dense symmetric rank matrix, with the out-of-range sentinel
+    n(n-1)/2 on its diagonal; the flat vector in lexicographic pair order
+    is derived when asked for (pair_ranks).
     """
 
-    __slots__ = ("n", "_flat", "_matrix")
+    __slots__ = ("n", "_matrix")
 
     def __init__(self, n: int, pair_ranks) -> None:
         if n < 1:
@@ -90,30 +91,39 @@ class RankedMetric:
         flat = np.asarray(pair_ranks)
         if flat.shape != (p,):
             raise ValueError(f"expected {p} pair ranks for n={n}, got {flat.shape}")
-        # p integers in 0..p-1 that cover 0..p-1, so none is repeated.  Ranks
-        # past int64, or not integers, come as an object or float array and
-        # are refused.
-        ok = not p or (flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p)
-        if ok and p:
-            seen = np.zeros(p, dtype=bool)  # p bytes, where a bincount takes 8p
-            seen[flat] = True
-            ok = bool(seen.all())
-        if not ok:
-            raise ValueError("pair ranks must be a bijection onto 0..n(n-1)/2-1")
-        dtype = np.int32 if p < 2**31 - 1 else np.int64
-        self.n = n
-        self._flat = flat.astype(dtype, copy=False)
+        mat = np.full((n, n), -1, dtype=np.int32 if p < 2**31 - 1 else np.int64)
         # Row i of the upper triangle is one slice of the flat vector, and
-        # its mirror is column i below the diagonal.
-        mat = np.empty((n, n), dtype=dtype)
-        off = 0
-        for i in range(n - 1):
-            row = self._flat[off : off + n - i - 1]
-            mat[i, i + 1 :] = row
-            mat[i + 1 :, i] = row
-            off += n - i - 1
+        # its mirror is column i below the diagonal.  Ranks past int64, or
+        # not integers, come as an object or float array, and a rank out of
+        # range could wrap into range: they leave the matrix unfilled.
+        if not p or (flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p):
+            off = 0
+            for i in range(n - 1):
+                mat[i, i + 1 :] = mat[i + 1 :, i] = flat[off : off + n - i - 1]
+                off += n - i - 1
+        self._keep(mat)
+
+    @classmethod
+    def _of_matrix(cls, mat: np.ndarray) -> RankedMetric:
+        """The metric whose rank matrix is mat, kept without a copy (_keep)."""
+        m = cls.__new__(cls)
+        m._keep(mat)
+        return m
+
+    def _keep(self, mat: np.ndarray) -> None:
+        """The one rank check, after which mat is the metric's matrix.  mat
+        is square and symmetric, with -1 in any slot left unfilled; the check
+        sets its diagonal to the sentinel p and requires its upper triangle
+        to hold each rank of 0..p-1 once."""
+        n = len(mat)
+        p = n * (n - 1) // 2
         np.fill_diagonal(mat, p)
-        self._matrix = mat
+        seen = np.zeros(p + 1, dtype=bool)  # p bytes, where a bincount takes 8p
+        if mat.min() >= 0 and mat.max() <= p:
+            seen[mat] = True  # both triangles hold the same ranks, the diagonal p
+        if not seen[:p].all():
+            raise ValueError("pair ranks must be a bijection onto 0..n(n-1)/2-1")
+        self.n, self._matrix = n, mat
 
     def rank(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
@@ -121,14 +131,10 @@ class RankedMetric:
         return int(self._matrix[i, j])
 
     def pair_ranks(self) -> np.ndarray:
-        """Flat ranks in lexicographic pair order, as a read-only array."""
-        view = self._flat.view()
-        view.flags.writeable = False
-        return view
-
-    def pair_rank_list(self) -> list[int]:
-        """Flat ranks in lexicographic pair order, as plain ints."""
-        return self._flat.tolist()
+        """Flat ranks in lexicographic pair order, as a new read-only array."""
+        flat = np.concatenate([row[i + 1 :] for i, row in enumerate(self._matrix)])
+        flat.flags.writeable = False
+        return flat
 
     def matrix_rows(self) -> list[memoryview]:
         """One read-only memoryview per row of the dense rank matrix, whose
@@ -140,11 +146,11 @@ class RankedMetric:
         return (
             isinstance(other, RankedMetric)
             and self.n == other.n
-            and np.array_equal(self._flat, other._flat)
+            and np.array_equal(self._matrix, other._matrix)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._flat.tobytes()))
+        return hash((self.n, self._matrix.tobytes()))
 
     def __repr__(self) -> str:
         return f"RankedMetric(n={self.n})"

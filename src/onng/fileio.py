@@ -33,8 +33,9 @@ Every other spelling (comments, other line breaks, signs, underscores, other
 scripts' digits, longer fields) is tokenized from Lines, a block of lines per
 numpy call.  Either tokenizer hands its int64 blocks to one acceptor, which
 checks the header, the pair count and the pairs and writes each rank into
-its pair's slot of the rank vector; no vector of all the fields, and no
-tuple or list per line, is kept.  The rank vector is allocated only once the
+both slots of its pair in the n×n rank matrix, which the metric keeps
+without a copy; no vector of all the fields or of all the ranks, and no
+tuple or list per line, is kept.  The matrix is allocated only once the
 header passes the pair-ranking guard and the file is long enough to hold its
 pairs, so a short file with a huge header allocates nothing of that size.
 Only a file the acceptor declines (or neither tokenizer reads) is read again
@@ -353,10 +354,10 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
     """The metric of a file's fields, read block by block (the header
     first, then "i j rank" triples, each block holding whole triples), or
     None if the header, the pair count, a pair or a rank fails a check:
-    _explain then reports the first defect.  The ranks go straight into
-    their pair's slot.  most bounds the fields the file can hold, so a
-    header the file is too short for allocates nothing of size n(n-1)/2.
-    Never raises."""
+    _explain then reports the first defect.  Each rank goes straight into
+    both slots of its pair in the rank matrix, which the metric keeps.
+    most bounds the fields the file can hold, so a header the file is too
+    short for allocates nothing of size n(n-1)/2.  Never raises."""
     head = next(blocks, None)
     if head is None:
         return None
@@ -366,7 +367,7 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         return None
     # -1 marks an unfilled slot: p triples that fill every slot name every
     # pair once.  Ranks below p < 2**31 fit int32, as RankedMetric keeps them.
-    flat = np.full(p, -1, dtype=np.int32)
+    mat = np.full((n, n), -1, dtype=np.int32)
     got = 0
     for block in chain((head[1:],), blocks):
         i, j, ranks = block.reshape(-1, 3).T
@@ -376,19 +377,10 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         if (got > p or min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n
                 or np.any(i == j) or ranks.min() < 0 or ranks.max() >= p):
             return None
-        # k = pair_index(lo, hi, n), built in place in hi; ids below n fit int32
-        lo, hi = np.minimum(i, j, dtype=np.int32), np.maximum(i, j, dtype=np.int32)
-        hi -= lo
-        hi -= 1
-        lo *= 2 * n - 1 - lo
-        lo //= 2
-        hi += lo
-        flat[hi] = ranks
-    if got != p or (p and flat.min() < 0):
-        return None
+        mat[i, j] = mat[j, i] = ranks
     try:
-        return RankedMetric(n, flat)
-    except ValueError:  # a repeated rank
+        return RankedMetric._of_matrix(mat)
+    except ValueError:  # a slot left unfilled (a pair repeated or missing), or a repeated rank
         return None
 
 

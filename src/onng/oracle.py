@@ -76,15 +76,12 @@ def _side_pairs(n: int, v: int) -> np.ndarray:
     return pairs
 
 
-def _graph_codes(r: np.ndarray, n: int) -> np.ndarray:
-    """G_v for a batch of flat rank vectors r, shape (B, p), as one integer
-    code per (metric, v), shape (B, n)."""
+def _graph_codes(mat: np.ndarray) -> np.ndarray:
+    """G_v for a batch of rank matrices mat, shape (B, n, n), as one integer
+    code per (metric, v), shape (B, n).  The diagonals are never read."""
+    b, n = mat.shape[:2]
     if (bits := (n - 1) * (n - 2) // 2) > 63:
         raise OverflowError(f"n={n}: G_v has {bits} possible edges, more than an int64 code holds")
-    b = r.shape[0]
-    mat = np.zeros((b, n, n), dtype=r.dtype)
-    i, j = np.triu_indices(n, 1)
-    mat[:, i, j] = mat[:, j, i] = r
     codes = np.empty((b, n), dtype=np.int64)
     for v in range(n):
         a, c = _side_pairs(n, v).T
@@ -127,7 +124,10 @@ def _profiles(r: np.ndarray, n: int) -> np.ndarray:
     """d(v) = alpha(G_v) for a batch of flat rank vectors r, shape (B, n).
 
     One alpha serves every (metric, v) whose G_v has the same code."""
-    codes, inverse = np.unique(_graph_codes(r, n), return_inverse=True)
+    mat = np.zeros((r.shape[0], n, n), dtype=r.dtype)
+    i, j = np.triu_indices(n, 1)
+    mat[:, i, j] = mat[:, j, i] = r
+    codes, inverse = np.unique(_graph_codes(mat), return_inverse=True)
     alphas = np.array([_code_alpha(int(c), n) for c in codes], dtype=np.int64)
     return alphas[inverse].reshape(r.shape[0], n)
 
@@ -149,9 +149,9 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
     v of (indegree so far + g) at the optimum."""
     _check_order_guard(m.n)
     n = m.n
-    r = np.array([m.pair_rank_list()])
-    best = int(_profiles(r, n).max())
-    adj = [_graph(int(c), n, v) for v, c in enumerate(_graph_codes(r, n)[0])]
+    codes = _graph_codes(m._matrix[None])[0].tolist()
+    best = max(_code_alpha(c, n) for c in codes)
+    adj = [_graph(c, n, v) for v, c in enumerate(codes)]
     rows = m.matrix_rows()
     order: list[int] = []
     indeg = [0] * n
@@ -176,7 +176,7 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
 def degree_profile_exhaustive(m: RankedMetric) -> tuple[int, ...]:
     """d(v) = max over all insertion orders of the indegree of v."""
     _check_order_guard(m.n)
-    return tuple(_profiles(np.array([m.pair_rank_list()]), m.n)[0].tolist())
+    return tuple(_code_alpha(c, m.n) for c in _graph_codes(m._matrix[None])[0].tolist())
 
 
 def problem1_sum(m: RankedMetric) -> Fraction:

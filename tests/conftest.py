@@ -236,7 +236,7 @@ def _completion_tables(r: np.ndarray, n: int) -> np.ndarray:
 
 def reference_completion_table(m: RankedMetric) -> list[list[int]]:
     """g[S][v] for one metric, from the subset DP."""
-    return _completion_tables(np.array([m.pair_rank_list()]), m.n)[0].tolist()
+    return _completion_tables(np.array([m.pair_ranks().tolist()]), m.n)[0].tolist()
 
 
 def reference_profile(m: RankedMetric) -> tuple[int, ...]:
@@ -305,7 +305,7 @@ def reference_scan_block(args) -> tuple[int, int, int, list]:
 def reference_write_metric(m: RankedMetric) -> str:
     """write_metric as it was before its numpy byte table, verbatim: one
     join per row over precomputed id strings."""
-    n, ranks = m.n, m.pair_rank_list()
+    n, ranks = m.n, m.pair_ranks().tolist()
     ids = [str(v) for v in range(n)]
     out = [str(n)]
     off = 0

@@ -407,9 +407,10 @@ def test_write_metric_matches_reference_writer(monkeypatch):
 
 
 def test_metric_reader_peak_memory_is_bounded(tmp_path):
-    # the plain scan holds one run of lines at a time, so the rank vector,
-    # the seen mask and RankedMetric's matrix (2, 0.5 and 4 MiB at n = 1024)
-    # set the peak, and no temporary the size of the 7.3 MB file shows
+    # the plain scan holds one run of lines at a time, so the rank matrix
+    # the acceptor fills and the metric keeps, and the seen mask of its rank
+    # check (4 and 0.5 MiB at n = 1024) set the peak, and no temporary the
+    # size of the 7.3 MB file shows
     cap = 16 * 2**20
     src = tmp_path / "m.txt"
     src.write_text(write_metric(random_rank_metric(1024, random.Random(31))))
@@ -428,18 +429,21 @@ def test_metric_reader_peak_memory_is_bounded(tmp_path):
 
 def test_load_input_metric_peak_memory_is_bounded(tmp_path):
     # the whole command's read, from the path: no copy of the 7.3 MB file's
-    # bytes or text is held, so the rank vector and matrix set the peak
-    cap = 10 * 2**20
+    # bytes or text is held, so the rank matrix sets the peak; once the read
+    # returns, that 4 MiB matrix is all the metric holds, with no flat rank
+    # vector beside it
+    cap, held_cap = 10 * 2**20, int(4.5 * 2**20)
     src = tmp_path / "m.txt"
     assert run_cli(["gen", "random-metric", "--n", "1024", "--seed", "31", "-o", str(src)])[0] == 0
     tracemalloc.start()
     try:
         m = cli._load_input(str(src), "auto")
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert m.n == 1024
     assert peak < cap, peak
+    assert held <= held_cap, held
 
 
 @pytest.mark.parametrize("data, fmt", [
@@ -911,6 +915,26 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli(["order", "--strategy", "path", "--tail", "9", "--input", str(src)])[0] == 1
     code, _, err = run_cli(["order", "--strategy", "line", "--input", str(src)])
     assert code == 1 and "1-D points" in err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path):
+    # a named output that cannot be opened or written is worded as an
+    # unreadable input is, with exit 1 and no traceback; stdout is not named
+    src = tmp_path / "m.txt"
+    assert run_cli(["gen", "random-metric", "--n", "4", "--seed", "1", "-o", str(src)])[0] == 0
+    missing = tmp_path / "absent" / "x.txt"
+    order = ["order", "--strategy", "path", "--input", str(src)]
+    for argv, bad in [
+        (["gen", "random-metric", "--n", "4", "--seed", "1", "-o", str(tmp_path)], tmp_path),
+        (["gen", "hard-line", "--k", "2", "-o", str(missing)], missing),
+        (order + ["-o", str(tmp_path)], tmp_path),
+        (order + ["--save-order", str(missing)], missing),
+        (order + ["-o", str(tmp_path / "r.json"), "--save-order", str(tmp_path)], tmp_path),
+    ]:
+        code, _, err = run_cli(argv)
+        assert code == 1, argv
+        assert re.fullmatch(f"onng: error: cannot write {re.escape(str(bad))}: [^\n]+\n", err), err
+    assert not missing.parent.exists()
 
 
 def test_guard_refusals_exit_2(tmp_path):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from onng import (
     random_rank_metric,
 )
 import onng.core as core
+import onng.fileio as fileio
 from onng.core import iter_pairs, shuffled_range
-from onng.fileio import parse_points, write_points
+from onng.fileio import parse_metric, parse_points, write_metric, write_points
 
 from conftest import lattice_point_sets, rand_point_set, reference_metric
 
@@ -52,22 +54,36 @@ def test_ranked_metric_validates_bijection():
         RankedMetric(3, (0, 1, 2**63))
 
 
-def test_rank_is_symmetric():
+def test_rank_is_symmetric(monkeypatch):
+    # every file below is read by the acceptor: one it declined would reach
+    # _explain
+    monkeypatch.setattr(fileio, "_explain", mock.Mock(side_effect=AssertionError("declined")))
     rng = random.Random(7)
     metrics = [RankedMetric(4, (5, 1, 0, 2, 4, 3))]
     metrics += [random_rank_metric(n, rng) for n in (1, 2, 3, 9)]
     for m in metrics:
-        p, rows = m.n * (m.n - 1) // 2, m.matrix_rows()
+        p, rows, flat = m.n * (m.n - 1) // 2, m.matrix_rows(), m.pair_ranks()
         assert [rows[v][v] for v in range(m.n)] == [p] * m.n  # the sentinel
         for i, j in iter_pairs(m.n):
             assert m.rank(i, j) == m.rank(j, i) == rows[i][j] == rows[j][i]
-            assert m.rank(i, j) == m.pair_rank_list()[pair_index(i, j, m.n)]
-        # the rows are views of the metric's own matrix, so they refuse writes
+            assert m.rank(i, j) == flat[pair_index(i, j, m.n)]
+        # the flat vector is derived, and rebuilds the same metric
+        again = RankedMetric(m.n, flat)
+        assert again == m and hash(again) == hash(m)
+        # the rows are views of the metric's own matrix, and the flat vector
+        # is read-only too, so both refuse writes
+        with pytest.raises(ValueError, match="read-only"):
+            flat[:1] = 0
         if m.n > 1:
             r01 = m.rank(0, 1)
             with pytest.raises(TypeError):
                 rows[0][1] = r01 + 1
             assert m.rank(0, 1) == r01
+        # the acceptor fills the matrix it hands over, from a plain file and
+        # from one split into lines, and equals the metric of the same ranks
+        text = write_metric(m)
+        for read in (parse_metric(text), parse_metric("# c\n" + text)):
+            assert read == RankedMetric(m.n, flat.tolist()) and hash(read) == hash(m)
 
 
 def test_unit_square_tie_break_is_lexicographic():
@@ -177,7 +193,7 @@ def test_rank_paths_agree_numpy_vs_python():
 def test_metric_from_points_single_point():
     m = metric_from_points(PointSet(3, ((1, 2, 3),)))
     assert m.n == 1
-    assert m.pair_rank_list() == []
+    assert m.pair_ranks().tolist() == []
 
 
 def _naive_build(m, order):
@@ -248,7 +264,7 @@ def test_random_rank_metric_is_seed_deterministic():
     c = random_rank_metric(9, random.Random(124))
     assert a == b
     assert a != c
-    assert sorted(a.pair_rank_list()) == list(range(36))
+    assert sorted(a.pair_ranks().tolist()) == list(range(36))
 
 
 def _replays_shuffle(p: int, rng: random.Random) -> None:

@@ -96,7 +96,7 @@ def test_canonical_representative_is_orbit_minimum():
     # the full orbit: all n! relabelings, not only those that fix {0, 1}
     n = 4
     for m in enumerate_rank_metrics(n, canonical=True):
-        t = tuple(m.pair_rank_list())
+        t = tuple(m.pair_ranks().tolist())
         for sigma in permutations(range(n)):
             relabeled = [0] * len(t)
             for i in range(n):
@@ -107,7 +107,7 @@ def test_canonical_representative_is_orbit_minimum():
 
 def test_profiles_batch_matches_python_oracle_n4():
     metrics = list(enumerate_rank_metrics(4))
-    flat = np.array([m.pair_rank_list() for m in metrics], dtype=np.int8)
+    flat = np.array([m.pair_ranks().tolist() for m in metrics], dtype=np.int8)
     batch = _profiles(flat, 4)
     for row, m in zip(batch, metrics):
         assert tuple(int(x) for x in row) == _reference(m)[0]
@@ -116,7 +116,7 @@ def test_profiles_batch_matches_python_oracle_n4():
 def test_profiles_batch_matches_python_oracle_n5_sample():
     rng = random.Random(31)
     metrics = [random_rank_metric(5, rng) for _ in range(40)]
-    flat = np.array([m.pair_rank_list() for m in metrics], dtype=np.int8)
+    flat = np.array([m.pair_ranks().tolist() for m in metrics], dtype=np.int8)
     batch = _profiles(flat, 5)
     for row, m in zip(batch, metrics):
         assert tuple(int(x) for x in row) == _reference(m)[0]
@@ -149,7 +149,7 @@ def test_completion_closed_form_matches_dp_table(m):
     # g(S, v) = alpha(G_v[W]) for every non-empty revealed set S and every v
     n = m.n
     table = reference_completion_table(m)
-    codes = _graph_codes(np.array([m.pair_rank_list()]), n)[0]
+    codes = _graph_codes(m._matrix[None])[0]
     adj = [_graph(int(c), n, v) for v, c in enumerate(codes)]
     rows = m.matrix_rows()
     for s in range(1, 1 << n):
@@ -241,10 +241,10 @@ def test_canonical_search_matches_canonical_enumeration():
 
 def test_graph_codes_refuse_more_bits_than_int64_holds():
     # G_v has C(n-1, 2) possible edges: 55 at n = 12, 66 at n = 13
-    r12, r13 = (np.array([random_rank_metric(n, random.Random(5)).pair_rank_list()]) for n in (12, 13))
-    assert _graph_codes(r12, 12).shape == (1, 12)
+    r12, r13 = (random_rank_metric(n, random.Random(5))._matrix[None] for n in (12, 13))
+    assert _graph_codes(r12).shape == (1, 12)
     with pytest.raises(OverflowError, match="66 possible edges"):
-        _graph_codes(r13, 13)
+        _graph_codes(r13)
 
 
 def test_best_order_raises_when_no_vertex_keeps_the_optimum(monkeypatch):
