@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -94,10 +95,17 @@ def _build_parser() -> _Parser:
 
 
 def _emit(text: str | Iterable[str], path: str | None) -> None:
-    """Write text, or each of its parts as it is made, to path or stdout."""
+    """Write text, or each of its parts as it is made, to path or stdout.
+    If stdout's reader closes the pipe (onng ... | head), exit 1 quietly."""
     parts = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # fd 1 goes to devnull, so the flush at exit raises nothing more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(1) from None
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:

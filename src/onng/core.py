@@ -83,6 +83,8 @@ class RankedMetric:
     """
 
     __slots__ = ("n", "_matrix")
+    # the rank check's error, which the metric reader's explainer raises too
+    RANK_ERROR = "pair ranks must be a bijection onto 0..n(n-1)/2-1"
 
     def __init__(self, n: int, pair_ranks) -> None:
         if n < 1:
@@ -92,14 +94,14 @@ class RankedMetric:
         if flat.shape != (p,):
             raise ValueError(f"expected {p} pair ranks for n={n}, got {flat.shape}")
         mat = np.full((n, n), -1, dtype=np.int32 if p < 2**31 - 1 else np.int64)
-        # Row i of the upper triangle is one slice of the flat vector, and
-        # its mirror is column i below the diagonal.  Ranks past int64, or
-        # not integers, come as an object or float array, and a rank out of
-        # range could wrap into range: they leave the matrix unfilled.
+        # Row i of the upper triangle is one slice of the flat vector.  Ranks
+        # past int64, or not integers, come as an object or float array, and
+        # a rank out of range could wrap into range: they leave the matrix
+        # unfilled.
         if not p or (flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p):
             off = 0
             for i in range(n - 1):
-                mat[i, i + 1 :] = mat[i + 1 :, i] = flat[off : off + n - i - 1]
+                mat[i, i + 1 :] = flat[off : off + n - i - 1]
                 off += n - i - 1
         self._keep(mat)
 
@@ -112,17 +114,19 @@ class RankedMetric:
 
     def _keep(self, mat: np.ndarray) -> None:
         """The one rank check, after which mat is the metric's matrix.  mat
-        is square and symmetric, with -1 in any slot left unfilled; the check
-        sets its diagonal to the sentinel p and requires its upper triangle
-        to hold each rank of 0..p-1 once."""
+        is square, with -1 in any slot left unfilled above the diagonal; the
+        check mirrors each row into its column, sets the diagonal to the
+        sentinel p and requires each rank of 0..p-1 once above it."""
         n = len(mat)
         p = n * (n - 1) // 2
+        for i in range(n - 1):
+            mat[i + 1 :, i] = mat[i, i + 1 :]
         np.fill_diagonal(mat, p)
         seen = np.zeros(p + 1, dtype=bool)  # p bytes, where a bincount takes 8p
         if mat.min() >= 0 and mat.max() <= p:
             seen[mat] = True  # both triangles hold the same ranks, the diagonal p
         if not seen[:p].all():
-            raise ValueError("pair ranks must be a bijection onto 0..n(n-1)/2-1")
+            raise ValueError(self.RANK_ERROR)
         self.n, self._matrix = n, mat
 
     def rank(self, i: int, j: int) -> int:

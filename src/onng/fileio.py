@@ -3,46 +3,45 @@
 All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  Files are read in binary
-(Source): the plain scans read bytes, and only a reader that falls back to
-Lines decodes the file whole.  A Source keeps each scan and the split, so
-sniff_format and the parse after it share them; a str gets a Source too.
+(Source): the plain scans read runs of whole lines of about _PLAIN_CHUNK
+bytes (_runs) and find their fields alike (_tokens); only a reader that
+falls back to Lines decodes the file whole.  A Source keeps each scan and
+the split, for sniff_format and the parse after it; a str gets one too.
 Coordinates are read as exact rationals, so reading back a written points
 file reproduces the point set bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
-have the dimension of the first.  A plain file, as gen random-points and
-gen hard-line write it, is read in one numpy scan of its bytes straight onto
-the integer grid (points_scan) and never split into lines: only ASCII
-digits, "-", ".", spaces, tabs and "\n" or "\r\n", every field
--?digits(.digits)? of at most 18 digits once scaled to the file's largest
-decimal count, the same field count on every line, and no two points equal.
-Every other spelling (comments, other line breaks, "+", "1/3", ".5", "1e3",
-longer fields) and every defective file goes through Lines and one Fraction
-per field, which words the error.
+have the dimension of the first.  A plain file, as gen random-points and gen
+hard-line write it, is read run by run onto the integer grid (points_scan),
+never split into lines: only ASCII digits, "-", ".", spaces, tabs and "\n"
+or "\r\n", every field -?digits(.digits)? of at most 18 digits at the file's
+largest decimal count, the same field count on every line, and no two points
+equal.  Every other spelling (comments, other line breaks, "+", "1/3", ".5",
+"1e3", longer fields) and every defective file goes through Lines and one
+Fraction per field, which words the error.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
 parse_metric has two tokenizers, one acceptor and one explainer.  A plain
-file, as write_metric writes it, is read in one pass over runs of whole
-lines of about _PLAIN_CHUNK bytes (plain_scan) and never decoded or split
-into lines: only ASCII digits, spaces, tabs and "\n" or "\r\n", no field
-longer than 18 digits (so every field is exact in int64), one field on the
-first line that has any, then three on every other line that has any.
-Every other spelling (comments, other line breaks, signs, underscores, other
-scripts' digits, longer fields) is tokenized from Lines, a block of lines per
-numpy call.  Either tokenizer hands its int64 blocks to one acceptor, which
-checks the header, the pair count and the pairs and writes each rank into
-both slots of its pair in the n×n rank matrix, which the metric keeps
-without a copy; no vector of all the fields or of all the ranks, and no
-tuple or list per line, is kept.  The matrix is allocated only once the
-header passes the pair-ranking guard and the file is long enough to hold its
-pairs, so a short file with a huge header allocates nothing of that size.
-Only a file the acceptor declines (or neither tokenizer reads) is read again
-line by line, in file order, and its first defective line is reported by the
-first check it fails: field count, integers, pair range, repeated pair.  A
-file with no such defect ends in RankedMetric's rank check, whose error the
-CLI reports.
+file, as write_metric writes it, is read in one pass over the runs
+(plain_scan) and never decoded or split into lines: only ASCII digits,
+spaces, tabs and "\n" or "\r\n", no field longer than 18 digits (so every
+field is exact in int64), one field on the first line that has any, then
+three on every other line that has any.  Every other spelling (comments,
+other line breaks, signs, underscores, other scripts' digits, longer fields)
+is tokenized from Lines, a block of lines per numpy call.  Either tokenizer
+hands its int64 blocks to one acceptor, which checks the header, the pair
+count and the pairs and writes each rank into its pair's slot above the
+diagonal of the n×n rank matrix, which the metric mirrors and keeps without
+a copy; no vector of all the fields or of all the ranks, and no tuple or
+list per line, is kept.  The matrix is allocated only once the header passes
+the pair-ranking guard and the file is long enough to hold its pairs, so a
+short file with a huge header allocates nothing of that size.  Only a file
+the acceptor declines (or neither tokenizer reads) is read again line by
+line, in file order, and its first defective line is reported by the first
+check it fails: field count, integers, pair range, repeated pair (one byte
+per pair).  A file with no such defect gets RankedMetric's rank error.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -55,7 +54,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -78,8 +77,8 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = f"#[^{_LINE_BREAKS}]*"
 # Metric lines converted to integers per numpy call: bounds the field list.
 _BLOCK_LINES = 2**15
-# Bytes of a plain metric file read and scanned per numpy pass: bounds the
-# scan's byte-sized temporaries.
+# Bytes of a plain file read and scanned per numpy pass (_runs): bounds the
+# scans' byte-sized temporaries.
 _PLAIN_CHUNK = 2**18
 # Pair lines write_metric formats per numpy pass: bounds its byte table.
 _WRITE_LINES = 2**16
@@ -107,28 +106,34 @@ class Lines:
         self.data = np.flatnonzero(self.fields)
 
 
-def _plain_block(run: bytes, header: bool) -> np.ndarray | None:
-    """The fields of a run of whole lines as int64, or None if the run is
-    not plain.  header: the run must open with the one-field header line."""
-    # "\r\n" is a line break, as in text mode; "in" is far faster than replace
-    if b"\r" in run:
+def _runs(fh: BinaryIO) -> Iterator[bytes]:
+    """fh from its start in runs of whole lines: _PLAIN_CHUNK bytes and the rest of a line."""
+    fh.seek(0)
+    while run := fh.read(_PLAIN_CHUNK):
+        if not run.endswith(b"\n"):
+            run += fh.readline()  # whole lines: no "\r\n" is split
+        yield run
+
+
+def _tokens(run: bytes, allowed: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The fields of a run of whole lines, or None if it holds a byte not in
+    allowed (separators and bytes above " "): the run, "\r\n" read as "\n",
+    the offsets in it of each field's first byte and of the byte after its
+    last, and each data line's field count."""
+    if b"\r" in run:  # "in" is far faster than replace
         run = run.replace(b"\r\n", b"\n")
-    # "\n" on both ends: every field has a non-digit before and after it
-    raw = b"".join((b"\n", run, b"\n"))
-    if raw.translate(None, _PLAIN_BYTES):
+    if run.translate(None, allowed):
         return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    digit = b >= ord("0")  # the other plain bytes all sort below "0"
-    starts = np.flatnonzero(digit[1:] > digit[:-1])  # each field's first digit - 1
-    if not starts.size:
-        return np.empty(0, dtype=np.int64)  # np.fromstring reads a blank run as [0]
-    if (np.flatnonzero(digit[:-1] > digit[1:]) - starts).max() > _PLAIN_DIGITS:
-        return None
-    fields = np.diff(np.searchsorted(starts, np.flatnonzero(b == ord("\n"))))  # per line
-    fields = fields[fields != 0]
-    if fields[0] != (1 if header else 3) or np.any(fields[1:] != 3):
-        return None
-    return np.fromstring(raw, dtype=np.int64, sep=" ")
+    b = np.frombuffer(run, dtype=np.uint8)
+    # field[k + 1]: byte k is in a field; a separator on both ends, with no
+    # copy of the run, so every field starts and ends inside the mask
+    field = np.zeros(b.size + 2, dtype=bool)
+    np.greater(b, ord(" "), out=field[1:-1])  # tab and "\n" sort below " "
+    starts = np.flatnonzero(field[1:] > field[:-1])
+    ends = np.flatnonzero(field[:-1] > field[1:])
+    upto = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))  # fields before each "\n"
+    fields = np.diff(upto, prepend=0, append=starts.size)
+    return run, starts, ends, fields[fields != 0]
 
 
 class PlainScan(NamedTuple):
@@ -139,67 +144,6 @@ class PlainScan(NamedTuple):
     n: int
     shaped: bool
     metric: RankedMetric | None
-
-
-def points_scan(data: bytes) -> PointSet | None:
-    """A plain points file's bytes read straight onto the integer grid in one
-    numpy scan, or None if they are not plain, which sends the reader to Lines.
-
-    Plain means: ASCII digits, "-", ".", spaces, tabs and "\n" (or "\r\n")
-    only; every field -?digits(.digits)?, with at most _PLAIN_DIGITS digits
-    once scaled to the file's largest decimal count D; the same field count
-    on every line with any; no two points equal.  Every field is then exact
-    in int64 at scale 10**D, and the common denominator is 10**D over the
-    gcd of 10**D and every field.  The scan never raises.
-    """
-    if b"\r" in data:  # a line break, as in _plain_block
-        data = data.replace(b"\r\n", b"\n")
-    # "\n" on both ends: every field has a separator before and after it
-    raw = b"".join((b"\n", data, b"\n"))
-    if raw.translate(None, _POINT_BYTES):
-        return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    field = b > ord(" ")  # "-", "." and the digits; tab and "\n" sort below " "
-    starts = np.flatnonzero(field[1:] > field[:-1]) + 1
-    if not starts.size:
-        return None
-    ends = np.flatnonzero(field[:-1] > field[1:]) + 1
-    # "-" only first in a field and before a digit, "." only between digits
-    digit = b >= ord("0")
-    minus = np.flatnonzero(b == ord("-"))
-    dots = np.flatnonzero(b == ord("."))
-    if (np.any(field[minus - 1]) or not np.all(digit[minus + 1])
-            or not (np.all(digit[dots - 1]) and np.all(digit[dots + 1]))):
-        return None
-    # at most one "." per field; its decimals are the digits after it
-    at = np.searchsorted(starts, dots, side="right") - 1
-    if np.any(at[1:] == at[:-1]):
-        return None
-    decimals = np.zeros(starts.size, dtype=np.int64)
-    decimals[at] = ends[at] - dots - 1
-    d = int(decimals.max())
-    digits = ends - starts - (b[starts] == ord("-")) - (decimals > 0) + (d - decimals)
-    if digits.max() > _PLAIN_DIGITS:
-        return None
-    fields = np.diff(np.searchsorted(starts, np.flatnonzero(b == ord("\n"))))  # per line
-    fields = fields[fields != 0]
-    dim = int(fields[0])
-    if np.any(fields != dim):
-        return None
-    v = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=" ")
-    v *= 10 ** (d - decimals)
-    x = v.reshape(-1, dim).T
-    # equal points are adjacent once sorted
-    order = np.lexsort(x)
-    same = np.ones(order.size - 1, dtype=bool)
-    for axis in x:
-        col = axis[order]
-        same &= col[1:] == col[:-1]
-    if same.any():
-        return None
-    g = math.gcd(10**d, int(np.gcd.reduce(v)))
-    v //= g
-    return _on_grid(PointSet.__new__(PointSet), 10**d // g, x)
 
 
 class Source:
@@ -236,26 +180,30 @@ class Source:
     @cached_property
     def plain_scan(self) -> PlainScan | None:
         """A plain metric file (see the module docstring) read in one pass
-        over runs of whole lines (_PLAIN_CHUNK bytes, then the rest of the
-        last line), each run's int64 fields handed to the acceptor; None if
-        the file is not plain, which sends it to Lines.  Never raises."""
+        over its runs, each run's int64 fields handed to the acceptor; None
+        if the file is not plain, which sends it to Lines.  Never raises."""
         header, count, plain = None, 0, True
 
         def blocks() -> Iterator[np.ndarray]:
             nonlocal header, count, plain
-            self._fh.seek(0)
-            while run := self._fh.read(_PLAIN_CHUNK):
-                if not run.endswith(b"\n"):
-                    run += self._fh.readline()  # whole lines: no "\r\n" is split
-                block = _plain_block(run, header is None)
-                if block is None:
+            for run in _runs(self._fh):
+                tok = _tokens(run, _PLAIN_BYTES)
+                if tok is None:
                     plain = False
                     return
-                if block.size:
-                    if header is None:
-                        header = int(block[0])
-                    count += block.size
-                    yield block
+                run, starts, ends, fields = tok
+                if not starts.size:
+                    continue
+                if ((ends - starts).max() > _PLAIN_DIGITS
+                        or fields[0] != (1 if header is None else 3) or np.any(fields[1:] != 3)):
+                    plain = False
+                    return
+                block = np.fromstring(run, dtype=np.int64, sep=" ")
+                del tok, run, starts, ends, fields  # not held while the acceptor reads
+                if header is None:
+                    header = int(block[0])
+                count += block.size
+                yield block
 
         it = blocks()
         # every field is at least one byte, with a space or "\n" after it
@@ -269,8 +217,59 @@ class Source:
 
     @cached_property
     def points_scan(self) -> PointSet | None:
-        self._fh.seek(0)
-        return points_scan(self._fh.read())
+        """A plain points file (see the module docstring) on the integer
+        grid, or None, which sends it to Lines; never raises.  Each run is
+        scaled to the largest decimal count D so far, and again at the end,
+        after the most integer digits plus D are checked against _PLAIN_DIGITS."""
+        dim, d, most, runs = 0, 0, 0, []
+        for run in _runs(self._fh):
+            tok = _tokens(run, _POINT_BYTES)
+            if tok is None:
+                return None
+            run, starts, ends, fields = tok
+            if not starts.size:
+                continue
+            dim = dim or int(fields[0])
+            b = np.frombuffer(run, dtype=np.uint8)
+            # digit[k + 1]: byte k is a digit (the other plain bytes sort
+            # below "0"); a separator on both ends, as in _tokens
+            digit = np.zeros(b.size + 2, dtype=bool)
+            np.greater_equal(b, ord("0"), out=digit[1:-1])
+            # "-" only after no digit and before one, "." only between
+            # digits and once a field: "--", "-.", ".-" and ".." all fail
+            minus = np.flatnonzero(b == ord("-"))
+            dots = np.flatnonzero(b == ord("."))
+            at = np.searchsorted(starts, dots, side="right") - 1  # each "."'s field
+            if (np.any(fields != dim) or np.any(digit[minus]) or np.any(at[1:] == at[:-1])
+                    or not np.all(digit[np.concatenate((minus + 2, dots, dots + 2))])):
+                return None
+            # a field's decimals are the digits after its "."
+            decimals = np.zeros(starts.size, dtype=np.int64)
+            decimals[at] = ends[at] - dots - 1
+            d = max(d, int(decimals.max()))
+            whole = ends - starts - (b[starts] == ord("-")) - (decimals > 0) - decimals
+            most = max(most, int(whole.max()))
+            if most + d > _PLAIN_DIGITS:
+                return None
+            v = np.fromstring(run.replace(b".", b""), dtype=np.int64, sep=" ")
+            v *= 10 ** (d - decimals)
+            runs.append((v, d))
+        if not runs:
+            return None
+        v = np.concatenate([v * 10 ** (d - d0) for v, d0 in runs])
+        del runs
+        x = v.reshape(-1, dim).T
+        # equal points are adjacent once sorted
+        order = np.lexsort(x)
+        same = np.ones(order.size - 1, dtype=bool)
+        for axis in x:
+            col = axis[order]
+            same &= col[1:] == col[:-1]
+        if same.any():
+            return None
+        g = math.gcd(10**d, int(np.gcd.reduce(v)))
+        v //= g
+        return _on_grid(PointSet.__new__(PointSet), 10**d // g, x)
 
 
 def _source(text: str | Source) -> Source:
@@ -355,7 +354,8 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
     first, then "i j rank" triples, each block holding whole triples), or
     None if the header, the pair count, a pair or a rank fails a check:
     _explain then reports the first defect.  Each rank goes straight into
-    both slots of its pair in the rank matrix, which the metric keeps.
+    its pair's slot above the diagonal of the rank matrix, which the metric
+    mirrors and keeps.
     most bounds the fields the file can hold, so a header the file is too
     short for allocates nothing of size n(n-1)/2.  Never raises."""
     head = next(blocks, None)
@@ -377,18 +377,19 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         if (got > p or min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n
                 or np.any(i == j) or ranks.min() < 0 or ranks.max() >= p):
             return None
-        mat[i, j] = mat[j, i] = ranks
+        mat[np.minimum(i, j), np.maximum(i, j)] = ranks
     try:
         return RankedMetric._of_matrix(mat)
     except ValueError:  # a slot left unfilled (a pair repeated or missing), or a repeated rank
         return None
 
 
-def _explain(t: Lines) -> RankedMetric:
+def _explain(t: Lines) -> NoReturn:
     """A metric file read line by line in file order, for a file _metric
     declined: raises the first defect, checking each line for its field
-    count, integers, pair range and a repeated pair, in that order.  A file
-    with no such defect ends in RankedMetric's rank check."""
+    count, integers, pair range and a repeated pair, in that order.  The
+    acceptor checks nothing else, so a file with no such defect is at fault
+    in its ranks alone, and gets the rank check's error."""
     if not t.data.size:
         raise ValueError("metric file has no data lines")
     h, *body = t.data.tolist()
@@ -402,23 +403,23 @@ def _explain(t: Lines) -> RankedMetric:
     p = n * (n - 1) // 2
     if len(body) != p:
         raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
-    flat: list[int | None] = [None] * p
+    seen = bytearray(p)  # one byte per pair
     for k in body:
         parts = t.lines[k].split()
         if len(parts) != 3:
             raise ValueError(f"line {k + 1}: expected 'i j rank'")
         try:
-            i, j, r = map(int, parts)
+            i, j, _ = map(int, parts)
         except ValueError as e:
             raise ValueError(f"line {k + 1}: bad integer: {e}") from e
         if i == j or not (0 <= i < n) or not (0 <= j < n):
             raise ValueError(f"line {k + 1}: bad pair ({i}, {j}) for n={n}")
         pair = min(i, j), max(i, j)
         key = pair_index(*pair, n)
-        if flat[key] is not None:
+        if seen[key]:
             raise ValueError(f"line {k + 1}: pair {pair} given twice")
-        flat[key] = r
-    return RankedMetric(n, flat)
+        seen[key] = 1
+    raise ValueError(RankedMetric.RANK_ERROR)
 
 
 def write_metric(m: RankedMetric) -> str:

@@ -577,6 +577,22 @@ def test_defective_str_is_split_into_lines_once(monkeypatch):
     assert len(splits) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "3\n0 1 0\n0 2 0\n1 2 2\n",  # a repeated rank, in a plain file
+    "2\n0 1 99999999999999999999999\n",  # a rank past int64, read from lines
+])
+def test_explainer_words_a_rank_defect_without_a_metric(monkeypatch, text):
+    # every line of these files passes, so their fault is in the ranks: the
+    # explainer raises the rank check's error without building a metric
+    def refuse(*args):
+        raise AssertionError("the explainer built a metric")
+
+    monkeypatch.setattr(core.RankedMetric, "__init__", refuse)
+    with pytest.raises(ValueError) as e:
+        parse_metric(text)
+    assert str(e.value) == RankedMetric.RANK_ERROR
+
+
 _POINT_FIELD = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _POINT_DEFECTS = ("ragged", "duplicate", "lead_dot", "trail_dot", "double_minus",
                   "inner_minus", "double_dot", "long")
@@ -676,11 +692,13 @@ def _points_outcome(fn, text):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(plain_points_texts())
-def test_plain_points_scan_matches_reference(text):
-    # the points scan reads exactly the plain files and declines the rest;
-    # either way the sniff and the parse, sharing one Source, answer as the
-    # reference, and a plain file is never split into lines
+@given(plain_points_texts(), st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
+def test_plain_points_scan_matches_reference(text, chunk):
+    # the points scan reads exactly the plain files and declines the rest,
+    # whatever its run length (small runs put joins inside the file, between
+    # lines of other decimal counts); either way the sniff and the parse,
+    # sharing one Source, answer as the reference, and a plain file is never
+    # split into lines
     plain = _is_plain_points(text)
     shared, splits = Source(text), []
     lines = fileio.Lines
@@ -689,7 +707,7 @@ def test_plain_points_scan_matches_reference(text):
         splits.append(t)
         return lines(t)
 
-    with mock.patch.object(fileio, "Lines", spy):
+    with mock.patch.object(fileio, "Lines", spy), mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
         sniffed = _outcome(sniff_format, shared)
         got = _points_outcome(parse_points, shared)
     assert (shared.points_scan is not None) == plain
@@ -697,6 +715,24 @@ def test_plain_points_scan_matches_reference(text):
     assert got == _points_outcome(reference_parse_points, text)
     if plain:
         assert not splits
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("1" * 17 + "\n0.5\n", True),  # 18 digits once scaled to one decimal
+    ("1" * 18 + "\n0.5\n", False),  # 19, the decimal in a later run
+    ("0.5\n" + "1" * 18 + "\n", False),  # 19, the decimal in an earlier run
+    ("-" + "9" * 16 + ".25\n0\n", True),
+])
+def test_points_scan_digit_limit_spans_runs(text, plain):
+    # the 18-digit limit counts a field's integer digits against the whole
+    # file's decimal count, whichever run each is in, so no run's scaling
+    # leaves int64
+    assert _is_plain_points(text) == plain
+    for chunk in (1, 4, fileio._PLAIN_CHUNK):
+        with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+            shared = Source(text)
+            assert (shared.points_scan is not None) == plain, chunk
+            assert _points_outcome(parse_points, shared) == _points_outcome(reference_parse_points, text)
 
 
 def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch):
@@ -740,6 +776,26 @@ def test_points_reader_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert (fmt, ps.n, ps.dim) == ("points", 4096, 3)
+    assert peak < cap, peak
+
+
+def test_points_reader_reads_large_files_in_runs(tmp_path):
+    # the 2^17-point hard line is a 1.1 MB file: it is read in runs of
+    # lines like a metric file, so only the parsed points' vectors (1 MiB
+    # each) grow with it, and no temporary per byte of the whole file shows
+    cap = 6 * 2**20
+    src = tmp_path / "h.txt"
+    assert run_cli(["gen", "hard-line", "--k", "17", "-o", str(src)])[0] == 0
+    with open(src, "rb") as fh:
+        shared = Source(fh)
+        tracemalloc.start()
+        try:
+            fmt = sniff_format(shared)
+            ps = parse_points(shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (fmt, ps.n, ps.dim) == ("points", 2**17, 1)
     assert peak < cap, peak
 
 
@@ -974,6 +1030,25 @@ def test_gen_random_metric_refuses_past_the_pair_guard(tmp_path):
         tracemalloc.stop()
     assert (code, out) == (2, "") and "pair-ranking guard" in err
     assert peak < 2**20, peak
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # onng ... | head -1: the reader leaves after one line of a 0.5 MB text,
+    # and the command stops with exit 1 and no traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys, onng.cli; sys.exit(onng.cli.main())",
+         "gen", "random-metric", "--n", "300", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"300\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
 
 
 def test_gen_random_metric_is_written_block_by_block(tmp_path, monkeypatch):
