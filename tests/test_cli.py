@@ -1071,10 +1071,66 @@ def test_gen_random_metric_is_written_block_by_block(tmp_path, monkeypatch):
 
 def test_cli_import_leaves_multiprocessing_out():
     # only a parallel Problem-1 search needs it; every other command would
-    # pay for its import
-    code = "import sys, onng.cli; sys.exit('multiprocessing' in sys.modules)"
+    # pay for its import.  Nor does the import freeze the collector: only
+    # main() run as the program does.
+    code = ("import gc, sys, onng.cli; "
+            "sys.exit('multiprocessing' in sys.modules or gc.get_freeze_count() != 0)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# as the console script calls it, and as python -m onng.cli does
+_ENTRY_POINTS = {
+    "console_script": "sys.argv = ['onng', *ARGS]; import onng.cli; sys.exit(onng.cli.main())",
+    "run_module": "sys.argv = ['onng.cli', *ARGS]; runpy.run_module('onng.cli', run_name='__main__')",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_program_freezes_the_import_time_heap(entry):
+    # the objects alive after import (mostly numpy's) are frozen, so the
+    # collections at exit do not walk them
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count() > 0}\\n'))\n"
+            "ARGS = ['gen', 'hard-line', '--k', '3']\n" + _ENTRY_POINTS[entry])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == run_cli(["gen", "hard-line", "--k", "3"])[:2]
+    assert run.stderr.splitlines()[-1] == "frozen=True"
+
+
+def test_main_in_process_leaves_the_collector_alone():
+    before = gc.get_freeze_count()
+    assert run_cli(["gen", "hard-line", "--k", "3"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_program_prints_the_in_process_bytes(tmp_path):
+    # pinned digests are taken in-process, where nothing is frozen; the
+    # program path must print the same bytes, its forked search pool too
+    pts, hard_line, m9, order = (str(tmp_path / f) for f in ("p.txt", "l.txt", "m.txt", "o.txt"))
+    gen_pts = ["gen", "random-points", "--n", "200", "--d", "2", "--seed", "3"]
+    for argv in (gen_pts + ["-o", pts], ["gen", "hard-line", "--k", "5", "-o", hard_line],
+                 ["gen", "random-metric", "--n", "9", "--seed", "4", "-o", m9]):
+        assert run_cli(argv)[0] == 0
+    (tmp_path / "o.txt").write_text("".join(f"{i}\n" for i in reversed(range(200))))
+    commands = [
+        gen_pts,
+        ["order", "--strategy", "path", "--input", pts],
+        ["order", "--strategy", "line", "--input", hard_line],
+        ["order", "--strategy", "euclid", "--input", pts],
+        ["order", "--strategy", "ramsey", "--input", pts],
+        ["order", "--strategy", "brute", "--input", m9],
+        ["eval", "--input", pts, "--order", order],
+        ["search-problem1", "--n", "5", "--yes", "--canonical", "--jobs", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in commands:
+        want = run_cli(argv)
+        assert want[0] == 0, (argv, want[2])
+        run = subprocess.run([sys.executable, "-m", "onng.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == want, argv
 
 
 def test_brute_refuses_large_points_before_ranking_pairs(tmp_path, monkeypatch):
