@@ -145,7 +145,23 @@ def _report_json(strategy, data, order, guarantee, center):
         "guarantee": guarantee,
         "center": center,
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n", g
+    return _report_text(report), g
+
+
+def _report_text(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline, for a
+    report of scalars, None and lists of ints.  With indent, json.dumps
+    runs its pure-Python encoder: about 5 ms for a 4096-vertex report, where
+    joining the ints takes about 1 ms."""
+    fields = []
+    for key in sorted(report):
+        value = report[key]
+        if isinstance(value, list):
+            value = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]" if value else "[]"
+        else:
+            value = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def cmd_gen(args) -> int:

@@ -20,6 +20,12 @@ build_onng, path_order and the Ramsey process, which read only it, never
 rank all pairs of a point set.  metric_from_points builds the full
 RankedMetric only for the exhaustive oracle and as the tests' reference.
 
+For a point set, build_onng and path_order first ask one certified cell
+grid (cell_grid), which settles a vertex from the points of the 3^d cells
+around its own whenever the best of them is nearer than anything outside.
+What the grid leaves, and everything for a metric, goes to the blocked
+key_source scan: the one exact resolver.
+
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
 anywhere downstream.
@@ -31,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -47,6 +53,18 @@ class GuardError(ValueError):
 RANK_PAIRS_MAX_N = 2**13
 # Entries in each of the two buffers a points distance scan writes into.
 SCRATCH = 2**18
+# The cell grid: the points per cell its side aims at, the most candidates
+# one chunk of its scan gathers, how many times its expected share of
+# points a vertex's block may hold before the vertex is left to the kernel,
+# the most axes it spans (a block holds three cells along each), and the
+# block entries path_order keeps per vertex.
+GRID_OCCUPANCY = 2
+GRID_BUDGET = 2**12
+GRID_CROWD = 4
+GRID_MAX_AXES = 5
+PATH_LIST = 8
+# Above every int64 squared distance and every squared margin (at most 2^62).
+_FAR = np.iinfo(np.int64).max
 # Replaying rng.shuffle: 32-bit words drawn per getrandbits call, and the most
 # steps one block of draws resolves.
 SHUFFLE_WORDS = 2**16
@@ -308,32 +326,165 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     return RankedMetric(n, flat)
 
 
-def key_source(data: PointSet | RankedMetric):
+def key_source(data: PointSet | RankedMetric, size: int | None = None):
     """How the pairs {v, a} and {v, b} compare, for either input: (table,
-    keys, top).  table(ids) lays vertices out as columns, ids in row 0 and
-    below them what keys reads (a point set's axes).  keys(a, b) is the
+    keys, row, top).  table(ids) lays vertices out as columns, ids in row 0
+    and below them what keys reads (a point set's axes).  keys(a, b) is the
     (len a, len b) array of exact keys of the pairs {a_i, b_j}: ranks, or
-    squared distances in scratch buffers of max(SCRATCH, 2n) that the next
-    call overwrites.  Those rank as metric_from_points ranks them when the
-    caller breaks a tie to the smaller id (the first minimum over ascending
-    ids, or a strict comparison).  top exceeds every key."""
+    squared distances in scratch buffers of ``size`` entries (by default
+    max(SCRATCH, 2n)) that the next call overwrites.  row(v, cols) is
+    keys for the one vertex v against the columns of a table, as a 1-D
+    array: taken from row v of the rank matrix, not by keys' 2-D index, or
+    in the buffers again.  Those rank as metric_from_points ranks them when
+    the caller breaks a tie to the smaller id (the first minimum over
+    ascending ids, or a strict comparison).  top exceeds every key."""
     n = data.n
     if isinstance(data, RankedMetric):
         mat, below, top = data._matrix, np.empty((0, n), dtype=np.intp), n * (n - 1) // 2
 
         def keys(a, b):
             return mat[a[0][:, None], b[0]]
+
+        def row(v, cols):
+            return mat[v].take(cols[0])
     else:
-        below, buf = data.axes, scratch(data.axes, max(SCRATCH, 2 * n))
+        below = data.axes
+        buf = scratch(below, max(SCRATCH, 2 * n) if size is None else size)
         top = sum(int(c.max()) ** 2 for c in below) + 1
 
         def keys(a, b):
             return sq_dist_rows(a[1:], b[1:], buf)
 
+        def row(v, cols):
+            return sq_dist_rows(below[:, v : v + 1], cols[1:], buf)[0]
+
     def table(ids):
         return np.vstack([ids, below[:, ids]])
 
-    return table, keys, top
+    return table, keys, row, top
+
+
+class CellGrid:
+    """A uniform grid over a point set's int64 axes: half-open cubes of
+    side ``side``, point i in the cell of its axes // side, chosen so that a
+    cell holds about GRID_OCCUPANCY points.  A vertex's block is the 3^d
+    cells around its own (one cell along an axis the grid does not split).
+
+    Every point outside the block is at least ``margin`` from the vertex:
+    the least distance from it to a face of the block beyond which points
+    can lie (none lie below cell 0 or above the last).  So a block point
+    whose key is below margin^2 is nearer than every point outside; one at
+    exactly margin^2 could tie an outside point of smaller id and settles
+    nothing.  Margins are clipped to 2^31, which leaves their squares in
+    int64 and above every squared distance PointSet keeps there.
+
+    The cells are numbered row-major on a grid padded by one empty cell at
+    both ends of each split axis, so the block of cell c is c + steps and
+    never leaves the grid.  ids lists the points by cell (by id within a
+    cell); cell c's points are ids[starts[c] : starts[c] + counts[c]].
+    """
+
+    __slots__ = ("axes", "side", "shape", "cell", "ids", "starts", "counts", "steps")
+
+    def __init__(self, ps: PointSet, side: int) -> None:
+        xt = ps.axes
+        self.axes, self.side = xt, side
+        self.shape = [int(c.max()) // side + 1 for c in xt]  # cells along each axis
+        padded = [g + 2 if g > 1 else 1 for g in self.shape]
+        strides = [math.prod(padded[k + 1 :]) for k in range(len(xt))]
+        cell = np.zeros(ps.n, dtype=np.int64)
+        for x, g, stride in zip(xt, self.shape, strides):
+            if g > 1:
+                cell += (x // side + 1) * stride
+        self.cell = cell
+        self.ids = np.argsort(cell, kind="stable")
+        self.counts = np.bincount(cell, minlength=math.prod(padded))
+        self.starts = np.cumsum(self.counts) - self.counts
+        moves = [(-1, 0, 1) if g > 1 else (0,) for g in self.shape]
+        self.steps = np.array([sum(m * s for m, s in zip(ms, strides)) for ms in product(*moves)])
+
+    def blocks(self, verts: np.ndarray):
+        """The blocks of verts, in chunks of at most GRID_BUDGET points:
+        (vs, cand, key, own, seg, bound) per chunk.  vs are the chunk's
+        vertices; cand every point of each one's block, the vertex itself
+        included, in runs that start at seg; own the index in vs that each
+        belongs to; key the exact squared distances; bound each vertex's
+        squared margin.  A vertex whose block is crowded, holding more than
+        GRID_CROWD times the points a block holds on average and more than
+        n / 32, is in no chunk: clustered points cost the grid more than
+        they cost the kernel."""
+        share = len(self.steps) * GRID_OCCUPANCY
+        # the kernel reads about n / 2 keys a vertex, each about a fifth of
+        # the cost of a gathered point: a block of n / 32 is still cheaper
+        crowd = min(GRID_BUDGET, max(GRID_CROWD * share, len(self.cell) // 32))
+        per = max(1, GRID_BUDGET // share)
+        for i in range(0, len(verts), per):
+            vs = verts[i : i + per]
+            near = self.cell[vs][:, None] + self.steps
+            lens = self.counts[near]
+            tot = lens.sum(axis=1)
+            fit = tot <= crowd
+            if not fit.all():
+                vs, near, lens, tot = vs[fit], near[fit], lens[fit], tot[fit]
+            ends = np.cumsum(tot)
+            a = 0
+            while a < len(vs):
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - tot[a] + GRID_BUDGET, "right")))
+                yield self._gather(vs[a:b], near[a:b].ravel(), lens[a:b].ravel(), tot[a:b])
+                a = b
+
+    def _gather(self, vs, near, lens, tot):
+        seg = np.cumsum(tot) - tot
+        first = self.starts[near] - (np.cumsum(lens) - lens)
+        cand = self.ids[np.repeat(first, lens) + np.arange(int(tot.sum()))]
+        own = np.repeat(np.arange(len(vs)), tot)
+        key = np.zeros(len(cand), dtype=np.int64)
+        h = self.side
+        margin = np.full(len(vs), 2**31, dtype=np.int64)
+        for x, g in zip(self.axes, self.shape):
+            xv = x[vs]
+            d = x[cand] - xv[own]
+            key += d * d
+            c = xv // h
+            r = xv - c * h  # the block spans [(c - 1) h, (c + 2) h) on this axis
+            np.minimum(margin, np.where(c <= 1, margin, r + h), out=margin)
+            np.minimum(margin, np.where(c >= g - 2, margin, 2 * h - r), out=margin)
+        return vs, cand, key, own, seg, margin * margin
+
+
+def cell_grid(data: PointSet | RankedMetric) -> CellGrid | None:
+    """The certified cell grid of a point set, or None where there is none:
+    a metric, axes past int64 (object dtype), or more than GRID_MAX_AXES
+    axes to split."""
+    if not isinstance(data, PointSet) or data.axes.dtype == object:
+        return None
+    spans = [int(c.max()) for c in data.axes]
+    side = _cell_side(spans, data.n)
+    if sum(s >= side for s in spans) > GRID_MAX_AXES:
+        return None
+    return CellGrid(data, side)
+
+
+def _cell_side(spans: list[int], n: int) -> int:
+    """The integer side h for which the cells over the spans number about
+    n / GRID_OCCUPANCY: h^m = GRID_OCCUPANCY / n times the product of the m
+    spans, over the axes whose span is at least h (a shorter axis is one
+    cell or two, and dropping it only raises h).  h is rounded down before
+    it is compared, so an axis whose span the rounded root just exceeds
+    stays in, and the largest span is never dropped.  Spans of a cell or
+    two on many axes can still make far more cells than points (each such
+    axis pads to four), so h doubles until the padded grid has at most 8n
+    cells."""
+    live = [s for s in spans if s > 0]
+    h = 1
+    while live:
+        h = max(1, int(math.exp((sum(map(math.log, live)) + math.log(GRID_OCCUPANCY / n)) / len(live))))
+        if min(live) >= h:
+            break
+        live = [s for s in live if s >= h]
+    while math.prod(s // h + 3 for s in spans if s >= h) > 8 * n:
+        h *= 2
+    return h
 
 
 @dataclass(frozen=True)
@@ -366,29 +517,66 @@ def as_permutation(order, n: int) -> list[int]:
 
 def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
     """Replay an insertion order: each new vertex attaches to its closest
-    predecessor, read from key_source; the choice is unique and equals the
-    one on metric_from_points.
+    predecessor; the choice is unique and equals the one on
+    metric_from_points.
 
-    A block of positions [p0, p1) reads only the vertices at positions
-    [0, p1), in id order, r (p0 + r) <= SCRATCH keys for r = p1 - p0; only
-    the block's own vertices are masked, each from its own position on.
+    For a point set the cell grid settles each vertex whose nearest
+    predecessor in its block is below the squared margin: the first minimum
+    by (key, id) over the block, the vertex and its successors masked.
+    Every other position goes to the blocked scan (_nearest_predecessors).
     """
     n = data.n
     seq = np.array(as_permutation(order, n), dtype=np.intp)
-    table, keys, top = key_source(data)
-    parents = np.zeros(n, dtype=np.intp)
-    p0 = 1
-    while p0 < n:
-        p1 = min(n, p0 + max(1, (math.isqrt(p0 * p0 + 4 * SCRATCH) - p0) // 2))
-        cols = np.sort(seq[:p1])  # in id order: a row's first minimum breaks ties
-        d = keys(table(seq[p0:p1]), table(cols))
-        for j, c in enumerate(np.searchsorted(cols, seq[p0:p1]).tolist()):
-            d[: j + 1, c] = top  # position p0 + j is no predecessor of p0..p0 + j
-        parents[p0:p1] = cols[d.argmin(axis=1)]
-        p0 = p1
+    parents = np.zeros(n, dtype=np.intp)  # by position
+    left = np.arange(1, n)
+    grid = cell_grid(data)
+    if grid is not None:
+        pos = np.empty(n, dtype=np.intp)
+        pos[seq] = np.arange(n)
+        settled = np.zeros(n, dtype=bool)
+        settled[0] = True
+        for vs, cand, key, own, seg, bound in grid.blocks(seq[1:]):
+            at = pos[vs]
+            key[pos[cand] >= at[own]] = _FAR  # no predecessor of its vertex
+            best = np.minimum.reduceat(key, seg)
+            near = np.minimum.reduceat(np.where(key == best[own], cand, n), seg)
+            ok = best < bound
+            parents[at[ok]] = near[ok]
+            settled[at[ok]] = True
+        del grid, pos  # before the resolver's scratch buffers
+        left = np.flatnonzero(~settled)
+    if len(left):
+        _nearest_predecessors(data, seq, left, parents)
     parent = dict(zip(seq[1:].tolist(), parents[1:].tolist()))
     indeg = np.bincount(parents[1:], minlength=n)
     return OrderedNNG(n, parent, tuple(indeg.tolist()))
+
+
+def _nearest_predecessors(data, seq: np.ndarray, at: np.ndarray, parents: np.ndarray) -> None:
+    """The exact resolver: parents[p] for each position p in ``at``
+    (ascending, all >= 1), the first minimum over the predecessors in id
+    order, read from key_source.
+
+    A block of positions at[i0:i1] reads only the vertices at positions
+    [0, p1), p1 = at[i1 - 1] + 1, in id order: r p1 <= SCRATCH keys for
+    r = i1 - i0.  Only the vertices at positions at[i0] .. p1 - 1 are
+    masked, each in the rows at or before its own position.
+    """
+    table, keys, _, top = key_source(data)
+    i0 = 0
+    while i0 < len(at):
+        ahead = at[i0 : i0 + max(1, SCRATCH // (int(at[i0]) + 1))]
+        fits = np.arange(1, len(ahead) + 1) * (ahead + 1) <= SCRATCH  # r p1, rising
+        i1 = i0 + max(1, int(fits.sum()))
+        rows = at[i0:i1]
+        p0, p1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.sort(seq[:p1])  # in id order: a row's first minimum breaks ties
+        d = keys(table(seq[rows]), table(cols))
+        masked = np.searchsorted(rows, np.arange(p0, p1), "right").tolist()
+        for j, c in zip(masked, np.searchsorted(cols, seq[p0:p1]).tolist()):
+            d[:j, c] = top  # no predecessor of the rows at or before its position
+        parents[rows] = cols[d.argmin(axis=1)]
+        i0 = i1
 
 
 def max_indegree(g: OrderedNNG) -> int:
@@ -402,25 +590,67 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
     not-yet-chosen vertex, then reverse.  Revealed forwards, every new vertex
     is strictly closer to its chain predecessor than to anything revealed
     earlier, so indegrees never exceed 1 and the tail is the path's source.
+
+    A step from v takes the first vertex not yet chosen on v's list of
+    certified neighbours (_near_lists, points only), which begins v's list
+    of all vertices by (key, id).  When there is none it scans v's keys to
+    the vertices not chosen, in id order, for their first minimum.
     """
     n = data.n
     if not 0 <= tail < n:
         raise ValueError(f"tail {tail} out of range for n={n}")
-    # The unchosen vertices stay compacted in id order in a copy of the
-    # table of all, so a row's first minimum is the smaller id on equal
-    # distances.
-    table, keys, _ = key_source(data)
-    every = table(np.arange(n))
-    alive = every.copy()
-    alive[:, tail:-1] = alive[:, tail + 1 :]
+    grid = cell_grid(data)
+    flat, off = _near_lists(grid, n) if grid is not None else (memoryview(b""), [0] * (n + 1))
+    del grid
+    table, _, row, top = key_source(data, n)
+    taken = bytearray(n)
+    chosen = np.frombuffer(taken, dtype=bool)  # a view: it sees every step
+    # The scans read a table of vertices in id order, those chosen since it
+    # was last compacted masked by top; it is compacted once they are an
+    # eighth of it.
+    ids = np.arange(n)
+    cols = table(ids)
     chain = [tail]
-    for m in range(n - 1, 0, -1):
-        v = chain[-1]
-        k = int(keys(every[:, v : v + 1], alive[:, :m]).argmin())
-        chain.append(int(alive[0, k]))
-        alive[:, k : m - 1] = alive[:, k + 1 : m]
+    v = tail
+    for left in range(n - 1, 0, -1):
+        taken[v] = 1
+        for u in flat[off[v] : off[v + 1]]:
+            if not taken[u]:
+                break
+        else:
+            gone = chosen[ids]
+            if 8 * (len(ids) - left) > len(ids):
+                keep = ~gone
+                ids, cols, gone = ids[keep], cols[:, keep], gone[keep]
+            d = row(v, cols)
+            np.putmask(d, gone, top)
+            u = int(ids[d.argmin()])
+        chain.append(u)
+        v = u
     chain.reverse()
     return tuple(chain)
+
+
+def _near_lists(grid: CellGrid, n: int) -> tuple[memoryview, memoryview]:
+    """Each vertex's certified neighbours, as one flat list and each
+    vertex's offsets into it: up to PATH_LIST other points of its block,
+    first by (key, id), each below its squared margin.  Whatever is nearer
+    or ties lower is in the block and listed first, so the list begins the
+    vertex's list of all vertices by (key, id).  Both are memoryviews of
+    int arrays, whose items read as plain ints, where lists would hold an
+    int object per entry."""
+    parts = [np.empty(0, dtype=np.intp)]
+    counts = np.zeros(n, dtype=np.intp)
+    for vs, cand, key, own, _, bound in grid.blocks(np.arange(n)):
+        near = np.flatnonzero(key < bound[own])  # the vertex itself too, at key 0
+        cand, key, own = cand[near], key[near], own[near]
+        cand = cand[np.lexsort((cand, key, own))]  # own is already in runs
+        first = np.searchsorted(own, own)  # each run's start
+        keep = np.arange(len(cand)) - first
+        keep = (keep >= 1) & (keep <= PATH_LIST)  # rank 0 is the vertex
+        parts.append(cand[keep])
+        counts[vs] = np.bincount(own[keep], minlength=len(vs))
+    return memoryview(np.concatenate(parts)), memoryview(np.concatenate(([0], np.cumsum(counts))))
 
 
 def random_rank_metric(n: int, rng: random.Random) -> RankedMetric:

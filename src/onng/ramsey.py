@@ -151,7 +151,7 @@ def run_process_traced(
         raise ValueError("k must be at least 3")
     if not 1 <= n <= data.n:
         raise ValueError(f"n must be in [1, {data.n}]")
-    table, keys, _ = key_source(data)
+    table, keys, _, _ = key_source(data)
     waiting = table(np.arange(n))  # ids ascending in row 0
     members: dict[TripleColor, list[int]] = {c: [] for c in TripleColor}
     anchors: dict[TripleColor, dict[int, list[int]]] = {TripleColor.GREEN: {}, TripleColor.BLUE: {}}

@@ -17,7 +17,7 @@ from functools import cached_property
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onng import PointSet, RankedMetric, build_onng, metric_from_points, random_rank_metric
@@ -882,6 +882,30 @@ def test_order_line_report_schema(tmp_path):
     }
     # keys arrive sorted for byte stability
     assert out.index('"center"') < out.index('"guarantee"') < out.index('"indegrees"')
+
+
+@pytest.mark.parametrize("strategy", ["path", "line", "euclid", "ramsey", "brute", "eval"])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(n=st.one_of(st.just(1), st.just(2), st.integers(3, 300)),
+       guarantee=st.one_of(st.none(), st.integers(0, 40)),
+       center=st.one_of(st.none(), st.integers(0, 299)), seed=st.integers(0, 2**32))
+@example(n=1, guarantee=None, center=None, seed=0)
+@example(n=2, guarantee=1, center=0, seed=1)
+def test_report_writer_is_json_dumps_with_indent(strategy, n, guarantee, center, seed):
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    indegrees = [rng.randrange(n) for _ in range(n)]
+    report = {
+        "strategy": strategy,
+        "n": n,
+        "order": order,
+        "indegrees": indegrees,
+        "max_indegree": max(indegrees),
+        "guarantee": guarantee,
+        "center": center,
+    }
+    assert cli._report_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_order_line_maps_ids_through_sorting(tmp_path):

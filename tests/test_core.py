@@ -1,6 +1,7 @@
 """Ranked metrics, ONNG construction, and the path order."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -23,10 +24,12 @@ from onng import (
 )
 import onng.core as core
 import onng.fileio as fileio
+from onng.cli import _order_line_points
 from onng.core import iter_pairs, shuffled_range
+from onng.euclid import order_euclid
 from onng.fileio import parse_metric, parse_points, write_metric, write_points
 
-from conftest import lattice_point_sets, rand_point_set, reference_metric
+from conftest import lattice_point_sets, rand_point_set, reference_metric, run_cli
 
 
 def test_pair_index_is_bijective():
@@ -339,10 +342,18 @@ def test_integer_grid_scales_to_common_denominator():
 
 @st.composite
 def _point_sets(draw):
-    """Tie-heavy integer lattices (d <= 5, n <= 80), random rationals, and
+    """Tie-heavy integer lattices (d <= 5, n <= 80), random rationals,
     lattices scaled by 2^32 (squared distances overflow int64) or shifted
-    by 2^70 (they do not, but the coordinates do)."""
-    kind = draw(st.sampled_from(["lattice", "rational", "scaled", "shifted"]))
+    by 2^70 (they do not, but the coordinates do), collinear 2-D points, and
+    a lattice in one cell of the grid beside a far outlier."""
+    kind = draw(st.sampled_from(["lattice", "rational", "scaled", "shifted", "collinear", "outlier"]))
+    if kind == "collinear":
+        ts = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=80, unique=True))
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (2, -3)]))
+        return PointSet(2, tuple((a * t, b * t + 5) for t in ts))
+    if kind == "outlier":
+        ps = draw(lattice_point_sets(max_dim=3))
+        return PointSet(ps.dim, ps.exact() + ((10**9,) * ps.dim,))
     if kind == "rational":
         dim = draw(st.integers(1, 3))
         coord = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -366,6 +377,8 @@ def test_point_rebuild_matches_metric_rebuild(data):
     assert m == reference_metric(ps)
     order = data.draw(st.permutations(range(ps.n)))
     assert build_onng(ps, order) == build_onng(m, order)
+    for order in (order_euclid(ps)[0], order[::-1]):
+        assert build_onng(ps, order) == build_onng(m, order)
     tail = data.draw(st.integers(0, ps.n - 1))
     assert path_order(ps, tail) == path_order(m, tail)
 
@@ -383,17 +396,41 @@ def test_path_order_on_lattices_is_a_path_to_the_tail(ps, data):
 
 
 def _multi_block_point_set(kind, rng):
-    """513 to 1200 points, so build_onng scans more than one block (its
-    first is positions 1..511): shuffled tie-heavy lattices, the same scaled
-    by 2^32 (object dtype), or random points."""
-    dim, n = rng.randint(1, 3), rng.randint(513, 1200)
+    """513 to 1200 points in d = 1..5, so build_onng scans more than one
+    block (its first is positions 1..511) and the cell grid more than one
+    chunk: shuffled tie-heavy lattices, the same scaled by 2^32 (object
+    dtype), or random points."""
+    dim, n = rng.randint(1, 5), rng.randint(513, 1200)
     if kind == "random":
         return rand_point_set(rng, n, dim)
-    side = {1: 1200, 2: 35, 3: 11}[dim]
+    side = {1: 1200, 2: 35, 3: 11, 4: 6, 5: 5}[dim]
     rows = rng.sample(list(product(range(side), repeat=dim)), n)
     if kind == "scaled":
         rows = [tuple(c * 2**32 for c in r) for r in rows]
     return PointSet(dim, tuple(rows))
+
+
+def _orders(ps, m, rng) -> dict:
+    """The orders a point rebuild is checked in: euclid, line (1-D only),
+    path on the metric, random and reversed."""
+    n = ps.n
+    orders = {"euclid": order_euclid(ps)[0], "path": path_order(m, rng.randrange(n)),
+              "reversed": list(range(n))[::-1]}
+    orders["random"] = list(range(n))
+    rng.shuffle(orders["random"])
+    if ps.dim == 1:
+        orders["line"] = _order_line_points(ps)[0]
+    return orders
+
+
+def _assert_points_match_metric(ps, rng) -> None:
+    """build_onng and path_order on ps equal them on its metric, in every
+    order of _orders and from three tails."""
+    m = metric_from_points(ps)
+    for name, order in _orders(ps, m, rng).items():
+        assert build_onng(ps, order) == build_onng(m, order), name
+    for tail in {0, ps.n - 1, rng.randrange(ps.n)}:
+        assert path_order(ps, tail) == path_order(m, tail), tail
 
 
 @pytest.mark.parametrize("kind", ["lattice", "scaled", "random"])
@@ -405,9 +442,120 @@ def test_multi_block_rebuild_matches_metric_rebuild(kind, seed):
     rng = random.Random(seed)
     ps = _multi_block_point_set(kind, rng)
     assert kind != "scaled" or ps.axes.dtype == object
+    _assert_points_match_metric(ps, rng)
+
+
+def _spy_resolver(monkeypatch) -> list:
+    """The positions each build_onng call leaves to the blocked scan."""
+    left = []
+    resolve = core._nearest_predecessors
+
+    def spy(data, seq, at, parents):
+        left.append(at.tolist())
+        return resolve(data, seq, at, parents)
+
+    monkeypatch.setattr(core, "_nearest_predecessors", spy)
+    return left
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_on_cell_boundaries(dim, seed):
+    # points at multiples of the cell side and one unit either side, so
+    # many lie exactly on a cell's lower face or one unit inside its upper
+    # one; the span and n fix the side the grid takes
+    rng = random.Random(seed)
+    n, span = {1: (40, 1000), 2: (200, 1000), 3: (300, 600)}[dim]
+    h = core._cell_side([span] * dim, n)
+    marks = [c for k in range(span // h + 1) for c in (k * h - 1, k * h, k * h + 1) if 0 < c < span]
+    corners = [(0,) * dim, (span,) * dim]
+    pool = [r for r in product(marks, repeat=dim) if r not in corners]
+    ps = PointSet(dim, tuple(corners + rng.sample(pool, n - 2)))
+    assert core.cell_grid(ps).side == h
+    _assert_points_match_metric(ps, rng)
+
+
+def test_grid_leaves_a_tie_at_the_margin_to_the_kernel(monkeypatch):
+    # q = 3h - 1 sits in cell 2, whose block is cells 1..3; its margin is
+    # h + 1, to the block's upper face.  b in cell 1 and a = 4h outside the
+    # block are both h + 1 away, and a has the smaller id: only the kernel
+    # may settle q
+    span, n = 1000, 10
+    h = core._cell_side([span], n)
+    q, a, b = 3 * h - 1, 4 * h, 2 * h - 2
+    rows = [0, 1, a, 2, b, 3, 4, 5, span, q]
+    assert len(set(rows)) == n and max(rows) == span
+    ps = PointSet(1, tuple((c,) for c in rows))
+    grid = core.cell_grid(ps)
+    assert grid.side == h
+    _, cand, key, _, _, bound = next(grid.blocks(np.array([9])))
+    assert bound[0] == (h + 1) ** 2 and sorted(key.tolist())[1] == (h + 1) ** 2
+    assert 2 not in cand.tolist() and 4 in cand.tolist()  # the ids of a and b
     m = metric_from_points(ps)
+    left = _spy_resolver(monkeypatch)
+    g = build_onng(ps, range(n))
+    assert 9 in left[0]  # q's position
+    assert g.parent[9] == 2 and g == build_onng(m, range(n))
+    assert path_order(ps, 9) == path_order(m, 9)
+    assert path_order(ps, 9)[-2] == 2  # the step from q goes to a
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_crowded_blocks_fall_back_entirely(dim, monkeypatch):
+    # every point but one in a single cell, the last far away: each
+    # cluster vertex's block is crowded and the outlier's holds no
+    # predecessor, so the grid settles nothing
+    rng = random.Random(dim)
+    side = {1: 400, 2: 20, 3: 7}[dim]
+    rows = rng.sample(list(product(range(side), repeat=dim)), 299) + [(10**9,) * dim]
+    rng.shuffle(rows)
+    ps = PointSet(dim, tuple(rows))
+    left = _spy_resolver(monkeypatch)
     order = list(range(ps.n))
     rng.shuffle(order)
-    assert build_onng(ps, order) == build_onng(m, order)
-    tail = rng.randrange(ps.n)
-    assert path_order(ps, tail) == path_order(m, tail)
+    g = build_onng(ps, order)
+    assert left == [list(range(1, ps.n))]
+    assert g == build_onng(metric_from_points(ps), order)
+    _assert_points_match_metric(ps, rng)
+
+
+@pytest.mark.parametrize("line", [(1, 2), (0, 1), (1, 0), (3, -1)])
+def test_grid_on_collinear_points(line):
+    # one axis or none split; on a diagonal the blocks are crowded with
+    # the points of the few cells the line crosses
+    rng = random.Random(sum(line))
+    ts = rng.sample(range(10**6), 1000)
+    ps = PointSet(2, tuple((line[0] * t, line[1] * t + 10**6) for t in ts))
+    _assert_points_match_metric(ps, rng)
+
+
+def test_grid_settles_most_of_a_random_set(monkeypatch):
+    # the grid is not idle where it should work: on 4096 random 2-D points
+    # in a random order it leaves under a fifth of the positions
+    rng = random.Random(7)
+    ps = rand_point_set(rng, 4096, 2)
+    left = _spy_resolver(monkeypatch)
+    order = list(range(ps.n))
+    rng.shuffle(order)
+    build_onng(ps, order)
+    assert len(left) == 1 and len(left[0]) < ps.n // 5
+
+
+def test_grid_rebuild_and_path_peak_memory_stay_at_the_parents():
+    # tracemalloc peaks on `gen random-points --n 4096 --d 3 --seed 1`, in
+    # the euclid order, before the cell grid (the blocked scan over all
+    # pairs): build_onng 4,805,232 B and path_order 4,646,056 B.  The
+    # grid's chunks of GRID_BUDGET candidates may add at most 0.1 MiB
+    code, text, _ = run_cli(["gen", "random-points", "--n", "4096", "--d", "3", "--seed", "1"])
+    assert code == 0
+    ps = parse_points(text)
+    order = order_euclid(ps)[0]
+    for run, parent in ((lambda: build_onng(ps, order), 4_805_232), (lambda: path_order(ps, 0), 4_646_056)):
+        run()  # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent + 0.1 * 2**20, (peak, parent)

@@ -8,7 +8,9 @@ hard line, and hand-written files with 1/3, negative decimals and
 coordinates past int64 (one whose squared distances still fit int64 after
 the shift to 0, and two whose do not).  gen random-metric is pinned in a
 table of its own, at n = 1, 2, 12 and 1024: its bytes replay
-random.Random.shuffle, and no command above reads them.
+random.Random.shuffle, and no command above reads them.  A third table pins
+the points benchmark's sizes: euclid on 4096 random 2-D and 3-D points, line
+on the 4096-point hard line and path on the 2-D set.
 """
 
 import hashlib
@@ -166,6 +168,47 @@ PINNED = {
 
 def test_cli_stdout_matches_pinned_digests(tmp_path):
     assert stdout_digests(tmp_path) == PINNED
+
+
+# The benchmark's sizes, where the cell grid settles most vertices: at
+# n <= 300 above it leaves most of them to the blocked scan.
+LARGE_GENS = {
+    "pts4096x2": ["gen", "random-points", "--n", "4096", "--d", "2", "--seed", "21"],
+    "pts4096x3": ["gen", "random-points", "--n", "4096", "--d", "3", "--seed", "22"],
+    "hard_line_k12": ["gen", "hard-line", "--k", "12"],
+}
+LARGE_ORDERS = {
+    "euclid.pts4096x2": ("pts4096x2", ["--strategy", "euclid"]),
+    "euclid.pts4096x3": ("pts4096x3", ["--strategy", "euclid"]),
+    "line.hard_line_k12": ("hard_line_k12", ["--strategy", "line"]),
+    "path.pts4096x2": ("pts4096x2", ["--strategy", "path", "--tail", "0"]),
+}
+
+# recorded before the cell grid, from the all-pairs blocked scan
+PINNED_LARGE = {
+    "gen.pts4096x2": "bb1dbb04136a60855bf7e3265da9c5c988853cd778eb73ace39413c37d224ffd",
+    "gen.pts4096x3": "9ebe30026723bc563494b8b2d9bf4a5f952a95a6b0323ee4c2c534b208654ba7",
+    "gen.hard_line_k12": "20fb43c16b37e0679f95c4d3dc2d38d4aa57d685f3c62cf4fd57b4f6bbba081a",
+    "euclid.pts4096x2": "9176fc75c065f8fe08504724e22194e0becde96badfffa8ad7d71557c4c27c24",
+    "euclid.pts4096x3": "441721a98dfd8eaa5a75a84dc82636656ef75a692629e9a6f617515e1c86d5f4",
+    "line.hard_line_k12": "815911816a297cac5529ace354f7f93e17f9b9f51a7237c0f370000dfaf0418e",
+    "path.pts4096x2": "79d5930a89fd7866506fc9286e198ca297c6b83c3eecf6203f6325a41455e18c",
+}
+
+
+def test_cli_stdout_matches_pinned_digests_at_benchmark_sizes(tmp_path):
+    digests = {}
+    for name, argv in LARGE_GENS.items():
+        argv = argv + ["-o", str(tmp_path / f"{name}.txt")]
+        code, _, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        digests[f"gen.{name}"] = hashlib.sha256((tmp_path / f"{name}.txt").read_bytes()).hexdigest()
+    for name, (src, args) in LARGE_ORDERS.items():
+        argv = ["order", *args, "--input", str(tmp_path / f"{src}.txt")]
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == PINNED_LARGE
 
 
 METRIC_GENS = {
