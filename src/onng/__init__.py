@@ -29,7 +29,7 @@ from .euclid import (
     log_guarantee,
     order_euclid,
 )
-from .line import LinePointSet, gen_hard_line, order_line, truncate_hard_line
+from .line import gen_hard_line, order_line, truncate_hard_line
 from .oracle import (
     Problem1Report,
     best_order_exhaustive,
@@ -70,7 +70,6 @@ __all__ = [
     "halfspace_split",
     "log_guarantee",
     "order_euclid",
-    "LinePointSet",
     "gen_hard_line",
     "order_line",
     "truncate_hard_line",

@@ -22,7 +22,6 @@ from typing import Iterable
 
 from . import euclid, fileio, line, oracle, ramsey
 from .core import (
-    Order,
     PointSet,
     RankedMetric,
     as_permutation,
@@ -170,7 +169,7 @@ def cmd_gen(args) -> int:
             ps = line.gen_hard_line(args.k)
         else:
             ps = line.truncate_hard_line(args.k, args.n)
-        _emit(fileio.write_points(ps.to_point_set()), args.output)
+        _emit(fileio.write_points(ps), args.output)
         return 0
     if args.kind == "random-points":
         if args.n < 1 or args.d < 1:
@@ -197,20 +196,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _order_line_points(data) -> tuple[Order, int, int]:
-    if not isinstance(data, PointSet) or data.dim != 1:
-        raise UsageError("line strategy needs a 1-D points input")
-    # order_line's splits and center are the same on the grid ints: its
-    # test 2c < a + b is unchanged by x -> den * x - origin
-    coords = data.axes[0].tolist()
-    ids = sorted(range(len(coords)), key=coords.__getitem__)
-    lps = line.LinePointSet(tuple(coords[i] for i in ids))
-    sorted_order, sorted_center = line.order_line(lps)
-    order = tuple(ids[i] for i in sorted_order)
-    n = len(coords)
-    return order, (n - 1).bit_length(), ids[sorted_center]
-
-
 def cmd_order(args) -> int:
     data = _load_input(args.input, args.input_format)
     strategy = args.strategy
@@ -223,7 +208,10 @@ def cmd_order(args) -> int:
         order = path_order(data, args.tail)
         guarantee = 1 if data.n >= 2 else 0
     elif strategy == "line":
-        order, guarantee, center = _order_line_points(data)
+        if not isinstance(data, PointSet) or data.dim != 1:
+            raise UsageError("line strategy needs a 1-D points input")
+        order, center = line.order_line(data)
+        guarantee = (data.n - 1).bit_length()
     elif strategy == "euclid":
         if not isinstance(data, PointSet):
             raise UsageError("euclid strategy needs a points input")

@@ -306,16 +306,8 @@ def parse_points(text: str | Source) -> PointSet:
 
 
 def write_points(ps: PointSet) -> str:
-    out = []
-    for row in ps.exact():
-        out.append(" ".join(_format_coord(c) for c in row))
-    return "\n".join(out) + "\n"
-
-
-def _format_coord(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    # str spells an int "3" and a Fraction "-1/2", as parse_points reads them
+    return "\n".join(" ".join(map(str, row)) for row in ps.exact()) + "\n"
 
 
 def parse_metric(text: str | Source) -> RankedMetric:

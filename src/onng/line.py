@@ -12,91 +12,79 @@ repeatedly union a copy shifted by 3^k.  The copies stay so far apart that
 across the gap every vertex can collect at most one incoming edge, capping
 the maximum indegree of every insertion order at log2 of the size.
 
-Coordinates are exact ints or Fractions throughout; the doubling sets grow
-like 3^k, so floats would drop low bits almost immediately.
+Both work on 1-D PointSets, whose axes are exact grid ints; the doubling
+sets grow like 3^k, so floats would drop low bits almost immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import numpy as np
 
-from .core import GuardError, Order, PointSet
+from .core import GuardError, Order, PointSet, _on_grid
 
 # 2^k points with coordinates near 3^k: past this, the set itself is no
-# longer desk-scale, so refuse loudly instead of thrashing memory.
+# longer desk-scale, so refuse loudly instead of thrashing memory.  At k = 20
+# the span (3^20 - 1) / 2 is below 2^31, so the set's squared distances
+# still fit int64.
 MAX_HARD_K = 20
 
 
-@dataclass(frozen=True)
-class LinePointSet:
-    """Strictly increasing exact coordinates on a line; vertex id = position."""
-
-    coords: tuple
-
-    def __post_init__(self) -> None:
-        if not self.coords:
-            raise ValueError("need at least one point")
-        for c in self.coords:
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"coordinate {c!r} is not an exact rational")
-        for a, b in zip(self.coords, self.coords[1:]):
-            if not a < b:
-                raise ValueError("coordinates must be strictly increasing")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def to_point_set(self) -> PointSet:
-        return PointSet(1, tuple((c,) for c in self.coords))
+def _line_set(x: np.ndarray) -> PointSet:
+    """The 1-D PointSet of the distinct int64 coordinates x (shifted in place)."""
+    return _on_grid(PointSet.__new__(PointSet), 1, x[None])
 
 
-def gen_hard_line(k: int) -> LinePointSet:
-    """The k-th doubling set: 2^k ints, diameter (3^k - 1) / 2."""
+def gen_hard_line(k: int) -> PointSet:
+    """The k-th doubling set: 2^k ints, diameter (3^k - 1) / 2, ids left to right."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_HARD_K:
         raise GuardError(f"k={k} exceeds the size budget (k <= {MAX_HARD_K}, set has 2^k points)")
-    pts = [0, 1]
+    x = np.array([0, 1], dtype=np.int64)
     for j in range(1, k):
-        shift = 3**j
-        pts = pts + [shift + x for x in pts]
-    return LinePointSet(tuple(pts))
+        x = np.concatenate((x, x + 3**j))
+    return _line_set(x)
 
 
-def truncate_hard_line(k: int, n: int) -> LinePointSet:
+def truncate_hard_line(k: int, n: int) -> PointSet:
     """Leftmost n points of the (k+1)-th doubling set, for 2^k < n <= 2^(k+1)."""
     if not 2**k < n <= 2 ** (k + 1):
         raise ValueError(f"need 2^{k} < n <= 2^{k + 1}, got n={n}")
-    return LinePointSet(gen_hard_line(k + 1).coords[:n])
+    if k >= MAX_HARD_K:
+        raise GuardError(f"k={k}, n={n} exceeds the size budget (n <= 2^{MAX_HARD_K} points)")
+    return _line_set(gen_hard_line(k + 1).axes[0][:n].copy())
 
 
-def order_line(ps: LinePointSet) -> tuple[Order, int]:
-    """Insertion order with max indegree >= ceil(log2 n), plus its center.
+def order_line(ps: PointSet) -> tuple[Order, int]:
+    """Insertion order of the 1-D set ps with max indegree >= ceil(log2 n),
+    plus its center, both in ps's ids.
 
     Split at the midpoint of the extremes: A keeps the points strictly
     closer to the left extreme (an exact midpoint goes with the right side),
     and the larger side is recursed on, ties keeping the left.  The emitted
     list is center, far extreme, rest of the recursive order, then the
-    untouched side left to right.
+    untouched side left to right.  In sorted order each side is a range, so
+    the recursion is a loop over one range [lo, hi), one bisection a level,
+    and its order is the center, each level's far extreme, then each level's
+    untouched side without its far extreme, deepest level first.
     """
-    coords = ps.coords
-
-    def rec(ids: list[int]) -> tuple[list[int], int]:
-        if len(ids) == 1:
-            return [ids[0]], ids[0]
-        a, b = ids[0], ids[-1]
-        s = coords[a] + coords[b]
-        left = [i for i in ids if 2 * coords[i] < s]
-        right = [i for i in ids if 2 * coords[i] >= s]
-        if len(left) >= len(right):
-            major, far, minor = left, b, right
+    if ps.dim != 1:
+        raise ValueError(f"order_line needs a 1-D point set, got dimension {ps.dim}")
+    ids = np.argsort(ps.axes[0], kind="stable")
+    x = ps.axes[0][ids]
+    lo, hi = 0, ps.n
+    fars, rests = [], []
+    while hi - lo > 1:
+        # 2x < x[lo] + x[hi - 1] iff x < ceil(s / 2): m starts the right side
+        s = int(x[lo]) + int(x[hi - 1])
+        m = lo + int(x[lo:hi].searchsorted(-(-s // 2)))
+        if m - lo >= hi - m:
+            fars.append(hi - 1)
+            rests.append(np.arange(m, hi - 1))
+            hi = m
         else:
-            major, far, minor = right, a, left
-        sub, center = rec(major)
-        rest = [i for i in minor if i != far]
-        return [center, far] + sub[1:] + rest, center
-
-    order, center = rec(list(range(ps.n)))
-    return tuple(order), center
+            fars.append(lo)
+            rests.append(np.arange(lo + 1, m))
+            lo = m
+    pos = np.concatenate([np.array([lo, *fars]), *reversed(rests)])
+    return tuple(ids[pos].tolist()), int(ids[lo])

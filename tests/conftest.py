@@ -12,17 +12,18 @@ from itertools import combinations, islice, permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from onng import LinePointSet, PointSet, RankedMetric, oracle, pair_index
+from onng import PointSet, RankedMetric, oracle, pair_index
 from onng.cli import main as cli_main
 from onng.fileio import Lines
 
 
-def rand_line_set(rng: random.Random, n: int) -> LinePointSet:
-    """Strictly increasing rationals with one common denominator <= 1e6 and
-    numerators < 1e7; small enough that squared spans stay inside int64."""
+def rand_line_set(rng: random.Random, n: int) -> PointSet:
+    """A 1-D set, ids left to right, of rationals with one common
+    denominator <= 1e6 and numerators < 1e7; small enough that squared spans
+    stay inside int64."""
     q = rng.randint(1, 10**6)
     nums = sorted(rng.sample(range(10**7), n))
-    return LinePointSet(tuple(Fraction(p, q) for p in nums))
+    return PointSet(1, tuple((Fraction(p, q),) for p in nums))
 
 
 def rand_point_set(rng: random.Random, n: int, d: int) -> PointSet:

@@ -38,10 +38,10 @@ def test_criterion_1_line_lower_bound_200_random_sets():
     worst = 0.0
     for trial in range(200):
         n = min(1024, max(2, int(2 ** rng.uniform(1, 10))))
-        lps = rand_line_set(rng, n)
+        ps = rand_line_set(rng, n)
         t0 = time.monotonic()
-        order, center = order_line(lps)
-        g = build_onng(metric_from_points(lps.to_point_set()), order)
+        order, center = order_line(ps)
+        g = build_onng(metric_from_points(ps), order)
         dt = time.monotonic() - t0
         worst = max(worst, dt)
         assert max_indegree(g) >= (n - 1).bit_length(), (trial, n)
@@ -52,7 +52,7 @@ def test_criterion_1_line_lower_bound_200_random_sets():
 def test_criterion_2_hard_line_upper_bound_exhaustive():
     t0 = time.monotonic()
     for k in (1, 2, 3):
-        m = metric_from_points(gen_hard_line(k).to_point_set())
+        m = metric_from_points(gen_hard_line(k))
         profile = degree_profile_exhaustive(m)
         assert max(profile) <= k, (k, profile)
         _, best = best_order_exhaustive(m)
@@ -141,7 +141,7 @@ def test_criterion_6_search_n4_reproduces_claim():
     assert rep["counterexamples"] == []
     assert rep["witnesses_at_one"] >= 1
     # the doubling line set's metric is one of the equality witnesses
-    m = metric_from_points(gen_hard_line(2).to_point_set())
+    m = metric_from_points(gen_hard_line(2))
     assert problem1_sum(m) == Fraction(1)
     assert dt < 30.0, dt
     print(f"\nACCEPTANCE 6 PASS: n=4 scan = 720 metrics, max 1, no counterexamples ({dt:.1f}s)")
@@ -163,14 +163,12 @@ def test_criterion_6_search_n5_full_scan():
 
 def test_criterion_7_no_strategy_beats_the_oracle():
     rng = random.Random(107)
-    from onng import LinePointSet
-
     for trial in range(50):
         n = rng.randint(2, 7)
         if trial % 2 == 0:
-            lps = rand_line_set(rng, n)
-            m = metric_from_points(lps.to_point_set())
-            geometric = lps
+            ps = rand_line_set(rng, n)
+            m = metric_from_points(ps)
+            geometric = ps
         else:
             m = random_rank_metric(n, rng)
             geometric = None
@@ -182,7 +180,7 @@ def test_criterion_7_no_strategy_beats_the_oracle():
         if geometric is not None:
             order, _ = order_line(geometric)
             achieved["line"] = max_indegree(build_onng(m, order))
-            order, _, _ = order_euclid(geometric.to_point_set())
+            order, _, _ = order_euclid(geometric)
             achieved["euclid"] = max_indegree(build_onng(m, order))
         for name, val in achieved.items():
             assert val <= best, (trial, name, val, best)

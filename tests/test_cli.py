@@ -846,6 +846,14 @@ def test_gen_hard_line_truncated(tmp_path):
     assert target.read_text() == "0\n1\n3\n"
 
 
+def test_gen_hard_line_truncation_refusal_names_the_given_k_and_n(tmp_path):
+    target = tmp_path / "pts.txt"
+    code, out, err = run_cli(["gen", "hard-line", "--k", "20", "--n", "1048577", "-o", str(target)])
+    assert (code, out) == (2, "")
+    assert err == "onng: refused: k=20, n=1048577 exceeds the size budget (n <= 2^20 points)\n"
+    assert not target.exists()
+
+
 def test_gen_commands_are_seed_deterministic():
     for argv in (
         ["gen", "random-points", "--n", "12", "--d", "3", "--seed", "99"],

@@ -18,13 +18,13 @@ from onng import (
     build_onng,
     max_indegree,
     metric_from_points,
+    order_line,
     pair_index,
     path_order,
     random_rank_metric,
 )
 import onng.core as core
 import onng.fileio as fileio
-from onng.cli import _order_line_points
 from onng.core import iter_pairs, shuffled_range
 from onng.euclid import order_euclid
 from onng.fileio import parse_metric, parse_points, write_metric, write_points
@@ -419,7 +419,7 @@ def _orders(ps, m, rng) -> dict:
     orders["random"] = list(range(n))
     rng.shuffle(orders["random"])
     if ps.dim == 1:
-        orders["line"] = _order_line_points(ps)[0]
+        orders["line"] = order_line(ps)[0]
     return orders
 
 

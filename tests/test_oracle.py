@@ -170,9 +170,9 @@ def _larger_metrics(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_larger_metrics())
-@example(metric_from_points(gen_hard_line(1).to_point_set()))
-@example(metric_from_points(gen_hard_line(2).to_point_set()))
-@example(metric_from_points(gen_hard_line(3).to_point_set()))
+@example(metric_from_points(gen_hard_line(1)))
+@example(metric_from_points(gen_hard_line(2)))
+@example(metric_from_points(gen_hard_line(3)))
 def test_oracle_matches_frozen_dp(m):
     # past n = 7 an n! sweep is too slow; the subset DP is the reference
     assert degree_profile_exhaustive(m) == reference_profile(m)
@@ -215,7 +215,7 @@ def test_problem1_search_agrees_with_object_route_n3():
 
 
 def test_hard_line_metric_is_an_equality_witness():
-    m = metric_from_points(gen_hard_line(2).to_point_set())
+    m = metric_from_points(gen_hard_line(2))
     assert problem1_sum(m) == Fraction(1)
 
 
