@@ -8,23 +8,23 @@ point set ranks its pairs by exact squared distance, ties broken by the
 index pair.  Strictness stands in for the usual general-position assumption
 (no isosceles triples): every nearest-predecessor choice is unique.
 
-A point set stores one coordinate form, its axes: exact integers on a
-common grid, one row per axis, built once at construction.  One distance
-kernel reads them, sq_dist_rows, which writes each block into two
-preallocated scratch buffers of about SCRATCH entries, so no scan's memory
-grows with its length.  Every comparison a strategy makes is between two
-pairs that share a vertex, and between {v, a} and {v, b} the tie-break by
-index pair is simply "smaller neighbour id".  So one key source,
-key_source, answers them all from ranks or exact squared distances, and
-build_onng, path_order and the Ramsey process, which read only it, never
-rank all pairs of a point set.  metric_from_points builds the full
-RankedMetric only for the exhaustive oracle and as the tests' reference.
+A point set stores one coordinate form, its axes: exact integers on a common
+grid, one row per axis, built once at construction.  One distance kernel
+reads them, sq_dist_rows, which writes each block into two preallocated
+scratch buffers of SCRATCH entries, grown to one row past SCRATCH points, so
+no scan's memory grows with the pairs it reads.  Every comparison a strategy
+makes is between two pairs that share a vertex, and between {v, a} and
+{v, b} the tie-break by index pair is simply "smaller neighbour id".  So one
+key source, key_source, answers them all from ranks or exact squared
+distances, and build_onng, path_order and the Ramsey process, which read
+only it, never rank all pairs of a point set.  metric_from_points builds the
+full RankedMetric only for the exhaustive oracle and as the tests' reference.
 
 For a point set, build_onng and path_order first ask one certified cell
 grid (cell_grid), which settles a vertex from the points of the 3^d cells
 around its own whenever the best of them is nearer than anything outside.
 What the grid leaves, and everything for a metric, goes to the blocked
-key_source scan: the one exact resolver.
+key_source scan, the one exact resolver, over the vertices in position order.
 
 Everything here is an immutable value after construction and every operation
 is a pure function of its arguments, so no locking or shared state is needed
@@ -51,8 +51,11 @@ class GuardError(ValueError):
 
 # Largest point set metric_from_points ranks: it holds n(n-1)/2 pairs.
 RANK_PAIRS_MAX_N = 2**13
-# Entries in each of the two buffers a points distance scan writes into.
-SCRATCH = 2**18
+# Entries in each of the two buffers a points distance scan writes into:
+# 256 KiB of int64, which fits in L2.  A block costs only its own keys (the
+# resolver reads a prefix of one table and sorts nothing), so small blocks
+# are as fast as large ones.
+SCRATCH = 2**15
 # The cell grid: the points per cell its side aims at, the most candidates
 # one chunk of its scan gathers, how many times its expected share of
 # points a vertex's block may hold before the vertex is left to the kernel,
@@ -258,7 +261,7 @@ def _on_grid(ps: PointSet, den: int, x: np.ndarray) -> PointSet:
 def scratch(xt: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The two buffers sq_dist_rows writes into, ``size`` entries each in
     the dtype of the axes ``xt``.  A block scan takes max(SCRATCH, n): its
-    blocks hold about SCRATCH entries, and at least one row of n."""
+    blocks hold at most SCRATCH entries, or one longer row of up to n."""
     return np.empty(size, dtype=xt.dtype), np.empty(size, dtype=xt.dtype)
 
 
@@ -329,15 +332,16 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
 def key_source(data: PointSet | RankedMetric, size: int | None = None):
     """How the pairs {v, a} and {v, b} compare, for either input: (table,
     keys, row, top).  table(ids) lays vertices out as columns, ids in row 0
-    and below them what keys reads (a point set's axes).  keys(a, b) is the
-    (len a, len b) array of exact keys of the pairs {a_i, b_j}: ranks, or
-    squared distances in scratch buffers of ``size`` entries (by default
-    max(SCRATCH, 2n)) that the next call overwrites.  row(v, cols) is
-    keys for the one vertex v against the columns of a table, as a 1-D
-    array: taken from row v of the rank matrix, not by keys' 2-D index, or
-    in the buffers again.  Those rank as metric_from_points ranks them when
-    the caller breaks a tie to the smaller id (the first minimum over
-    ascending ids, or a strict comparison).  top exceeds every key."""
+    and below them what keys reads (a point set's axes), as is any slice of
+    its columns.  keys(a, b) is the (len a, len b) array of exact keys of
+    the pairs {a_i, b_j}: ranks, or squared distances in scratch buffers of
+    ``size`` entries (by default max(SCRATCH, 2n): a block, or two rows)
+    that the next call overwrites.  row(v, cols) is keys for the one vertex
+    v against the columns of a table, as a 1-D array: taken from row v of
+    the rank matrix, not by keys' 2-D index, or in the buffers again.
+    Those rank as metric_from_points ranks them when the caller breaks a
+    tie to the smaller id (the smallest id among a row's minima, or a
+    strict comparison).  top exceeds every key."""
     n = data.n
     if isinstance(data, RankedMetric):
         mat, below, top = data._matrix, np.empty((0, n), dtype=np.intp), n * (n - 1) // 2
@@ -554,15 +558,16 @@ def build_onng(data: PointSet | RankedMetric, order) -> OrderedNNG:
 
 def _nearest_predecessors(data, seq: np.ndarray, at: np.ndarray, parents: np.ndarray) -> None:
     """The exact resolver: parents[p] for each position p in ``at``
-    (ascending, all >= 1), the first minimum over the predecessors in id
-    order, read from key_source.
+    (ascending, all >= 1), the first minimum by (key, id) over the
+    predecessors, read from key_source.
 
-    A block of positions at[i0:i1] reads only the vertices at positions
-    [0, p1), p1 = at[i1 - 1] + 1, in id order: r p1 <= SCRATCH keys for
-    r = i1 - i0.  Only the vertices at positions at[i0] .. p1 - 1 are
-    masked, each in the rows at or before its own position.
+    One table holds the vertices in position order, so a block of positions
+    at[i0:i1] reads its prefix [0, p1), p1 = at[i1 - 1] + 1: r p1 <= SCRATCH
+    keys for r = i1 - i0, or one longer row.  Each row masks its own
+    position and every later one, then takes the smallest id of its minima.
     """
-    table, keys, _, top = key_source(data)
+    table, keys, _, top = key_source(data, max(SCRATCH, len(seq)))  # a block, or one row
+    t = table(seq)
     i0 = 0
     while i0 < len(at):
         ahead = at[i0 : i0 + max(1, SCRATCH // (int(at[i0]) + 1))]
@@ -570,12 +575,10 @@ def _nearest_predecessors(data, seq: np.ndarray, at: np.ndarray, parents: np.nda
         i1 = i0 + max(1, int(fits.sum()))
         rows = at[i0:i1]
         p0, p1 = int(rows[0]), int(rows[-1]) + 1
-        cols = np.sort(seq[:p1])  # in id order: a row's first minimum breaks ties
-        d = keys(table(seq[rows]), table(cols))
-        masked = np.searchsorted(rows, np.arange(p0, p1), "right").tolist()
-        for j, c in zip(masked, np.searchsorted(cols, seq[p0:p1]).tolist()):
-            d[:j, c] = top  # no predecessor of the rows at or before its position
-        parents[rows] = cols[d.argmin(axis=1)]
+        d = keys(t[:, rows], t[:, :p1])
+        d[:, p0:][np.arange(p0, p1) >= rows[:, None]] = top  # no predecessor of its row
+        best = d.min(axis=1)
+        parents[rows] = np.where(d == best[:, None], seq[:p1], len(seq)).min(axis=1)
         i0 = i1
 
 

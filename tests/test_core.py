@@ -445,6 +445,35 @@ def test_multi_block_rebuild_matches_metric_rebuild(kind, seed):
     _assert_points_match_metric(ps, rng)
 
 
+@pytest.mark.parametrize("scratch", [37, 512, 4096])
+def test_resolver_across_block_edges(scratch, monkeypatch):
+    # small scratch blocks hold one row or a few, and a row longer than
+    # SCRATCH is a block of its own in buffers grown to that row; the
+    # references are taken at the default SCRATCH, the metric's by the
+    # naive scan
+    rng = random.Random(scratch)
+    lattice = rng.sample(list(product(range(30), repeat=2)), 600)
+    sets = [
+        PointSet(2, tuple((rng.randrange(10**9), rng.randrange(10**9)) for _ in range(600))),
+        PointSet(2, tuple(lattice)),
+        PointSet(2, tuple((x * 2**32, y * 2**32) for x, y in lattice)),
+    ]
+    assert sets[2].axes.dtype == object
+    cases = []
+    for ps in sets:
+        m = metric_from_points(ps)
+        orders = [order_euclid(ps)[0], list(range(ps.n))[::-1], rng.sample(range(ps.n), ps.n)]
+        cases += [(ps, m, order, build_onng(m, order)) for order in orders]
+    m = random_rank_metric(300, rng)
+    for order in (list(range(m.n))[::-1], rng.sample(range(m.n), m.n)):
+        parent, indeg = _naive_build(m, order)
+        cases.append((m, m, order, core.OrderedNNG(m.n, parent, indeg)))
+    monkeypatch.setattr(core, "SCRATCH", scratch)
+    for data, m, order, want in cases:
+        assert data is m or metric_from_points(data) == m
+        assert build_onng(data, order) == want, (data, scratch)
+
+
 def _spy_resolver(monkeypatch) -> list:
     """The positions each build_onng call leaves to the blocked scan."""
     left = []
