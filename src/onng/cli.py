@@ -24,7 +24,6 @@ from . import euclid, fileio, line, oracle, ramsey
 from .core import (
     PointSet,
     RankedMetric,
-    as_permutation,
     build_onng,
     check_pair_guard,
     metric_from_points,
@@ -251,10 +250,6 @@ def cmd_eval(args) -> int:
         raise UsageError(f"cannot read {args.order}: {e}") from e
     except ValueError as e:
         raise UsageError(f"{args.order}: {e}") from e
-    try:
-        order = as_permutation(order, data.n)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
     text, g = _report_json("eval", data, order, None, None)
     if args.format == "dot":
         text = fileio.render_dot(g)

@@ -11,14 +11,15 @@ index pair.  Strictness stands in for the usual general-position assumption
 A point set stores one coordinate form, its axes: exact integers on a common
 grid, one row per axis, built once at construction.  One distance kernel
 reads them, sq_dist_rows, which writes each block into two preallocated
-scratch buffers of SCRATCH entries, grown to one row past SCRATCH points, so
-no scan's memory grows with the pairs it reads.  Every comparison a strategy
-makes is between two pairs that share a vertex, and between {v, a} and
-{v, b} the tie-break by index pair is simply "smaller neighbour id".  So one
-key source, key_source, answers them all from ranks or exact squared
-distances, and build_onng, path_order and the Ramsey process, which read
-only it, never rank all pairs of a point set.  metric_from_points builds the
-full RankedMetric only for the exhaustive oracle and as the tests' reference.
+scratch buffers of SCRATCH entries, grown to two rows past SCRATCH / 2
+points, so no scan's memory grows with the pairs it reads.  Every
+comparison a strategy makes is between two pairs that share a vertex, and
+between {v, a} and {v, b} the tie-break by index pair is simply "smaller
+neighbour id".  So one key source, key_source, answers them all from ranks
+or exact squared distances, and build_onng, path_order and the Ramsey
+process, which read only it, never rank all pairs of a point set.
+metric_from_points builds the full RankedMetric only for the exhaustive
+oracle and as the tests' reference.
 
 For a point set, build_onng and path_order first ask one certified cell
 grid (cell_grid), which settles a vertex from the points of the 3^d cells
@@ -104,7 +105,8 @@ class RankedMetric:
     """
 
     __slots__ = ("n", "_matrix")
-    # the rank check's error, which the metric reader's explainer raises too
+    # the rank check's error, which the metric reader's walker ends in for a
+    # file whose lines all pass
     RANK_ERROR = "pair ranks must be a bijection onto 0..n(n-1)/2-1"
 
     def __init__(self, n: int, pair_ranks) -> None:
@@ -258,10 +260,11 @@ def _on_grid(ps: PointSet, den: int, x: np.ndarray) -> PointSet:
     return ps
 
 
-def scratch(xt: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two buffers sq_dist_rows writes into, ``size`` entries each in
-    the dtype of the axes ``xt``.  A block scan takes max(SCRATCH, n): its
-    blocks hold at most SCRATCH entries, or one longer row of up to n."""
+def scratch(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two buffers sq_dist_rows writes into, in the dtype of the axes
+    ``xt`` of n points: max(SCRATCH, 2n) entries each, so a block scan's
+    blocks hold at most SCRATCH entries, or two rows of up to n."""
+    size = max(SCRATCH, 2 * xt.shape[1])
     return np.empty(size, dtype=xt.dtype), np.empty(size, dtype=xt.dtype)
 
 
@@ -301,7 +304,7 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     xt = ps.axes
     p = n * (n - 1) // 2
     d2 = np.empty(p, dtype=xt.dtype)
-    buf = scratch(xt, max(SCRATCH, n))
+    buf = scratch(xt)
     pos = i0 = 0
     while i0 < n - 1:
         # rows [i0, i1) against columns [i0 + 1, n): row i keeps the columns > i
@@ -329,14 +332,13 @@ def metric_from_points(ps: PointSet) -> RankedMetric:
     return RankedMetric(n, flat)
 
 
-def key_source(data: PointSet | RankedMetric, size: int | None = None):
+def key_source(data: PointSet | RankedMetric):
     """How the pairs {v, a} and {v, b} compare, for either input: (table,
     keys, row, top).  table(ids) lays vertices out as columns, ids in row 0
     and below them what keys reads (a point set's axes), as is any slice of
     its columns.  keys(a, b) is the (len a, len b) array of exact keys of
-    the pairs {a_i, b_j}: ranks, or squared distances in scratch buffers of
-    ``size`` entries (by default max(SCRATCH, 2n): a block, or two rows)
-    that the next call overwrites.  row(v, cols) is keys for the one vertex
+    the pairs {a_i, b_j}: ranks, or squared distances in scratch buffers
+    (a block, or two rows) that the next call overwrites.  row(v, cols) is keys for the one vertex
     v against the columns of a table, as a 1-D array: taken from row v of
     the rank matrix, not by keys' 2-D index, or in the buffers again.
     Those rank as metric_from_points ranks them when the caller breaks a
@@ -353,7 +355,7 @@ def key_source(data: PointSet | RankedMetric, size: int | None = None):
             return mat[v].take(cols[0])
     else:
         below = data.axes
-        buf = scratch(below, max(SCRATCH, 2 * n) if size is None else size)
+        buf = scratch(below)
         top = sum(int(c.max()) ** 2 for c in below) + 1
 
         def keys(a, b):
@@ -566,7 +568,7 @@ def _nearest_predecessors(data, seq: np.ndarray, at: np.ndarray, parents: np.nda
     keys for r = i1 - i0, or one longer row.  Each row masks its own
     position and every later one, then takes the smallest id of its minima.
     """
-    table, keys, _, top = key_source(data, max(SCRATCH, len(seq)))  # a block, or one row
+    table, keys, _, top = key_source(data)
     t = table(seq)
     i0 = 0
     while i0 < len(at):
@@ -605,7 +607,7 @@ def path_order(data: PointSet | RankedMetric, tail: int) -> Order:
     grid = cell_grid(data)
     flat, off = _near_lists(grid, n) if grid is not None else (memoryview(b""), [0] * (n + 1))
     del grid
-    table, _, row, top = key_source(data, n)
+    table, _, row, top = key_source(data)
     taken = bytearray(n)
     chosen = np.frombuffer(taken, dtype=bool)  # a view: it sees every step
     # The scans read a table of vertices in id order, those chosen since it

@@ -122,7 +122,7 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     if ps.n < 2:
         raise ValueError("need at least two points")
     xt = ps.axes
-    return _diameter_ids(xt, list(range(ps.n)), scratch(xt, max(SCRATCH, ps.n)))
+    return _diameter_ids(xt, list(range(ps.n)), scratch(xt))
 
 
 def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,7 +135,7 @@ def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tupl
     if a == b or not (0 <= a < ps.n and 0 <= b < ps.n):
         raise ValueError(f"invalid anchor pair ({a}, {b})")
     xt = ps.axes
-    major, minor, _far = _halfspace_ids(xt, list(range(ps.n)), a, b, scratch(xt, 2 * ps.n))
+    major, minor, _far = _halfspace_ids(xt, list(range(ps.n)), a, b, scratch(xt))
     return tuple(major), tuple(minor)
 
 
@@ -176,7 +176,7 @@ def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
     xt = ps.axes
-    buf = scratch(xt, max(SCRATCH, 2 * n))  # _halfspace_ids reads two rows of n
+    buf = scratch(xt)
     cell_cap = grid_cell_bound(dim)
     fars: list[int] = []
 

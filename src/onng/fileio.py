@@ -4,44 +4,45 @@ All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
 comment runs from '#' to the end of its line.  Files are read in binary
 (Source): the plain scans read runs of whole lines of about _PLAIN_CHUNK
-bytes (_runs) and find their fields alike (_tokens); only a reader that
-falls back to Lines decodes the file whole.  A Source keeps each scan and
-the split, for sniff_format and the parse after it; a str gets one too.
-Coordinates are read as exact rationals, so reading back a written points
-file reproduces the point set bit for bit.
+bytes (_runs) and find their fields alike (_tokens), reading any ASCII run
+as the line split does ("\r\n" and every other ASCII line break as "\n",
+"\x1f" as a space, comments blanked); only a reader that falls back to
+Lines decodes the file whole.  A Source keeps each scan and the split, for
+sniff_format and the parse after it; a str gets one too.  Coordinates are
+read as exact rationals, so reading back a written points file reproduces
+the point set bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.  A plain file, as gen random-points and gen
 hard-line write it, is read run by run onto the integer grid (points_scan),
-never split into lines: only ASCII digits, "-", ".", spaces, tabs and "\n"
-or "\r\n", every field -?digits(.digits)? of at most 18 digits at the file's
-largest decimal count, the same field count on every line, and no two points
-equal.  Every other spelling (comments, other line breaks, "+", "1/3", ".5",
-"1e3", longer fields) and every defective file goes through Lines and one
-Fraction per field, which words the error.
+never split into lines: ASCII, and read as scanned only digits, "-", ".",
+spaces, tabs and "\n", every field -?digits(.digits)? of at most 18 digits
+at the file's largest decimal count, the same field count on every line,
+and no two points equal.  Every other spelling (non-ASCII text, "+", "1/3",
+".5", "1e3", longer fields) and every defective file goes through Lines and
+one Fraction per field, which words the error.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
-parse_metric has two tokenizers, one acceptor and one explainer.  A plain
+parse_metric has one run scan, one acceptor and one line walker.  A plain
 file, as write_metric writes it, is read in one pass over the runs
-(plain_scan) and never decoded or split into lines: only ASCII digits,
-spaces, tabs and "\n" or "\r\n", no field longer than 18 digits (so every
-field is exact in int64), one field on the first line that has any, then
-three on every other line that has any.  Every other spelling (comments,
-other line breaks, signs, underscores, other scripts' digits, longer fields)
-is tokenized from Lines, a block of lines per numpy call.  Either tokenizer
-hands its int64 blocks to one acceptor, which checks the header, the pair
-count and the pairs and writes each rank into its pair's slot above the
-diagonal of the n×n rank matrix, which the metric mirrors and keeps without
-a copy; no vector of all the fields or of all the ranks, and no tuple or
-list per line, is kept.  The matrix is allocated only once the header passes
-the pair-ranking guard and the file is long enough to hold its pairs, so a
-short file with a huge header allocates nothing of that size.  Only a file
-the acceptor declines (or neither tokenizer reads) is read again line by
-line, in file order, and its first defective line is reported by the first
-check it fails: field count, integers, pair range, repeated pair (one byte
-per pair).  A file with no such defect gets RankedMetric's rank error.
+(plain_scan) and never decoded or split into lines: ASCII, and read as
+scanned only digits, spaces, tabs and "\n", no field longer than 18 digits
+(so every field is exact in int64), one field on the first line that has
+any, then three on every other line that has any.  The scan hands each
+run's int64 fields to the acceptor, which checks the header, the pair count
+and the pairs and writes each rank into its pair's slot above the diagonal
+of the n×n rank matrix, which the metric mirrors and keeps without a copy;
+no vector of all the fields or of all the ranks, and no tuple or list per
+line, is kept.  The matrix is allocated only once the header passes the
+pair-ranking guard and the file is long enough to hold its pairs, so a
+short file with a huge header allocates nothing of that size.  Every other
+file (non-ASCII text, signs, underscores, other scripts' digits, longer
+fields) and every file the acceptor declines is read by the walker, line by
+line from Lines in file order: its first defective line is reported by the
+first check it fails (field count, integers, pair range, repeated pair),
+and a file with none gets its metric, or RankedMetric's rank error.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -53,8 +54,8 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn
+from itertools import chain, compress
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from .core import (
     RankedMetric,
     _on_grid,
     check_pair_guard,
-    pair_index,
 )
 
 # Exactly the characters str.splitlines breaks at ("\r\n" is "\r" then "\n").
@@ -75,8 +75,10 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # past U+00FF allocates about 130 KB, which a file without comments never
 # needs.
 _COMMENT = f"#[^{_LINE_BREAKS}]*"
-# Metric lines converted to integers per numpy call: bounds the field list.
-_BLOCK_LINES = 2**15
+# How _tokens reads an ASCII run past the plain bytes: every ASCII line break
+# as "\n", and "\x1f", the one other ASCII byte str.split splits at, as " ".
+_ASCII_BREAKS = "".join(filter(str.isascii, _LINE_BREAKS)).encode()
+_ASCII_SPELLING = bytes.maketrans(_ASCII_BREAKS + b"\x1f", b"\n" * len(_ASCII_BREAKS) + b" ")
 # Bytes of a plain file read and scanned per numpy pass (_runs): bounds the
 # scans' byte-sized temporaries.
 _PLAIN_CHUNK = 2**18
@@ -116,14 +118,20 @@ def _runs(fh: BinaryIO) -> Iterator[bytes]:
 
 
 def _tokens(run: bytes, allowed: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The fields of a run of whole lines, or None if it holds a byte not in
-    allowed (separators and bytes above " "): the run, "\r\n" read as "\n",
-    the offsets in it of each field's first byte and of the byte after its
-    last, and each data line's field count."""
+    """The fields of a run of whole lines, or None if it holds a non-ASCII
+    byte, or an ASCII byte not in allowed (separators and bytes above " ")
+    once "\r\n" is read as "\n", comments as " ", every other ASCII line
+    break as "\n" and "\x1f" as " ": the run so read, the offsets in it of
+    each field's first byte and of the byte after its last, and each data
+    line's field count."""
     if b"\r" in run:  # "in" is far faster than replace
         run = run.replace(b"\r\n", b"\n")
     if run.translate(None, allowed):
-        return None
+        if not run.isascii():
+            return None
+        run = re.sub(rb"#[^\n]*", b" ", run.translate(_ASCII_SPELLING))
+        if run.translate(None, allowed):
+            return None
     b = np.frombuffer(run, dtype=np.uint8)
     # field[k + 1]: byte k is in a field; a separator on both ends, with no
     # copy of the run, so every field starts and ends inside the mask
@@ -311,34 +319,13 @@ def write_points(ps: PointSet) -> str:
 
 
 def parse_metric(text: str | Source) -> RankedMetric:
+    """The metric of a file: read by the acceptor from the run scan, or
+    else by the line walker (_explain), which words the first defect."""
     src = _source(text)
     scan = src.plain_scan
     if scan is not None and scan.metric is not None:
         return scan.metric
-    lines = src.split_lines
-    m = None if scan is not None else _metric(_line_blocks(lines), int(lines.fields.sum()))
-    return m if m is not None else _explain(lines)
-
-
-def _line_blocks(t: Lines) -> Iterator[np.ndarray]:
-    """The fields of a metric-shaped Lines as int64, _BLOCK_LINES lines per
-    numpy call: one field on the first data line, three on every other.
-    Nothing for any other shape; stops at a block with a field int()
-    rejects or a value past int64, so the acceptor gets too few pairs."""
-    f = t.fields[t.data]
-    if not f.size or f[0] != 1 or np.any(f[1:] != 3):
-        return
-    for a in range(0, len(t.lines), _BLOCK_LINES):
-        block = " ".join(t.lines[a : a + _BLOCK_LINES]).split()
-        if not block:
-            continue
-        try:
-            values = np.array(block, dtype=np.int64)
-        except (ValueError, OverflowError):
-            return
-        # one block's field strings at a time: they set the reader's peak
-        del block
-        yield values
+    return _explain(src.split_lines)
 
 
 def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
@@ -376,42 +363,45 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         return None
 
 
-def _explain(t: Lines) -> NoReturn:
-    """A metric file read line by line in file order, for a file _metric
-    declined: raises the first defect, checking each line for its field
-    count, integers, pair range and a repeated pair, in that order.  The
-    acceptor checks nothing else, so a file with no such defect is at fault
-    in its ranks alone, and gets the rank check's error."""
-    if not t.data.size:
+def _explain(t: Lines) -> RankedMetric:
+    """A metric file read line by line in file order, for a file the run
+    scan or the acceptor declined: raises the first defect, checking each
+    line for its field count, integers, pair range and a repeated pair, in
+    that order.  Otherwise each rank goes into its pair's slot of the n×n
+    rank matrix (a rank out of range as p, which no bijection holds), and
+    the metric's rank check words a fault in the ranks alone."""
+    data = compress(enumerate(t.lines, 1), t.fields)
+    h, header = next(data, (0, None))
+    if header is None:
         raise ValueError("metric file has no data lines")
-    h, *body = t.data.tolist()
     try:
-        n = int(t.lines[h].strip())
+        n = int(header.strip())
     except ValueError as e:
-        raise ValueError(f"line {h + 1}: header must be the vertex count") from e
+        raise ValueError(f"line {h}: header must be the vertex count") from e
     if n < 1:
-        raise ValueError(f"line {h + 1}: vertex count must be positive")
+        raise ValueError(f"line {h}: vertex count must be positive")
     check_pair_guard(n)
     p = n * (n - 1) // 2
-    if len(body) != p:
-        raise ValueError(f"expected {p} pair lines for n={n}, got {len(body)}")
-    seen = bytearray(p)  # one byte per pair
-    for k in body:
-        parts = t.lines[k].split()
-        if len(parts) != 3:
-            raise ValueError(f"line {k + 1}: expected 'i j rank'")
+    if t.data.size - 1 != p:
+        raise ValueError(f"expected {p} pair lines for n={n}, got {t.data.size - 1}")
+    mat = np.full((n, n), -1, dtype=np.int32)
+    slots = memoryview(mat).cast("B").cast("i")  # mat flat, items as plain ints
+    for k, line in data:
         try:
-            i, j, _ = map(int, parts)
+            i, j, r = line.split()
+        except ValueError:
+            raise ValueError(f"line {k}: expected 'i j rank'") from None
+        try:
+            i, j, r = int(i), int(j), int(r)
         except ValueError as e:
-            raise ValueError(f"line {k + 1}: bad integer: {e}") from e
-        if i == j or not (0 <= i < n) or not (0 <= j < n):
-            raise ValueError(f"line {k + 1}: bad pair ({i}, {j}) for n={n}")
-        pair = min(i, j), max(i, j)
-        key = pair_index(*pair, n)
-        if seen[key]:
-            raise ValueError(f"line {k + 1}: pair {pair} given twice")
-        seen[key] = 1
-    raise ValueError(RankedMetric.RANK_ERROR)
+            raise ValueError(f"line {k}: bad integer: {e}") from e
+        a, b = (i, j) if i < j else (j, i)
+        if not 0 <= a < b < n:
+            raise ValueError(f"line {k}: bad pair ({i}, {j}) for n={n}")
+        if slots[a * n + b] >= 0:
+            raise ValueError(f"line {k}: pair {(a, b)} given twice")
+        slots[a * n + b] = r if 0 <= r < p else p
+    return RankedMetric._of_matrix(mat)
 
 
 def write_metric(m: RankedMetric) -> str:

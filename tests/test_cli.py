@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -236,39 +237,64 @@ def _on_disk(text: str):
             yield fh, decoded
 
 
-def _parse_outcome(text, want):
-    """parse_metric's outcome on text; a valid file (want is a metric) must
-    be read without the line-by-line explainer."""
+def _parse_outcome(text, want, plain):
+    """parse_metric's outcome on text; a valid file (want is a metric) that
+    is plain must be read without the line walker."""
     with mock.patch.object(fileio, "_explain", wraps=fileio._explain) as explain:
         got = _outcome(parse_metric, text)
-    if isinstance(want, RankedMetric):
+    if plain and isinstance(want, RankedMetric):
         explain.assert_not_called()
     return got
 
 
+def _as_scanned(text: str) -> str | None:
+    """text as the run scan reads it, or None if it is not ASCII: "\r\n"
+    read as "\n", each comment blanked to the next ASCII line break, then
+    every ASCII line break read as "\n" and "\x1f" as a space."""
+    if not text.isascii():
+        return None
+    text = re.sub("#[^\n\r\v\f\x1c\x1d\x1e]*", " ", text.replace("\r\n", "\n"))
+    return re.sub("[\r\v\f\x1c\x1d\x1e]", "\n", text).replace("\x1f", " ")
+
+
+def _is_plain_metric(text: str) -> bool:
+    """What the metric run scan must read, written out plainly: ASCII, and
+    once read as scanned, only digits, spaces, tabs and "\n", no field past
+    18 digits, one field on the first line that has any and three on every
+    other."""
+    text = _as_scanned(text)
+    if text is None or set(text) - set("0123456789 \t\n"):
+        return False
+    rows = [row for row in (line.split() for line in text.split("\n")) if row]
+    return (bool(rows) and len(rows[0]) == 1 and all(len(row) == 3 for row in rows[1:])
+            and all(len(f) <= 18 for row in rows for f in row))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(metric_texts(), st.sampled_from([1, 2, 5, fileio._BLOCK_LINES]),
-       st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
-def test_metric_reader_matches_reference(text, block_lines, chunk):
-    # small blocks and runs put the defects and repeated pairs across their
-    # joins; read from a str, and from a file on disk whose one Source the
-    # sniff and the parse share, as in the CLI
-    with mock.patch.object(fileio, "_BLOCK_LINES", block_lines), \
-            mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+@given(metric_texts(), st.sampled_from([1, 3, 8, 32, fileio._PLAIN_CHUNK]))
+def test_metric_reader_matches_reference(text, chunk):
+    # small runs put the defects and repeated pairs across their joins; read
+    # from a str, and from a file on disk whose one Source the sniff and the
+    # parse share, as in the CLI
+    plain = _is_plain_metric(text)
+    with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
         assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
         want = _outcome(reference_parse_metric, text)
-        assert _parse_outcome(text, want) == want
+        assert _parse_outcome(text, want, plain) == want
         with _on_disk(text) as (fh, decoded):
             shared = Source(fh)
             assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, decoded)
             want = _outcome(reference_parse_metric, decoded)
-            assert _parse_outcome(shared, want) == want
+            assert _parse_outcome(shared, want, plain) == want
 
 
 _PLAIN_SPACES = (" ", "  ", "\t", " \t ", "\t\t")
 _PLAIN_HUGE = (10**18 - 1, 10**18, 2**63, 2**70, "0" * 19 + "1")
 _PLAIN_DEFECTS = ("short", "long", "self_pair", "out_of_range", "repeat",
                   "line_count", "n_zero", "huge", "bad_rank")
+# One character planted in a plain file: the run scan reads the ASCII ones
+# (a comment may blank fields) and declines the rest.
+_PLANTS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "#", "+", "\x85", "\u3000")
 
 
 def _inject_plain(rng: random.Random, kind: str, n: int, header: list, rows: list) -> None:
@@ -304,8 +330,8 @@ def plain_metric_texts(draw):
     """Metric files with n <= 12 in ASCII digits, spaces, tabs and "\n":
     any line order, flipped pairs, runs of blanks, blank lines, leading
     zeros, with or without a final "\n", and zero to three injected
-    defects.  A quarter of them get one "\r", "#" or "+" planted anywhere;
-    only a "\r" that makes a "\r\n" leaves the file plain.
+    defects.  A quarter of them get one ASCII line break, "\x1f", "#", "+"
+    or non-ASCII space planted anywhere.
     Returns the text and whether the plain scan should read it."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(1, 12)
@@ -318,12 +344,11 @@ def plain_metric_texts(draw):
     header = [n]
     for kind in defects:
         _inject_plain(rng, kind, n, header, rows)
-    lines, longest = [], 0
+    lines = []
     for row in [header, *rows]:
         while rng.random() < 0.15:
             lines.append(rng.choice(("", " ", "\t", " \t ")))
         fields = [_plain_spell(rng, v) for v in row]
-        longest = max(longest, *map(len, fields))
         line = rng.choice(_PLAIN_SPACES).join(fields)
         if rng.random() < 0.2:
             line = rng.choice(_PLAIN_SPACES) + line
@@ -333,13 +358,10 @@ def plain_metric_texts(draw):
     while rng.random() < 0.15:
         lines.append(rng.choice(("", " ", "\t")))
     text = "\n".join(lines) + rng.choice(("\n", ""))
-    plain = all(len(row) == 3 for row in rows) and longest <= 18
     if rng.random() < 0.25:
-        at, c = rng.randrange(len(text) + 1), rng.choice("\r#+")
-        # a "\r" just before a "\n" makes a "\r\n", a plain line break
-        plain = plain and c == "\r" and text[at : at + 1] == "\n"
-        text = text[:at] + c + text[at:]
-    return text, plain
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_PLANTS) + text[at:]
+    return text, _is_plain_metric(text)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -356,12 +378,11 @@ def test_plain_metric_scan_matches_reference(case, chunk):
 
 
 def _check_plain_source(shared, text, plain):
-    # a lone "\r" is a byte the plain scan declines, whatever the decoder
-    # makes of it
+    # a lone "\r" is a line break to the plain scan, as to the decoder
     assert (shared.plain_scan is not None) == plain
     assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, text)
     want = _outcome(reference_parse_metric, text)
-    assert _parse_outcome(shared, want) == want
+    assert _parse_outcome(shared, want, plain) == want
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -370,14 +391,26 @@ def _check_plain_source(shared, text, plain):
     ("3\n0 1 0\n0 1 1\n1 2 2\n", True),  # a repeated pair
     ("3\n0 1 0\n0 2 1\n", True),  # a pair line short
     ("2\n\n\n0 1 0\n0 1 0\n", True),  # a pair line too many
-    ("3\n0 1 0\n0 2 1\n1 2 2\n\n\r", False),  # not plain, in its last run only
+    ("3\n0 1 0\n0 2 1\n1 2 2\n\n\r", True),  # a lone "\r", in its last run only
+    ("3\n0 1 0\n0 2 1\n1 2 2\n\n+", False),  # not plain, in its last run only
     ("3\r\n0 1 0\r\n\r\n0 2 1\r\n1 2 2", True),  # no read splits a "\r\n"
     ("3\n0 1 0\n0 2 1\n1 2 " + "0" * 19 + "2\n", False),  # a field past 18 digits
+    ("# n\n3 #\n0 1 0# x y\n#\n0 2 1\n1 2 2 # 1 2\n#", True),  # comments
+    ("3\n0 1 0\n0 2 1 #\u00e9\n1 2 2\n", False),  # a non-ASCII comment
+    ("3\n0 1 0\n0 2 1\n1 2\u30002\n", False),  # a non-ASCII space
+    ("3\n0 1 0\r#\n0 2 1\n1 2 2\n", True),  # "\r#\n": two line breaks
+    ("3\n0 1 0\n0 2 1\r#\r\n1 2 2\n", True),  # "\r#\r\n": two line breaks
+    ("3\n0\x1f1\x1f0\n0 2\x1f1\n\x1f1 2 2\x1f\n", True),  # "\x1f" between fields
+    ("3\n0 1 0\n0 2 1 \x1f 1 2 2\n", False),  # "\x1f" breaks no line
+    *((f"3{b}0 1 0\n{b}0 2 1{b}\n1 2 2{b}", True) for b in "\r\v\f\x1c\x1d\x1e"),
+    ("3\n0 1 0 # x\r0 2 1\n1 2 2\n", True),  # a comment ends at a lone "\r"
+    ("3\n0 1 0 #\x1c0 2 1\v# c\f1 2 2 #\x1d\x1e", True),  # and at each other break
 ])
 def test_plain_scan_runs_join_anywhere(text, plain):
     # every run length from one byte up, from a str and from a file on disk,
     # so a read ends mid-line, and a join falls after the header, inside
-    # each blank-line run, and before a missing final "\n"
+    # each blank-line run and comment, and before a missing final "\n"
+    assert _is_plain_metric(text) == plain
     whole = Source(text).plain_scan
     assert (whole is not None) == plain
     with _on_disk(text) as (fh, decoded):
@@ -387,9 +420,11 @@ def test_plain_scan_runs_join_anywhere(text, plain):
                 assert Source(fh).plain_scan == whole, chunk
         shared = Source(fh)
         assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, decoded)
-        assert _outcome(parse_metric, shared) == _outcome(reference_parse_metric, decoded)
+        want = _outcome(reference_parse_metric, decoded)
+        assert _parse_outcome(shared, want, plain) == want
     assert _outcome(sniff_format, text) == _outcome(reference_sniff_format, text)
-    assert _outcome(parse_metric, text) == _outcome(reference_parse_metric, text)
+    want = _outcome(reference_parse_metric, text)
+    assert _parse_outcome(text, want, plain) == want
 
 
 def test_write_metric_matches_reference_writer(monkeypatch):
@@ -411,11 +446,26 @@ def test_metric_reader_peak_memory_is_bounded(tmp_path):
     # the acceptor fills and the metric keeps, and the seen mask of its rank
     # check (4 and 0.5 MiB at n = 1024) set the peak, and no temporary the
     # size of the 7.3 MB file shows
+    _check_metric_read_peak(tmp_path / "m.txt", write_metric(random_rank_metric(1024, random.Random(31))))
+
+
+def test_commented_metric_reader_peak_memory_is_bounded(tmp_path):
+    # the run scan blanks a run's comments, so a commented file is read run
+    # by run as a plain one is, under the same cap, and never decoded whole
+    code, text, _ = run_cli(["gen", "random-metric", "--n", "1024", "--seed", "1"])
+    assert code == 0
+    lines = text.splitlines(keepends=True)
+    lines[::1000] = [line.replace("\n", "  # note\n") for line in lines[::1000]]
+    _check_metric_read_peak(tmp_path / "m.txt", "# a random metric\n" + "".join(lines))
+
+
+def _check_metric_read_peak(src, text):
+    """sniff_format and parse_metric of text, read from the file src as the
+    CLI reads it, stay under 16 MiB of traced memory."""
     cap = 16 * 2**20
-    src = tmp_path / "m.txt"
-    src.write_text(write_metric(random_rank_metric(1024, random.Random(31))))
+    src.write_text(text)
     with open(src, "rb") as fh:
-        shared = Source(fh)
+        shared = _Undecoded(fh)
         tracemalloc.start()
         try:
             fmt = sniff_format(shared)
@@ -449,7 +499,8 @@ def test_load_input_metric_peak_memory_is_bounded(tmp_path):
 @pytest.mark.parametrize("data, fmt", [
     (b"3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # plain metric
     (b"0.5 1\n-2 3.25\n", "auto"),  # plain points
-    (b"# c\n3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # decoded whole
+    (b"# c\n3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # a comment, scanned
+    (b"3\n0 1 +0\n0 2 1\n1 2 2\n", "auto"),  # decoded whole
     (b"3\n0 1 0\n0 1 1\n1 2 2\n", "metric"),  # declined, then explained
     (b"3\n0 1 0\xff\n", "auto"),  # not UTF-8
     (b"8193\n0 1 0\n", "metric"),  # past the pair guard
@@ -525,7 +576,7 @@ class _Undecoded(Source):
         raise AssertionError("a generated file was decoded whole")
 
 
-def _refuse_lines(monkeypatch, order_text: str) -> None:
+def _refuse_lines(monkeypatch, order_text: str | None) -> None:
     """Make a generated input file that is decoded or split into lines fail,
     not only in the benchmark; eval's order file is a str, and it is read
     line by line."""
@@ -561,8 +612,7 @@ def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch
 
 
 def test_defective_str_is_split_into_lines_once(monkeypatch):
-    # a str the byte scan (at a lone "\r") and the acceptor both decline:
-    # the line tokenizer and the explainer share one split
+    # a str the acceptor declines is split into lines once, for the walker
     text = "3\r0 1 0\r0 2 1\r1 0 2\r"
     splits = []
     lines = fileio.Lines
@@ -583,9 +633,10 @@ def test_defective_str_is_split_into_lines_once(monkeypatch):
 ])
 def test_explainer_words_a_rank_defect_without_a_metric(monkeypatch, text):
     # every line of these files passes, so their fault is in the ranks: the
-    # explainer raises the rank check's error without building a metric
+    # walker's matrix gets the rank check's error, with no flat rank vector
+    # handed to RankedMetric's constructor
     def refuse(*args):
-        raise AssertionError("the explainer built a metric")
+        raise AssertionError("the walker built a metric from flat ranks")
 
     monkeypatch.setattr(core.RankedMetric, "__init__", refuse)
     with pytest.raises(ValueError) as e:
@@ -599,11 +650,12 @@ _POINT_DEFECTS = ("ragged", "duplicate", "lead_dot", "trail_dot", "double_minus"
 
 
 def _is_plain_points(text: str) -> bool:
-    """What the points scan must read, written out plainly: the plain bytes
-    ("\r\n" read as "\n"), every field -?digits(.digits)? of at most 18 digits at the file's
-    largest decimal count, one field count on every line, distinct points."""
-    text = text.replace("\r\n", "\n")
-    if set(text) - set("0123456789-. \t\n"):
+    """What the points scan must read, written out plainly: ASCII, and once
+    read as scanned (_as_scanned), the plain bytes, every field
+    -?digits(.digits)? of at most 18 digits at the file's largest decimal
+    count, one field count on every line, distinct points."""
+    text = _as_scanned(text)
+    if text is None or set(text) - set("0123456789-. \t\n"):
         return False
     rows = [row for row in (line.split() for line in text.split("\n")) if row]
     fields = [f for row in rows for f in row]
@@ -661,7 +713,7 @@ def plain_points_texts(draw):
     spaces, tabs and "\n": mixed decimal counts, negatives, "-0", leading
     zeros, 18-digit fields, runs of blanks, blank lines, with or without a
     final "\n", and zero to three injected defects.  A quarter of them get
-    one "#", "\r", "+" or "/" planted anywhere."""
+    one of _PLANTS or "/" planted anywhere."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     dim, n, d = rng.randint(1, 4), rng.randint(1, 80), rng.randint(0, 6)
     rows = [[_point_field(rng, d) for _ in range(dim)] for _ in range(n)]
@@ -680,7 +732,7 @@ def plain_points_texts(draw):
     text = "\n".join(lines) + rng.choice(("\n", ""))
     if rng.random() < 0.25:
         at = rng.randrange(len(text) + 1)
-        text = text[:at] + rng.choice("#\r+/") + text[at:]
+        text = text[:at] + rng.choice((*_PLANTS, "/")) + text[at:]
     return text
 
 
@@ -759,6 +811,43 @@ def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch
             code, out, err = run_cli(argv + ["--input", str(src)])
             assert (code, err) == (0, ""), (argv, err)
             assert json.loads(out)["n"] == 40
+
+
+def _respell_ascii(rng: random.Random, text: str) -> str:
+    """text spelled another way the run scan reads: each space a run of
+    spaces, tabs and "\x1f", comments and comment lines, and each line
+    break any ASCII one."""
+    out = []
+    for line in text.splitlines():
+        line = re.sub(" ", lambda _: rng.choice((" ", "\t", "\x1f", " \x1f\t")), line)
+        if rng.random() < 0.3:
+            line += rng.choice(("#", " # note", "\t#0 1 2", "\x1f# -.5"))
+        out.append(line)
+        while rng.random() < 0.1:
+            out.append(rng.choice(("# c", "", "\x1f#\x1f")))
+    return "".join(line + rng.choice([b for b in _BREAKS if b.isascii()]) for line in out)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(("metric", "points")), st.integers(1, 40), st.integers(0, 2**16),
+       st.sampled_from([8, 64, fileio._PLAIN_CHUNK]))
+def test_ascii_spellings_are_scanned(kind, n, seed, chunk):
+    # a generated file respelled with ASCII comments, line breaks and "\x1f"
+    # is read by the run scan, never decoded or split into lines, into the
+    # plain file's metric or point set
+    argv = (["gen", "random-metric", "--n", str(n)] if kind == "metric" else
+            ["gen", "random-points", "--n", str(n), "--d", str(1 + seed % 3)])
+    code, text, _ = run_cli(argv + ["--seed", str(seed)])
+    assert code == 0
+    spelt = _respell_ascii(random.Random(seed), text).encode()
+    parse = parse_metric if kind == "metric" else parse_points
+    want = _points_outcome(parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_lines(mp, None)
+        mp.setattr(fileio, "_PLAIN_CHUNK", chunk)
+        shared = _Undecoded(io.BytesIO(spelt))
+        assert sniff_format(shared) == kind
+        assert _points_outcome(parse, shared) == want
 
 
 def test_points_reader_peak_memory_is_bounded():
@@ -981,15 +1070,18 @@ def test_order_euclid_dot_output(tmp_path):
 
 
 def test_eval_rejects_non_permutation(tmp_path):
+    # the order is validated once, where the graph is built, and its error
+    # is the whole stderr line: missing, duplicate and out-of-range ids
     src = tmp_path / "p.txt"
     src.write_text("0\n1\n3\n")
     bad = tmp_path / "ord.txt"
-    bad.write_text("0\n1\n1\n")
-    code, _, err = run_cli(["eval", "--input", str(src), "--order", str(bad),
-                            "--input-format", "points"])
-    assert code == 1
-    assert "duplicate ids [1]" in err
-    assert "missing ids [2]" in err
+    for ids, offenders in (("0\n1\n1\n", "missing ids [2]; duplicate ids [1]"),
+                           ("0\n1\n", "missing ids [2]"),
+                           ("0\n1\n5\n", "missing ids [2]; out-of-range ids [5]"),
+                           ("0\n2\n7\n7\n", "missing ids [1]; duplicate ids [7]; out-of-range ids [7]")):
+        bad.write_text(ids)
+        got = run_cli(["eval", "--input", str(src), "--order", str(bad), "--input-format", "points"])
+        assert got == (1, "", f"onng: error: order is not a permutation of 0..2: {offenders}\n"), ids
 
 
 def test_usage_errors_exit_1(tmp_path):

@@ -83,7 +83,7 @@ def test_rank_is_symmetric(monkeypatch):
                 rows[0][1] = r01 + 1
             assert m.rank(0, 1) == r01
         # the acceptor fills the matrix it hands over, from a plain file and
-        # from one split into lines, and equals the metric of the same ranks
+        # from one with a comment, and equals the metric of the same ranks
         text = write_metric(m)
         for read in (parse_metric(text), parse_metric("# c\n" + text)):
             assert read == RankedMetric(m.n, flat.tolist()) and hash(read) == hash(m)

@@ -144,7 +144,7 @@ def test_diameter_ids_matches_all_pairs_scan():
         subsets = [list(range(ps.n))]
         subsets += [sorted(rng.sample(range(ps.n), rng.randint(2, ps.n))) for _ in range(2)]
         for ids in subsets:
-            got = _diameter_ids(xt, ids, scratch(xt, max(SCRATCH, ps.n)))
+            got = _diameter_ids(xt, ids, scratch(xt))
             assert got == _all_pairs_diameter(ps, ids), (ps.n, ps.dim, len(ids))
 
 
