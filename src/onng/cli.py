@@ -214,10 +214,7 @@ def cmd_order(args) -> int:
     elif strategy == "euclid":
         if not isinstance(data, PointSet):
             raise UsageError("euclid strategy needs a points input")
-        order, center, grid_g = euclid.order_euclid(data)
-        guarantee = grid_g
-        if data.dim <= euclid.PARITY_MAX_DIM:
-            guarantee = max(grid_g, euclid.log_guarantee(data.n, data.dim))
+        order, center, guarantee = euclid.order_euclid(data)
     elif strategy == "ramsey":
         check_pair_guard(data.n)  # until the report's build_onng scales past it
         if data.n == 1:

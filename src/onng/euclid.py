@@ -1,23 +1,23 @@
 """Insertion orders for point sets in R^d: diameter split plus grid clustering.
 
-The recursion mirrors the 1-D strategy but needs a clustering step.  Take a
+Each level is the 1-D strategy's split plus a clustering step.  Take a
 diameter pair (a, b), keep the half A of points at least as close to a as
 to b (ordinally, so no point is ever equidistant), and cover A by a grid of
 half-open cubical cells of side |ab| / (2 sqrt(d)).  Cells have diameter
 strictly below |ab| / 2 while every point of A sits at distance at least
-|ab| / 2 from the far endpoint, so the largest cell C can be ordered
-recursively as if the far endpoint were absent.  Revealing center-of-C
-first and the far endpoint second adds one incoming edge per level.
+|ab| / 2 from the far endpoint, so the next level orders the largest cell C
+as if the far endpoint were absent.  Revealing center-of-C first and the
+far endpoint second adds one incoming edge per level.
 
 The cell count per level is at most (floor(2 sqrt(d)) + 1)^d, so the center
 collects at least log(n) / log(2 (floor(2 sqrt(d)) + 1)^d) edges.
 
 All geometry is exact: coordinates are rescaled to a common integer grid
-and cell indices come from integer square roots, so the strict separation
-inequalities above are real inequalities, not float approximations.  The
-diameter scan reads pairs through core's scratch kernel, and only among
-the points that a double sweep's lower bound and the bounding box leave
-possible; one pair of scratch buffers serves every level of the recursion.
+and cell indices come from integer thresholds on squared offsets, so the
+strict separation inequalities above are real inequalities, not float
+approximations.  The diameter scan reads pairs through core's scratch
+kernel, and only among the points that a double sweep's lower bound and the
+bounding box leave possible; one pair of scratch buffers serves every level.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def log_guarantee(n: int, dim: int) -> int:
     return (n.bit_length() - 1) // (4 * dim)
 
 
-def _diameter_ids(xt: np.ndarray, ids: list[int], buf) -> tuple[int, int]:
-    """The largest squared distance among ``ids``; among ties the
+def _diameter_ids(xt: np.ndarray, ids: np.ndarray, buf) -> tuple[int, int]:
+    """The largest squared distance among the ids array; among ties the
     lexicographically smallest position pair wins."""
     sub = xt[:, ids]
     # A double sweep's distance is a lower bound L on the diameter.  A point
@@ -72,7 +72,7 @@ def _diameter_ids(xt: np.ndarray, ids: list[int], buf) -> tuple[int, int]:
     reach = np.maximum(sub - sub.min(axis=1, keepdims=True), sub.max(axis=1, keepdims=True) - sub)
     reach *= reach
     keep = np.flatnonzero(reach.sum(axis=0) >= low)
-    sub, kept = sub[:, keep], np.asarray(ids)[keep]
+    sub, kept = sub[:, keep], ids[keep]
     # The row-major first maximum; a block of rows [r0, r1) scans only
     # columns >= r0: the pairs with an earlier column were rows of an
     # earlier block.
@@ -89,7 +89,7 @@ def _diameter_ids(xt: np.ndarray, ids: list[int], buf) -> tuple[int, int]:
     return pair
 
 
-def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int, buf) -> tuple[list[int], list[int], int]:
+def _halfspace_ids(xt: np.ndarray, ids: np.ndarray, a: int, b: int, buf) -> tuple[np.ndarray, np.ndarray, int]:
     """Split ids by ordinal closeness to a vs b; returns (major, minor, far).
 
     Each anchor lands on its own side: its distance to itself is 0.  On a
@@ -97,23 +97,26 @@ def _halfspace_ids(xt: np.ndarray, ids: list[int], a: int, b: int, buf) -> tuple
     a < b."""
     da, db = sq_dist_rows(xt[:, [a, b]], xt[:, ids], buf)
     to_a = (da < db) | ((da == db) & (a < b))
-    ids = np.asarray(ids)
-    near_a, near_b = ids[to_a].tolist(), ids[~to_a].tolist()
+    near_a, near_b = ids[to_a], ids[~to_a]
     if len(near_a) >= len(near_b):
         return near_a, near_b, b
     return near_b, near_a, a
 
 
-def _cells(xt: np.ndarray, ids: list[int], unit_sq: int, dim: int) -> dict[tuple, list[int]]:
+def _cells(xt: np.ndarray, ids: np.ndarray, unit_sq: int) -> tuple[np.ndarray, np.ndarray]:
+    """grid_partition's occupied cells, as rows of cell indices in
+    lexicographic order, and each member's row.  Offset q from the minimum
+    lies in cell floor(2 q sqrt(dim / unit_sq)): the count of c >= 1 with
+    q^2 >= ceil(c^2 unit_sq / (4 dim)), so c <= isqrt(4 dim) as q^2 <= unit_sq."""
     sub = xt[:, ids]
-    offsets = (sub - sub.min(axis=1, keepdims=True)).T.tolist()
-    out: dict[tuple, list[int]] = {}
-    for i, q in zip(ids, offsets):
-        # cell index floor(2 q sqrt(d) / sqrt(unit_sq)) via exact isqrt:
-        # floor(sqrt(4 q^2 d / M)) = isqrt(4 q^2 d * M) // M for M = unit_sq.
-        idx = tuple(math.isqrt(4 * c**2 * dim * unit_sq) // unit_sq for c in q)
-        out.setdefault(idx, []).append(i)
-    return out
+    sub -= sub.min(axis=1, keepdims=True)
+    sub *= sub
+    four_d = 4 * len(xt)
+    steps = [-(-c * c * unit_sq // four_d) for c in range(1, math.isqrt(four_d) + 1)]
+    idx = np.searchsorted(np.array(steps, dtype=xt.dtype), sub, side="right")
+    # the inverse's shape has varied across numpy 2.x releases
+    cells, cell_of = np.unique(idx.T, axis=0, return_inverse=True)
+    return cells, cell_of.reshape(-1)
 
 
 def diameter_pair(ps: PointSet) -> tuple[int, int]:
@@ -122,7 +125,7 @@ def diameter_pair(ps: PointSet) -> tuple[int, int]:
     if ps.n < 2:
         raise ValueError("need at least two points")
     xt = ps.axes
-    return _diameter_ids(xt, list(range(ps.n)), scratch(xt))
+    return _diameter_ids(xt, np.arange(ps.n), scratch(xt))
 
 
 def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,8 +138,8 @@ def halfspace_split(ps: PointSet, a: int, b: int) -> tuple[tuple[int, ...], tupl
     if a == b or not (0 <= a < ps.n and 0 <= b < ps.n):
         raise ValueError(f"invalid anchor pair ({a}, {b})")
     xt = ps.axes
-    major, minor, _far = _halfspace_ids(xt, list(range(ps.n)), a, b, scratch(xt))
-    return tuple(major), tuple(minor)
+    major, minor, _far = _halfspace_ids(xt, np.arange(ps.n), a, b, scratch(xt))
+    return tuple(major.tolist()), tuple(minor.tolist())
 
 
 def grid_partition(ps: PointSet, members, unit_sq) -> list[tuple[int, ...]]:
@@ -144,21 +147,24 @@ def grid_partition(ps: PointSet, members, unit_sq) -> list[tuple[int, ...]]:
     sqrt(unit_sq) / (2 sqrt(dim)), anchored at their coordinate-wise minimum.
 
     ``unit_sq`` is the squared normalizing length (kept squared so the
-    computation stays in exact integers).  Each returned cluster has
-    diameter strictly below sqrt(unit_sq) / 2, and there are at most
-    grid_cell_bound(dim) clusters when the members span at most
-    sqrt(unit_sq) per axis.  Clusters come back sorted by cell index.
+    computation stays in exact integers); the members may span at most
+    sqrt(unit_sq) per axis.  Each returned cluster has diameter strictly
+    below sqrt(unit_sq) / 2, and there are at most grid_cell_bound(dim)
+    clusters.  Clusters come back sorted by cell index.
     """
-    ids = sorted(int(v) for v in members)
-    if not ids:
+    ids = np.array(sorted(int(v) for v in members), dtype=np.intp)
+    if not len(ids):
         raise ValueError("cannot partition an empty vertex set")
     if not (0 <= ids[0] and ids[-1] < ps.n):
         raise ValueError("member ids out of range")
     us = int(unit_sq)
     if us <= 0:
         raise ValueError("unit_sq must be positive")
-    cells = _cells(ps.axes, ids, us, ps.dim)
-    return [tuple(cells[key]) for key in sorted(cells)]
+    if any(int(s) ** 2 > us for s in np.ptp(ps.axes[:, ids], axis=1).tolist()):
+        raise ValueError("members span more than sqrt(unit_sq) along an axis")
+    cell_of = _cells(ps.axes, ids, us)[1]
+    by_cell = ids[np.argsort(cell_of, kind="stable")]
+    return [tuple(c.tolist()) for c in np.split(by_cell, np.cumsum(np.bincount(cell_of))[:-1])]
 
 
 def order_euclid(ps: PointSet) -> tuple[Order, int, int]:
@@ -167,40 +173,33 @@ def order_euclid(ps: PointSet) -> tuple[Order, int, int]:
     The center's indegree in the rebuilt ONNG is at least the returned
     guarantee, and also at least floor(log2(n) / 4d) for dim <= 49.
     """
-    order, center, guarantee, _fars = _order_euclid_levels(ps)
-    return order, center, guarantee
+    return _order_euclid_levels(ps)[:3]
 
 
 def _order_euclid_levels(ps: PointSet) -> tuple[Order, int, int, list[int]]:
+    """order_euclid's result and each level's far point, outermost first.
+    The order is the center, the fars, then each level's other ids outside
+    its first largest cell, in id order, deepest level first."""
     n, dim = ps.n, ps.dim
     if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
         raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
     xt = ps.axes
     buf = scratch(xt)
-    cell_cap = grid_cell_bound(dim)
-    fars: list[int] = []
-
-    def rec(ids: list[int]) -> tuple[list[int], int]:
-        if len(ids) == 1:
-            return [ids[0]], ids[0]
-        if len(ids) == 2:
-            u, w = sorted(ids)
-            fars.append(w)
-            return [u, w], u
+    ids = np.arange(n)
+    fars, rests = [], []
+    while len(ids) > 2:
         a, b = _diameter_ids(xt, ids, buf)
         major, _minor, far = _halfspace_ids(xt, ids, a, b, buf)
         unit_sq = sum((int(c[a]) - int(c[b])) ** 2 for c in xt)
-        cells = _cells(xt, major, unit_sq, dim)
-        if len(cells) > cell_cap:
+        cells, cell_of = _cells(xt, major, unit_sq)
+        if len(cells) > grid_cell_bound(dim):
             raise AssertionError("cell count exceeded the provable cap")
-        cluster = max(sorted(cells), key=lambda key: len(cells[key]))
-        c_ids = cells[cluster]
-        sub, center = rec(sorted(c_ids))
+        cell = major[cell_of == np.bincount(cell_of).argmax()]
+        rest = np.ones(len(ids), dtype=bool)
+        rest[ids.searchsorted(np.append(cell, far))] = False
         fars.append(far)
-        in_c = set(c_ids)
-        rest = sorted(i for i in ids if i not in in_c and i != far)
-        return [center, far] + sub[1:] + rest, center
-
-    order, center = rec(list(range(n)))
-    fars.reverse()  # outermost level first, matching order[1:1+len(fars)]
-    return tuple(order), center, grid_guarantee(n, dim), fars
+        rests.append(ids[rest])
+        ids = cell
+    fars += ids[1:].tolist()
+    order = np.concatenate([np.array([ids[0], *fars]), *reversed(rests)])
+    return tuple(order.tolist()), int(ids[0]), grid_guarantee(n, dim), fars

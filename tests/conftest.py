@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from onng import PointSet, RankedMetric, oracle, pair_index
 from onng.cli import main as cli_main
+from onng.core import scratch
+from onng.euclid import PARITY_MAX_DIM, _diameter_ids, _halfspace_ids, grid_cell_bound, grid_guarantee
 from onng.fileio import Lines
 
 
@@ -374,6 +377,67 @@ def reference_run_process(coloring, n: int, k: int):
         if len(blues) >= star_need:
             return _extract_star(anchor_b, k, StructureKind.BLUE_STAR), stats()
     return None, stats()
+
+
+# order_euclid as it was before its levels became one loop, kept verbatim
+# (its per-point cell dict, recursion and per-level sets included) as the
+# reference the loop must match.  Only the calls into the diameter and
+# halfspace helpers convert their lists at the boundary; those helpers are
+# checked against all-pairs scans of their own in test_euclid.
+
+
+def _reference_cells(xt: np.ndarray, ids: list[int], unit_sq: int, dim: int) -> dict[tuple, list[int]]:
+    sub = xt[:, ids]
+    offsets = (sub - sub.min(axis=1, keepdims=True)).T.tolist()
+    out: dict[tuple, list[int]] = {}
+    for i, q in zip(ids, offsets):
+        # cell index floor(2 q sqrt(d) / sqrt(unit_sq)) via exact isqrt:
+        # floor(sqrt(4 q^2 d / M)) = isqrt(4 q^2 d * M) // M for M = unit_sq.
+        idx = tuple(math.isqrt(4 * c**2 * dim * unit_sq) // unit_sq for c in q)
+        out.setdefault(idx, []).append(i)
+    return out
+
+
+def reference_grid_partition(ps: PointSet, members, unit_sq: int) -> list[tuple[int, ...]]:
+    ids = sorted(int(v) for v in members)
+    cells = _reference_cells(ps.axes, ids, int(unit_sq), ps.dim)
+    return [tuple(cells[key]) for key in sorted(cells)]
+
+
+def reference_order_euclid_levels(ps: PointSet) -> tuple[tuple[int, ...], int, int, list[int]]:
+    n, dim = ps.n, ps.dim
+    if dim <= PARITY_MAX_DIM and 2 * grid_cell_bound(dim) > 16**dim:
+        raise AssertionError(f"2 * grid_cell_bound({dim}) exceeds 16^{dim}")
+    xt = ps.axes
+    buf = scratch(xt)
+    cell_cap = grid_cell_bound(dim)
+    fars: list[int] = []
+
+    def rec(ids: list[int]) -> tuple[list[int], int]:
+        if len(ids) == 1:
+            return [ids[0]], ids[0]
+        if len(ids) == 2:
+            u, w = sorted(ids)
+            fars.append(w)
+            return [u, w], u
+        a, b = _diameter_ids(xt, np.array(ids), buf)
+        major, _minor, far = _halfspace_ids(xt, np.array(ids), a, b, buf)
+        major = major.tolist()
+        unit_sq = sum((int(c[a]) - int(c[b])) ** 2 for c in xt)
+        cells = _reference_cells(xt, major, unit_sq, dim)
+        if len(cells) > cell_cap:
+            raise AssertionError("cell count exceeded the provable cap")
+        cluster = max(sorted(cells), key=lambda key: len(cells[key]))
+        c_ids = cells[cluster]
+        sub, center = rec(sorted(c_ids))
+        fars.append(far)
+        in_c = set(c_ids)
+        rest = sorted(i for i in ids if i not in in_c and i != far)
+        return [center, far] + sub[1:] + rest, center
+
+    order, center = rec(list(range(n)))
+    fars.reverse()  # outermost level first, matching order[1:1+len(fars)]
+    return tuple(order), center, grid_guarantee(n, dim), fars
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -1203,6 +1203,27 @@ def test_cli_import_leaves_multiprocessing_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_points_commands_leave_numpy_ma_out(tmp_path):
+    # np.isin, and np.unique without return_index, _inverse or _counts,
+    # import numpy.ma (numpy 2.4): about 1 MiB of peak RSS a points command
+    # need not pay
+    pts, hard_line = str(tmp_path / "p.txt"), str(tmp_path / "l.txt")
+    assert run_cli(["gen", "random-points", "--n", "300", "--d", "3", "--seed", "2", "-o", pts])[0] == 0
+    assert run_cli(["gen", "hard-line", "--k", "6", "-o", hard_line])[0] == 0
+    commands = [
+        ["order", "--strategy", "euclid", "--input", pts],
+        ["order", "--strategy", "line", "--input", hard_line],
+        ["order", "--strategy", "path", "--tail", "0", "--input", pts],
+    ]
+    code = ("import sys, onng.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert onng.cli.main(argv) == 0, argv\n"
+            "sys.exit('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 # as the console script calls it, and as python -m onng.cli does
 _ENTRY_POINTS = {
     "console_script": "sys.argv = ['onng', *ARGS]; import onng.cli; sys.exit(onng.cli.main())",

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onng import (
     PointSet,
@@ -26,7 +28,14 @@ from onng import (
 from onng.core import SCRATCH, scratch
 from onng.euclid import PARITY_MAX_DIM, _diameter_ids, _order_euclid_levels, grid_partition
 
-from conftest import circle_points, lattice_point_sets, rand_point_set, reference_metric
+from conftest import (
+    circle_points,
+    lattice_point_sets,
+    rand_point_set,
+    reference_grid_partition,
+    reference_metric,
+    reference_order_euclid_levels,
+)
 
 
 def sq_dist(p, q):
@@ -62,6 +71,14 @@ def test_guarantee_formulas():
     assert log_guarantee(1024, 2) == 1
     assert log_guarantee(15, 2) == 0
     assert log_guarantee(2**16, 2) == 2
+
+
+def test_grid_guarantee_dominates_log_guarantee():
+    # so the CLI reports the grid guarantee alone through the parity range
+    for d in range(1, PARITY_MAX_DIM + 1):
+        for k in range(1, 21):
+            for n in (2**k - 1, 2**k):
+                assert grid_guarantee(n, d) >= log_guarantee(n, d), (n, d)
 
 
 def test_diameter_pair_square_tie():
@@ -143,7 +160,7 @@ def test_diameter_ids_matches_all_pairs_scan():
         xt = ps.axes
         subsets = [list(range(ps.n))]
         subsets += [sorted(rng.sample(range(ps.n), rng.randint(2, ps.n))) for _ in range(2)]
-        for ids in subsets:
+        for ids in map(np.array, subsets):
             got = _diameter_ids(xt, ids, scratch(xt))
             assert got == _all_pairs_diameter(ps, ids), (ps.n, ps.dim, len(ids))
 
@@ -231,6 +248,13 @@ def test_grid_partition_validates():
         grid_partition(ps, [0, 2], 4)
     with pytest.raises(ValueError):
         grid_partition(ps, [0, 1], 0)
+    # members spanning more than sqrt(unit_sq) along an axis could need
+    # more than grid_cell_bound(dim) cells
+    assert grid_partition(ps, [0, 1], 1) == [(0,), (1,)]
+    wide = PointSet(2, ((0, 0), (3, 1), (1, 2)))
+    assert grid_partition(wide, range(3), 10) == reference_grid_partition(wide, range(3), 10)
+    with pytest.raises(ValueError):
+        grid_partition(wide, range(3), 8)
 
 
 def test_order_euclid_collinear_example():
@@ -291,3 +315,83 @@ def test_order_euclid_bounds_on_tie_heavy_lattices(ps):
     assert g.indegree[center] >= guarantee
     if ps.dim <= PARITY_MAX_DIM:
         assert g.indegree[center] >= log_guarantee(ps.n, ps.dim)
+
+
+@st.composite
+def euclid_point_sets(draw):
+    """Distinct points in d = 1..7 on spans from 2 to 10^12, so axes past
+    int64 (object dtype) too; as ints, as Fractions over one drawn
+    denominator, or a geometric set whose levels nest deep."""
+    d = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["ints", "fractions", "geometric"]))
+    if kind == "geometric":
+        n = draw(st.integers(1, 40))
+        bases = draw(st.lists(st.integers(2, 5), min_size=d, max_size=d))
+        return PointSet(d, tuple(tuple(b**i for b in bases) for i in range(n)))
+    span = draw(st.sampled_from([2, 9, 10**3, 10**6, 10**9, 10**12]))
+    coord = st.integers(0, span)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=80, unique=True))
+    if kind == "fractions":
+        den = draw(st.integers(2, 10**6))
+        rows = [tuple(Fraction(c, den) for c in row) for row in rows]
+    return PointSet(d, tuple(rows))
+
+
+def _check_against_reference(ps, subset=()):
+    assert _order_euclid_levels(ps) == reference_order_euclid_levels(ps)
+    if ps.n < 2:
+        return
+    a, b = diameter_pair(ps)
+    unit_sq = sum((int(c[a]) - int(c[b])) ** 2 for c in ps.axes)
+    # any subset spans at most the diameter along each axis
+    for members in (range(ps.n), subset or [a]):
+        got = grid_partition(ps, members, unit_sq)
+        assert got == reference_grid_partition(ps, members, unit_sq)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(euclid_point_sets(), lattice_point_sets(max_dim=7)), st.data())
+def test_order_euclid_matches_recursive_reference(ps, data):
+    subset = data.draw(st.lists(st.integers(0, ps.n - 1), unique=True))
+    _check_against_reference(ps, subset)
+
+
+@pytest.mark.parametrize("dim", [PARITY_MAX_DIM, PARITY_MAX_DIM + 1])
+@pytest.mark.parametrize("span", [10**6, 10**12])
+def test_order_euclid_matches_reference_in_high_dimension(dim, span):
+    rng = random.Random(dim * span)
+    rows = {tuple(rng.randrange(span) for _ in range(dim)) for _ in range(60)}
+    ps = PointSet(dim, tuple(sorted(rows)))
+    assert ps.axes.dtype == (object if span > 10**9 else np.int64)
+    _check_against_reference(ps, sorted(rng.sample(range(ps.n), 20)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_order_euclid_runs_deep_sets_flat(dim):
+    # every level of 3^i (and 2^i) sheds only the far point, so there are
+    # n - 2 levels: the recursive construction needed one Python frame each
+    ps = PointSet(dim, tuple((3**i, 2**i)[:dim] for i in range(300)))
+    want = reference_order_euclid_levels(ps)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = _order_euclid_levels(ps)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert len(got[3]) == ps.n - 1
+
+
+def test_order_euclid_peak_memory_at_2_16():
+    # the levels hold arrays, not one Python object per point: about
+    # 6.6 MiB, where a dict of cell tuples per level peaked at 12.5 MiB
+    rng = random.Random(31)
+    rows = {(rng.randrange(10**9), rng.randrange(10**9)) for _ in range(2**16)}
+    ps = PointSet(2, tuple(rows))
+    tracemalloc.start()
+    try:
+        order_euclid(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
