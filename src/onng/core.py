@@ -8,6 +8,11 @@ point set ranks its pairs by exact squared distance, ties broken by the
 index pair.  Strictness stands in for the usual general-position assumption
 (no isosceles triples): every nearest-predecessor choice is unique.
 
+A RankedMetric keeps one rank form, the read-only vector of its n(n-1)/2
+pair ranks in lexicographic pair order (int32, 2 MiB at n = 1024), and no
+n×n matrix: every reader finds the pair {i, j}, i < j, at base[i] + j
+(pair_base), and key_source computes those slots in its scratch buffers.
+
 A point set stores one coordinate form, its axes: exact integers on a common
 grid, one row per axis, built once at construction.  One distance kernel
 reads them, sq_dist_rows, which writes each block into two preallocated
@@ -99,12 +104,12 @@ class RankedMetric:
 
     ``rank(i, j)`` is a bijection from the n(n-1)/2 pairs onto
     0 .. n(n-1)/2 - 1; smaller rank means closer.  The metric keeps one
-    form, the dense symmetric rank matrix, with the out-of-range sentinel
-    n(n-1)/2 on its diagonal; the flat vector in lexicographic pair order
-    is derived when asked for (pair_ranks).
+    form, the read-only vector of its pair ranks in lexicographic pair
+    order (pair_ranks), int32 below 2^31 - 1 pairs: the pair {i, j}, i < j,
+    is slot pair_base(n)[i] + j.
     """
 
-    __slots__ = ("n", "_matrix")
+    __slots__ = ("n", "_ranks")
     # the rank check's error, which the metric reader's walker ends in for a
     # file whose lines all pass
     RANK_ERROR = "pair ranks must be a bijection onto 0..n(n-1)/2-1"
@@ -116,71 +121,65 @@ class RankedMetric:
         flat = np.asarray(pair_ranks)
         if flat.shape != (p,):
             raise ValueError(f"expected {p} pair ranks for n={n}, got {flat.shape}")
-        mat = np.full((n, n), -1, dtype=np.int32 if p < 2**31 - 1 else np.int64)
-        # Row i of the upper triangle is one slice of the flat vector.  Ranks
-        # past int64, or not integers, come as an object or float array, and
-        # a rank out of range could wrap into range: they leave the matrix
-        # unfilled.
-        if not p or (flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p):
-            off = 0
-            for i in range(n - 1):
-                mat[i, i + 1 :] = flat[off : off + n - i - 1]
-                off += n - i - 1
-        self._keep(mat)
+        # Ranks past int64, or not integers, come as an object or float
+        # array, and a rank out of range could wrap into range: -1 in every
+        # slot fails the rank check.
+        ranks = np.full(p, -1, dtype=np.int32 if p < 2**31 - 1 else np.int64)
+        if p and flat.dtype.kind in "iu" and flat.min() >= 0 and flat.max() < p:
+            ranks[:] = flat
+        self._keep(n, ranks)
 
     @classmethod
-    def _of_matrix(cls, mat: np.ndarray) -> RankedMetric:
-        """The metric whose rank matrix is mat, kept without a copy (_keep)."""
+    def _of_ranks(cls, n: int, ranks: np.ndarray) -> RankedMetric:
+        """The metric on n vertices whose pair-rank vector is ranks, kept
+        without a copy (_keep)."""
         m = cls.__new__(cls)
-        m._keep(mat)
+        m._keep(n, ranks)
         return m
 
-    def _keep(self, mat: np.ndarray) -> None:
-        """The one rank check, after which mat is the metric's matrix.  mat
-        is square, with -1 in any slot left unfilled above the diagonal; the
-        check mirrors each row into its column, sets the diagonal to the
-        sentinel p and requires each rank of 0..p-1 once above it."""
-        n = len(mat)
-        p = n * (n - 1) // 2
-        for i in range(n - 1):
-            mat[i + 1 :, i] = mat[i, i + 1 :]
-        np.fill_diagonal(mat, p)
-        seen = np.zeros(p + 1, dtype=bool)  # p bytes, where a bincount takes 8p
-        if mat.min() >= 0 and mat.max() <= p:
-            seen[mat] = True  # both triangles hold the same ranks, the diagonal p
-        if not seen[:p].all():
+    def _keep(self, n: int, ranks: np.ndarray) -> None:
+        """The one rank check, after which ranks, with -1 in any slot left
+        unfilled, is the metric's read-only vector: each rank of 0..p-1
+        once."""
+        p = len(ranks)
+        seen = np.zeros(p, dtype=bool)  # p bytes, where a bincount takes 8p
+        if p and ranks.min() >= 0 and ranks.max() < p:
+            seen[ranks] = True
+        if not seen.all():
             raise ValueError(self.RANK_ERROR)
-        self.n, self._matrix = n, mat
+        ranks.flags.writeable = False
+        self.n, self._ranks = n, ranks
 
     def rank(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"invalid vertex pair ({i}, {j})")
-        return int(self._matrix[i, j])
+        return int(self._ranks[pair_index(min(i, j), max(i, j), self.n)])
 
     def pair_ranks(self) -> np.ndarray:
-        """Flat ranks in lexicographic pair order, as a new read-only array."""
-        flat = np.concatenate([row[i + 1 :] for i, row in enumerate(self._matrix)])
-        flat.flags.writeable = False
-        return flat
-
-    def matrix_rows(self) -> list[memoryview]:
-        """One read-only memoryview per row of the dense rank matrix, whose
-        items index as plain ints: fast lookups for hot loops, with no copy
-        of the matrix."""
-        return [memoryview(row).toreadonly() for row in self._matrix]
+        """The ranks in lexicographic pair order: the metric's own read-only
+        vector, not a copy."""
+        return self._ranks
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RankedMetric)
             and self.n == other.n
-            and np.array_equal(self._matrix, other._matrix)
+            and np.array_equal(self._ranks, other._ranks)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._matrix.tobytes()))
+        return hash((self.n, self._ranks.tobytes()))
 
     def __repr__(self) -> str:
         return f"RankedMetric(n={self.n})"
+
+
+def pair_base(n: int) -> np.ndarray:
+    """base[i] = off[i] - i - 1, off[i] the position of the pair {i, i + 1}
+    in the lexicographic pair listing: the pair {i, j}, i < j, sits at
+    base[i] + j (pair_index), as an int64 array."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 3) // 2 - 1
 
 
 class PointSet:
@@ -337,22 +336,37 @@ def key_source(data: PointSet | RankedMetric):
     keys, row, top).  table(ids) lays vertices out as columns, ids in row 0
     and below them what keys reads (a point set's axes), as is any slice of
     its columns.  keys(a, b) is the (len a, len b) array of exact keys of
-    the pairs {a_i, b_j}: ranks, or squared distances in scratch buffers
-    (a block, or two rows) that the next call overwrites.  row(v, cols) is keys for the one vertex
-    v against the columns of a table, as a 1-D array: taken from row v of
-    the rank matrix, not by keys' 2-D index, or in the buffers again.
-    Those rank as metric_from_points ranks them when the caller breaks a
-    tie to the smaller id (the smallest id among a row's minima, or a
-    strict comparison).  top exceeds every key."""
+    the pairs {a_i, b_j}: ranks, or squared distances, in scratch buffers
+    (a block, or two rows) that the next call overwrites.  row(v, cols) is
+    keys for the one vertex v against the columns of a table, as a 1-D
+    array in the buffers again.  A metric's ranks are read from its pair
+    vector at base[min] + max (pair_base), that slot computed in the
+    buffers too; the key of a vertex against itself is arbitrary, since
+    every caller masks it.  Those rank as metric_from_points ranks them
+    when the caller breaks a tie to the smaller id (the smallest id among a
+    row's minima, or a strict comparison).  top exceeds every key."""
     n = data.n
     if isinstance(data, RankedMetric):
-        mat, below, top = data._matrix, np.empty((0, n), dtype=np.intp), n * (n - 1) // 2
+        # one vertex has no pair, and a key of it against itself reads 0
+        ranks = data.pair_ranks() if n > 1 else np.zeros(1, dtype=np.int32)
+        base = pair_base(n)
+        below, top = np.empty((0, n), dtype=np.intp), n * (n - 1) // 2
+        buf = scratch(below)
+
+        def ranks_at(x, y, shape):
+            # mode "clip" takes into out without a buffered copy; only a
+            # vertex against itself can fall outside, at slot -1
+            k = math.prod(shape)
+            lo = np.minimum(x, y, out=buf[0][:k].reshape(shape))
+            slot = np.take(base, lo, out=buf[1][:k].reshape(shape), mode="clip")
+            slot += np.maximum(x, y, out=lo)
+            return np.take(ranks, slot, out=buf[0].view(ranks.dtype)[:k].reshape(shape), mode="clip")
 
         def keys(a, b):
-            return mat[a[0][:, None], b[0]]
+            return ranks_at(a[0][:, None], b[0], (a.shape[1], b.shape[1]))
 
         def row(v, cols):
-            return mat[v].take(cols[0])
+            return ranks_at(v, cols[0], (cols.shape[1],))
     else:
         below = data.axes
         buf = scratch(below)

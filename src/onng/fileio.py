@@ -1,16 +1,17 @@
 """Plain-text formats for point sets, rank metrics, and insertion orders.
 
 All three are line-oriented, whitespace-delimited, with '#' comments and
-blank lines ignored.  Lines break wherever str.splitlines breaks them, and a
-comment runs from '#' to the end of its line.  Files are read in binary
+blank lines ignored.  Lines break wherever str.splitlines breaks them, and
+a comment runs from '#' to the end of its line.  Files are read in binary
 (Source): the plain scans read runs of whole lines of about _PLAIN_CHUNK
-bytes (_runs) and find their fields alike (_tokens), reading any ASCII run
-as the line split does ("\r\n" and every other ASCII line break as "\n",
-"\x1f" as a space, comments blanked); only a reader that falls back to
-Lines decodes the file whole.  A Source keeps each scan and the split, for
-sniff_format and the parse after it; a str gets one too.  Coordinates are
-read as exact rationals, so reading back a written points file reproduces
-the point set bit for bit.
+bytes, each ending at the last ASCII line break read (_runs), and find
+their fields alike (_tokens), reading any ASCII run as the line split does
+("\r\n" and every other ASCII line break as "\n", "\x1f" as a space,
+comments blanked); only a reader that falls back to Lines decodes the file
+whole.  A Source keeps each scan and the split, for sniff_format and the
+parse after it; a str gets one too.  Coordinates are read as exact
+rationals, so reading back a written points file reproduces the point set
+bit for bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.  A plain file, as gen random-points and gen
@@ -31,18 +32,18 @@ file, as write_metric writes it, is read in one pass over the runs
 scanned only digits, spaces, tabs and "\n", no field longer than 18 digits
 (so every field is exact in int64), one field on the first line that has
 any, then three on every other line that has any.  The scan hands each
-run's int64 fields to the acceptor, which checks the header, the pair count
-and the pairs and writes each rank into its pair's slot above the diagonal
-of the n×n rank matrix, which the metric mirrors and keeps without a copy;
-no vector of all the fields or of all the ranks, and no tuple or list per
-line, is kept.  The matrix is allocated only once the header passes the
-pair-ranking guard and the file is long enough to hold its pairs, so a
-short file with a huge header allocates nothing of that size.  Every other
-file (non-ASCII text, signs, underscores, other scripts' digits, longer
-fields) and every file the acceptor declines is read by the walker, line by
-line from Lines in file order: its first defective line is reported by the
-first check it fails (field count, integers, pair range, repeated pair),
-and a file with none gets its metric, or RankedMetric's rank error.
+run's int64 fields to the acceptor, which checks the header, the pair
+count and the pairs and writes each rank into its pair's slot of the int32
+pair-rank vector, which the metric keeps without a copy; no vector of all
+the fields, no n×n matrix, and no tuple or list per line, is kept.  The
+vector is allocated only once the header passes the pair-ranking guard and
+the file is long enough to hold its pairs, so a short file with a huge
+header allocates nothing of that size.  Every other file (non-ASCII text,
+signs, underscores, other scripts' digits, longer fields) and every file
+the acceptor declines is read by the walker, line by line from Lines in
+file order: its first defective line is reported by the first check it
+fails (field count, integers, pair range, repeated pair), and a file with
+none gets its metric, or RankedMetric's rank error.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -67,6 +68,7 @@ from .core import (
     RankedMetric,
     _on_grid,
     check_pair_guard,
+    pair_base,
 )
 
 # Exactly the characters str.splitlines breaks at ("\r\n" is "\r" then "\n").
@@ -80,8 +82,10 @@ _COMMENT = f"#[^{_LINE_BREAKS}]*"
 _ASCII_BREAKS = "".join(filter(str.isascii, _LINE_BREAKS)).encode()
 _ASCII_SPELLING = bytes.maketrans(_ASCII_BREAKS + b"\x1f", b"\n" * len(_ASCII_BREAKS) + b" ")
 # Bytes of a plain file read and scanned per numpy pass (_runs): bounds the
-# scans' byte-sized temporaries.
-_PLAIN_CHUNK = 2**18
+# scans' byte-sized temporaries.  At n = 1024 a metric load takes about a
+# fifth longer in runs of 2^14 bytes, and no less time in runs of 2^18,
+# whose temporaries peak 2.2 MiB higher.
+_PLAIN_CHUNK = 2**16
 # Pair lines write_metric formats per numpy pass: bounds its byte table.
 _WRITE_LINES = 2**16
 # The bytes of a plain metric file, and its longest field: every integer of
@@ -109,12 +113,28 @@ class Lines:
 
 
 def _runs(fh: BinaryIO) -> Iterator[bytes]:
-    """fh from its start in runs of whole lines: _PLAIN_CHUNK bytes and the rest of a line."""
+    """fh from its start in runs of whole lines, read _PLAIN_CHUNK bytes at
+    a time: each run ends at the last ASCII line break read so far, or at
+    the end of the file.  A "\r" that ends a read ends a run only once the
+    next read does not begin with "\n", so no "\r\n" is split; a read
+    with no line break joins the next."""
     fh.seek(0)
-    while run := fh.read(_PLAIN_CHUNK):
-        if not run.endswith(b"\n"):
-            run += fh.readline()  # whole lines: no "\r\n" is split
-        yield run
+    held: list[bytes] = []
+    while chunk := fh.read(_PLAIN_CHUNK):
+        if held and held[-1].endswith(b"\r") and not chunk.startswith(b"\n"):
+            yield b"".join(held)
+            held = []
+        end = len(chunk) - chunk.endswith(b"\r")
+        cut = chunk.rfind(b"\n", 0, end)
+        for c in _ASCII_BREAKS[1:]:  # past the last "\n" only
+            cut = max(cut, chunk.rfind(c, cut + 1, end))
+        if cut < 0:
+            held.append(chunk)
+            continue
+        yield b"".join(held + [chunk[: cut + 1]])
+        held = [chunk[cut + 1 :]]
+    if any(held):
+        yield b"".join(held)
 
 
 def _tokens(run: bytes, allowed: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -333,8 +353,8 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
     first, then "i j rank" triples, each block holding whole triples), or
     None if the header, the pair count, a pair or a rank fails a check:
     _explain then reports the first defect.  Each rank goes straight into
-    its pair's slot above the diagonal of the rank matrix, which the metric
-    mirrors and keeps.
+    its pair's slot of the pair-rank vector, base[min(i, j)] + max(i, j)
+    (pair_base), which the metric keeps.
     most bounds the fields the file can hold, so a header the file is too
     short for allocates nothing of size n(n-1)/2.  Never raises."""
     head = next(blocks, None)
@@ -346,19 +366,20 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         return None
     # -1 marks an unfilled slot: p triples that fill every slot name every
     # pair once.  Ranks below p < 2**31 fit int32, as RankedMetric keeps them.
-    mat = np.full((n, n), -1, dtype=np.int32)
+    ranks = np.full(p, -1, dtype=np.int32)
+    base = pair_base(n)
     got = 0
     for block in chain((head[1:],), blocks):
-        i, j, ranks = block.reshape(-1, 3).T
-        got += ranks.size
-        if not ranks.size:
+        i, j, r = block.reshape(-1, 3).T
+        got += r.size
+        if not r.size:
             continue
         if (got > p or min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n
-                or np.any(i == j) or ranks.min() < 0 or ranks.max() >= p):
+                or np.any(i == j) or r.min() < 0 or r.max() >= p):
             return None
-        mat[np.minimum(i, j), np.maximum(i, j)] = ranks
+        ranks[base[np.minimum(i, j)] + np.maximum(i, j)] = r
     try:
-        return RankedMetric._of_matrix(mat)
+        return RankedMetric._of_ranks(n, ranks)
     except ValueError:  # a slot left unfilled (a pair repeated or missing), or a repeated rank
         return None
 
@@ -367,9 +388,10 @@ def _explain(t: Lines) -> RankedMetric:
     """A metric file read line by line in file order, for a file the run
     scan or the acceptor declined: raises the first defect, checking each
     line for its field count, integers, pair range and a repeated pair, in
-    that order.  Otherwise each rank goes into its pair's slot of the n×n
-    rank matrix (a rank out of range as p, which no bijection holds), and
-    the metric's rank check words a fault in the ranks alone."""
+    that order.  Otherwise each rank goes into its pair's slot of the
+    pair-rank vector, as in the acceptor (a rank out of range as p, which
+    no bijection holds), and the metric's rank check words a fault in the
+    ranks alone."""
     data = compress(enumerate(t.lines, 1), t.fields)
     h, header = next(data, (0, None))
     if header is None:
@@ -384,8 +406,9 @@ def _explain(t: Lines) -> RankedMetric:
     p = n * (n - 1) // 2
     if t.data.size - 1 != p:
         raise ValueError(f"expected {p} pair lines for n={n}, got {t.data.size - 1}")
-    mat = np.full((n, n), -1, dtype=np.int32)
-    slots = memoryview(mat).cast("B").cast("i")  # mat flat, items as plain ints
+    ranks = np.full(p, -1, dtype=np.int32)
+    slots = memoryview(ranks)  # items as plain ints
+    base = pair_base(n).tolist()
     for k, line in data:
         try:
             i, j, r = line.split()
@@ -398,10 +421,10 @@ def _explain(t: Lines) -> RankedMetric:
         a, b = (i, j) if i < j else (j, i)
         if not 0 <= a < b < n:
             raise ValueError(f"line {k}: bad pair ({i}, {j}) for n={n}")
-        if slots[a * n + b] >= 0:
+        if slots[base[a] + b] >= 0:
             raise ValueError(f"line {k}: pair {(a, b)} given twice")
-        slots[a * n + b] = r if 0 <= r < p else p
-    return RankedMetric._of_matrix(mat)
+        slots[base[a] + b] = r if 0 <= r < p else p
+    return RankedMetric._of_ranks(n, ranks)
 
 
 def write_metric(m: RankedMetric) -> str:
@@ -417,7 +440,8 @@ def metric_blocks(n: int, ranks: np.ndarray) -> Iterator[str]:
     wi, wr = len(str(n - 1)), len(str(max(len(ranks) - 1, 0)))
     rows = np.arange(n)
     ids = _digits(rows, wi)
-    off = rows * (2 * n - rows - 1) // 2  # off[i]: flat index of the pair (i, i + 1)
+    base = pair_base(n)
+    off = base + rows + 1  # off[i]: flat index of the pair (i, i + 1)
     yield f"{n}\n"
     i0 = 0
     while i0 < n - 1:
@@ -427,8 +451,8 @@ def metric_blocks(n: int, ranks: np.ndarray) -> Iterator[str]:
         count = n - 1 - rows[i0:i1]
         tab = np.zeros((f1 - f0, 2 * wi + wr + 3), dtype=np.uint8)
         tab[:, :wi] = ids[np.repeat(rows[i0:i1], count)]
-        # j = f - off[i] + i + 1 for the pair (i, j) at flat index f
-        tab[:, wi + 1 : 2 * wi + 1] = ids[np.arange(f0, f1) - np.repeat(off[i0:i1] - rows[i0:i1] - 1, count)]
+        # j = f - base[i] for the pair (i, j) at flat index f
+        tab[:, wi + 1 : 2 * wi + 1] = ids[np.arange(f0, f1) - np.repeat(base[i0:i1], count)]
         tab[:, 2 * wi + 2 : -1] = _digits(ranks[f0:f1], wr)
         tab[:, [wi, 2 * wi + 1]] = ord(" ")
         tab[:, -1] = ord("\n")

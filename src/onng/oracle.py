@@ -120,19 +120,25 @@ def _code_alpha(code: int, n: int) -> int:
     return _alpha(_graph(code, n, n - 1), (1 << n - 1) - 1)
 
 
+def _dense(r: np.ndarray, n: int) -> np.ndarray:
+    """The rank matrices, shape (B, n, n), of a batch of flat rank vectors
+    r, shape (B, n(n-1)/2): both triangles, 0 on the diagonals."""
+    mat = np.zeros((r.shape[0], n, n), dtype=r.dtype)
+    i, j = np.triu_indices(n, 1)
+    mat[:, i, j] = mat[:, j, i] = r
+    return mat
+
+
 def _profiles(r: np.ndarray, n: int) -> np.ndarray:
     """d(v) = alpha(G_v) for a batch of flat rank vectors r, shape (B, n).
 
     One alpha serves every (metric, v) whose G_v has the same code."""
-    mat = np.zeros((r.shape[0], n, n), dtype=r.dtype)
-    i, j = np.triu_indices(n, 1)
-    mat[:, i, j] = mat[:, j, i] = r
-    codes, inverse = np.unique(_graph_codes(mat), return_inverse=True)
+    codes, inverse = np.unique(_graph_codes(_dense(r, n)), return_inverse=True)
     alphas = np.array([_code_alpha(int(c), n) for c in codes], dtype=np.int64)
     return alphas[inverse].reshape(r.shape[0], n)
 
 
-def _g(rows: list[memoryview], adj: list[int], s: int, v: int) -> int:
+def _g(rows: list[list[int]], adj: list[int], s: int, v: int) -> int:
     """g(S, v) = alpha(G_v[W]) for the revealed set S (a non-empty bitmask)
     and G_v's adjacency adj: W holds the vertices outside S + {v} whose
     nearest member of S + {v} is v."""
@@ -149,10 +155,11 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
     v of (indegree so far + g) at the optimum."""
     _check_order_guard(m.n)
     n = m.n
-    codes = _graph_codes(m._matrix[None])[0].tolist()
+    mat = _dense(m.pair_ranks()[None], n)
+    codes = _graph_codes(mat)[0].tolist()
     best = max(_code_alpha(c, n) for c in codes)
     adj = [_graph(c, n, v) for v, c in enumerate(codes)]
-    rows = m.matrix_rows()
+    rows = mat[0].tolist()
     order: list[int] = []
     indeg = [0] * n
     mask = 0
@@ -176,7 +183,7 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
 def degree_profile_exhaustive(m: RankedMetric) -> tuple[int, ...]:
     """d(v) = max over all insertion orders of the indegree of v."""
     _check_order_guard(m.n)
-    return tuple(_code_alpha(c, m.n) for c in _graph_codes(m._matrix[None])[0].tolist())
+    return tuple(_profiles(m.pair_ranks()[None], m.n)[0].tolist())
 
 
 def problem1_sum(m: RankedMetric) -> Fraction:

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Order, PointSet, RankedMetric, build_onng, key_source, max_indegree
+from .core import Order, PointSet, RankedMetric, build_onng, key_source, max_indegree, pair_base
 
 Coloring = Callable[[int, int, int], "TripleColor"]
 
@@ -99,13 +99,15 @@ def color_triple(m: RankedMetric, i1: int, i2: int, i3: int) -> TripleColor:
 
 
 def coloring_from_metric(m: RankedMetric) -> Coloring:
-    """Fast closure over the rank matrix; same classification as color_triple."""
-    rows = m.matrix_rows()
+    """Fast closure over the pair-rank vector, which it reads as plain ints
+    at base[i] + j for i < j (pair_base): color_triple's classification of
+    an ascending triple, which it does not check."""
+    ranks, base = memoryview(m.pair_ranks()), pair_base(m.n).tolist()
 
     def col(i1: int, i2: int, i3: int) -> TripleColor:
-        r12 = rows[i1][i2]
-        r13 = rows[i1][i3]
-        r23 = rows[i2][i3]
+        r12 = ranks[base[i1] + i2]
+        r13 = ranks[base[i1] + i3]
+        r23 = ranks[base[i2] + i3]
         if r23 < r12 and r23 < r13:
             return TripleColor.RED
         if r13 < r12:

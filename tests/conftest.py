@@ -77,6 +77,26 @@ def reference_metric(ps: PointSet) -> RankedMetric:
     return RankedMetric(ps.n, flat)
 
 
+def dense_ranks(m: RankedMetric) -> list[list[int]]:
+    """The n×n rank matrix of m, both triangles filled pair by pair from
+    its pair ranks in lexicographic order, and p = n(n-1)/2, above every
+    rank, on the diagonal: the dense form the packed vector is checked
+    against."""
+    n, flat = m.n, m.pair_ranks().tolist()
+    mat = [[len(flat)] * n for _ in range(n)]
+    for (i, j), r in zip(combinations(range(n), 2), flat, strict=True):
+        mat[i][j] = mat[j][i] = r
+    return mat
+
+
+@st.composite
+def packed_metrics(draw, max_n: int = 40) -> RankedMetric:
+    """A metric on up to max_n vertices from a drawn permutation of its
+    pair ranks."""
+    n = draw(st.integers(1, max_n))
+    return RankedMetric(n, draw(st.permutations(range(n * (n - 1) // 2))))
+
+
 @st.composite
 def lattice_point_sets(draw, max_dim: int = 5, max_n: int = 80, min_n: int = 1):
     """n distinct points of a small integer lattice (d <= max_dim, n drawn
@@ -256,7 +276,7 @@ def reference_best_order(m: RankedMetric) -> tuple[tuple[int, ...], int]:
     n = m.n
     g = reference_completion_table(m)
     best = max(max(g[1 << u]) for u in range(n))
-    rows = m.matrix_rows()
+    rows = dense_ranks(m)
     order: list[int] = []
     indeg = [0] * n
     mask = 0

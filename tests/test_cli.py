@@ -427,6 +427,27 @@ def test_plain_scan_runs_join_anywhere(text, plain):
     assert _parse_outcome(text, want, plain) == want
 
 
+_ASCII_LINE_ENDS = re.compile(rb"[^\n\r\v\f\x1c-\x1e]*(?:\r\n|[\n\r\v\f\x1c-\x1e])?")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"1", b" ", b"#", b"\n", b"\r", b"\r\n", b"\v", b"\f", b"\x1c",
+                                 b"\x1d", b"\x1e", b"\x1f", b"\xc2\x85"]), max_size=80).map(b"".join),
+       st.integers(1, 12))
+def test_runs_end_at_the_last_ascii_line_break(data, chunk):
+    # the runs are the file, each but the last ends at an ASCII line break
+    # and none splits a "\r\n"; a run holds at most one read past its
+    # longest line, so a lone-"\r" file is read in runs, not as one
+    with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+        runs = list(fileio._runs(io.BytesIO(data)))
+    assert b"".join(runs) == data and all(runs)
+    for run, after in zip(runs, runs[1:]):
+        assert run[-1] in fileio._ASCII_BREAKS, runs
+        assert not (run.endswith(b"\r") and after.startswith(b"\n")), runs
+    longest = max(map(len, _ASCII_LINE_ENDS.findall(data)), default=0)
+    assert all(len(run) <= chunk + longest for run in runs), runs
+
+
 def test_write_metric_matches_reference_writer(monkeypatch):
     # ids and ranks cross decimal widths at n = 5, 11, 15, 46, 100, 142, 448,
     # 1000; n = 1024 spans several blocks of lines
@@ -479,9 +500,8 @@ def _check_metric_read_peak(src, text):
 
 def test_load_input_metric_peak_memory_is_bounded(tmp_path):
     # the whole command's read, from the path: no copy of the 7.3 MB file's
-    # bytes or text is held, so the rank matrix sets the peak; once the read
-    # returns, that 4 MiB matrix is all the metric holds, with no flat rank
-    # vector beside it
+    # bytes or text is held, so the rank vector sets the peak; once the read
+    # returns, that 2 MiB vector is all the metric holds
     cap, held_cap = 10 * 2**20, int(4.5 * 2**20)
     src = tmp_path / "m.txt"
     assert run_cli(["gen", "random-metric", "--n", "1024", "--seed", "31", "-o", str(src)])[0] == 0
@@ -494,6 +514,26 @@ def test_load_input_metric_peak_memory_is_bounded(tmp_path):
     assert m.n == 1024
     assert peak < cap, peak
     assert held <= held_cap, held
+
+
+def test_load_input_metric_peak_is_the_pair_vector(tmp_path):
+    # the read holds the 2 MiB pair-rank vector, its p-byte rank check and
+    # one run's temporaries: no n×n matrix, and the same bound for the file
+    # rewritten with lone "\r", which the runs end at
+    cap = int(3.5 * 2**20)
+    plain, cr = tmp_path / "m.txt", tmp_path / "cr.txt"
+    assert run_cli(["gen", "random-metric", "--n", "1024", "--seed", "1", "-o", str(plain)])[0] == 0
+    cr.write_bytes(plain.read_bytes().replace(b"\n", b"\r"))
+    metrics = []
+    for src in (plain, cr):
+        tracemalloc.start()
+        try:
+            metrics.append(cli._load_input(str(src), "auto"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (src, peak)
+    assert metrics[0].n == 1024 and metrics[1] == metrics[0]
 
 
 @pytest.mark.parametrize("data, fmt", [

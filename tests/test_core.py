@@ -29,7 +29,14 @@ from onng.core import iter_pairs, shuffled_range
 from onng.euclid import order_euclid
 from onng.fileio import parse_metric, parse_points, write_metric, write_points
 
-from conftest import lattice_point_sets, rand_point_set, reference_metric, run_cli
+from conftest import (
+    dense_ranks,
+    lattice_point_sets,
+    packed_metrics,
+    rand_point_set,
+    reference_metric,
+    run_cli,
+)
 
 
 def test_pair_index_is_bijective():
@@ -65,24 +72,18 @@ def test_rank_is_symmetric(monkeypatch):
     metrics = [RankedMetric(4, (5, 1, 0, 2, 4, 3))]
     metrics += [random_rank_metric(n, rng) for n in (1, 2, 3, 9)]
     for m in metrics:
-        p, rows, flat = m.n * (m.n - 1) // 2, m.matrix_rows(), m.pair_ranks()
-        assert [rows[v][v] for v in range(m.n)] == [p] * m.n  # the sentinel
+        rows, flat = dense_ranks(m), m.pair_ranks()
         for i, j in iter_pairs(m.n):
             assert m.rank(i, j) == m.rank(j, i) == rows[i][j] == rows[j][i]
             assert m.rank(i, j) == flat[pair_index(i, j, m.n)]
-        # the flat vector is derived, and rebuilds the same metric
+        # the flat vector is the metric's own, and rebuilds the same metric
+        assert m.pair_ranks() is flat
         again = RankedMetric(m.n, flat)
         assert again == m and hash(again) == hash(m)
-        # the rows are views of the metric's own matrix, and the flat vector
-        # is read-only too, so both refuse writes
+        # it is read-only, so it refuses writes
         with pytest.raises(ValueError, match="read-only"):
             flat[:1] = 0
-        if m.n > 1:
-            r01 = m.rank(0, 1)
-            with pytest.raises(TypeError):
-                rows[0][1] = r01 + 1
-            assert m.rank(0, 1) == r01
-        # the acceptor fills the matrix it hands over, from a plain file and
+        # the acceptor fills the vector it hands over, from a plain file and
         # from one with a comment, and equals the metric of the same ranks
         text = write_metric(m)
         for read in (parse_metric(text), parse_metric("# c\n" + text)):
@@ -588,3 +589,78 @@ def test_grid_rebuild_and_path_peak_memory_stay_at_the_parents():
         finally:
             tracemalloc.stop()
         assert peak <= parent + 0.1 * 2**20, (peak, parent)
+
+
+# ------------------------------------------- the packed pair-rank vector
+
+
+def _dense_path(rows, tail):
+    """path_order written out on the dense reference: from the tail, step to
+    the nearest vertex not yet chosen, then reverse."""
+    chain, left = [tail], set(range(len(rows))) - {tail}
+    while left:
+        chain.append(min(left, key=rows[chain[-1]].__getitem__))
+        left.remove(chain[-1])
+    return tuple(reversed(chain))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(packed_metrics())
+def test_packed_metric_matches_dense_reference(m):
+    # rank both ways round and the pair vector read the dense matrix; the
+    # vector is the metric's own and refuses writes; a written file reads
+    # back equal, with the same hash
+    rows, n = dense_ranks(m), m.n
+    flat = m.pair_ranks()
+    assert flat is m.pair_ranks() and not flat.flags.writeable
+    assert flat.tolist() == [rows[i][j] for i, j in iter_pairs(n)]
+    for i, j in iter_pairs(n):
+        assert m.rank(i, j) == m.rank(j, i) == rows[j][i]
+    if len(flat):
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 0
+    again = parse_metric(write_metric(m))
+    assert again == m and hash(again) == hash(m)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(packed_metrics(max_n=60), st.sampled_from([4, 37, 256]), st.data())
+def test_metric_key_source_reads_both_triangles(m, scratch, data):
+    # keys and row against the dense matrix, ids in any order so both
+    # triangles are read, in blocks up to the buffers' size, which crosses
+    # SCRATCH past n > SCRATCH / 2; a vertex against itself is never read
+    rows, n = dense_ranks(m), m.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SCRATCH", scratch)
+        table, keys, row, top = core.key_source(m)
+        size = max(scratch, 2 * n)
+    assert top == n * (n - 1) // 2
+    ids = st.integers(0, n - 1)
+    for _ in range(3):
+        a = data.draw(st.lists(ids, min_size=1, max_size=min(n + 1, size)))
+        b = data.draw(st.lists(ids, min_size=1, max_size=size // len(a)))
+        got = keys(table(np.array(a)), table(np.array(b)))
+        assert got.shape == (len(a), len(b))
+        for x, ra in zip(a, got.tolist()):
+            assert [r for y, r in zip(b, ra) if y != x] == [rows[x][y] for y in b if y != x]
+        v = data.draw(ids)
+        cols = data.draw(st.lists(ids, min_size=1, max_size=2 * n))
+        got = row(v, table(np.array(cols))).tolist()
+        assert [r for u, r in zip(cols, got) if u != v] == [rows[v][u] for u in cols if u != v]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(packed_metrics(max_n=60), st.sampled_from([4, 37, core.SCRATCH]), st.randoms(use_true_random=False))
+def test_rebuild_and_path_on_packed_metrics(m, scratch, rng):
+    # build_onng and path_order on the vector equal the naive scans of the
+    # dense matrix, with resolver blocks of a few keys up to SCRATCH
+    rows, n = dense_ranks(m), m.n
+    order = rng.sample(range(n), n)
+    parent = {v: min(order[:k], key=rows[v].__getitem__) for k, v in enumerate(order) if k}
+    tail = rng.randrange(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SCRATCH", scratch)
+        g = build_onng(m, order)
+        path = path_order(m, tail)
+    assert g.parent == parent
+    assert path == _dense_path(rows, tail)

@@ -32,6 +32,7 @@ from onng import (
 from onng.oracle import _g, _graph, _graph_codes, _perm_table, _profiles, _scan_block
 
 from conftest import (
+    dense_ranks,
     reference_best_order,
     reference_completion_table,
     reference_profile,
@@ -149,9 +150,9 @@ def test_completion_closed_form_matches_dp_table(m):
     # g(S, v) = alpha(G_v[W]) for every non-empty revealed set S and every v
     n = m.n
     table = reference_completion_table(m)
-    codes = _graph_codes(m._matrix[None])[0]
+    rows = dense_ranks(m)
+    codes = _graph_codes(np.array([rows]))[0]
     adj = [_graph(int(c), n, v) for v, c in enumerate(codes)]
-    rows = m.matrix_rows()
     for s in range(1, 1 << n):
         assert [_g(rows, adj[v], s, v) for v in range(n)] == table[s], s
 
@@ -241,7 +242,7 @@ def test_canonical_search_matches_canonical_enumeration():
 
 def test_graph_codes_refuse_more_bits_than_int64_holds():
     # G_v has C(n-1, 2) possible edges: 55 at n = 12, 66 at n = 13
-    r12, r13 = (random_rank_metric(n, random.Random(5))._matrix[None] for n in (12, 13))
+    r12, r13 = (np.array([dense_ranks(random_rank_metric(n, random.Random(5)))]) for n in (12, 13))
     assert _graph_codes(r12).shape == (1, 12)
     with pytest.raises(OverflowError, match="66 possible edges"):
         _graph_codes(r13)

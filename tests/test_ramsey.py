@@ -32,7 +32,7 @@ from onng import (
     verify_structure,
 )
 
-from conftest import circle_points, lattice_point_sets, reference_run_process
+from conftest import circle_points, dense_ranks, lattice_point_sets, packed_metrics, reference_run_process
 
 
 def _line_metric(*coords):
@@ -66,6 +66,20 @@ def test_coloring_from_metric_agrees():
         for j in range(i + 1, 12):
             for k in range(j + 1, 12):
                 assert col(i, j, k) is color_triple(m, i, j, k)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(packed_metrics(max_n=16))
+def test_coloring_from_metric_matches_color_triple_on_packed_metrics(m):
+    # the closure reads the pair vector at base[i] + j; color_triple reads
+    # rank, and the dense reference gives the shortest side
+    rows, col = dense_ranks(m), coloring_from_metric(m)
+    for i, j, k in combinations(range(m.n), 3):
+        want = color_triple(m, i, j, k)
+        assert col(i, j, k) is want
+        shortest = min((rows[j][k], TripleColor.RED), (rows[i][k], TripleColor.GREEN),
+                       (rows[i][j], TripleColor.BLUE))
+        assert want is shortest[1]
 
 
 def test_verify_structure():
