@@ -241,8 +241,8 @@ def cmd_order(args) -> int:
 def cmd_eval(args) -> int:
     data = _load_input(args.input, args.input_format)
     try:
-        with open(args.order, "r", encoding="utf-8") as fh:
-            order = fileio.parse_order(fh.read())
+        with open(args.order, "rb") as fh:
+            order = fileio.parse_order(fileio.Source(fh))
     except OSError as e:
         raise UsageError(f"cannot read {args.order}: {e}") from e
     except ValueError as e:

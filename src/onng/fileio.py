@@ -3,15 +3,16 @@
 All three are line-oriented, whitespace-delimited, with '#' comments and
 blank lines ignored.  Lines break wherever str.splitlines breaks them, and
 a comment runs from '#' to the end of its line.  Files are read in binary
-(Source): the plain scans read runs of whole lines of about _PLAIN_CHUNK
-bytes, each ending at the last ASCII line break read (_runs), and find
-their fields alike (_tokens), reading any ASCII run as the line split does
-("\r\n" and every other ASCII line break as "\n", "\x1f" as a space,
-comments blanked); only a reader that falls back to Lines decodes the file
-whole.  A Source keeps each scan and the split, for sniff_format and the
-parse after it; a str gets one too.  Coordinates are read as exact
-rationals, so reading back a written points file reproduces the point set
-bit for bit.
+(Source), only ever in runs of whole lines of about _PLAIN_CHUNK bytes,
+each ending at the last ASCII line break read (_runs).  The plain scans
+find each run's fields (_tokens), reading any ASCII run as the line split
+does ("\r\n" and every other ASCII line break as "\n", "\x1f" as a space,
+comments blanked), and never decode it; every other reader walks the runs
+line by line (_walk), and no file is decoded whole.  A Source keeps each
+scan and the data line count, for sniff_format and the parse after it; a
+str is read as its UTF-8 bytes.  Coordinates are read as exact rationals,
+so reading back a written points file reproduces the point set bit for
+bit.
 
 points file: one point per line, one coordinate per column; every line must
 have the dimension of the first.  A plain file, as gen random-points and gen
@@ -20,8 +21,8 @@ never split into lines: ASCII, and read as scanned only digits, "-", ".",
 spaces, tabs and "\n", every field -?digits(.digits)? of at most 18 digits
 at the file's largest decimal count, the same field count on every line,
 and no two points equal.  Every other spelling (non-ASCII text, "+", "1/3",
-".5", "1e3", longer fields) and every defective file goes through Lines and
-one Fraction per field, which words the error.
+".5", "1e3", longer fields) and every defective file is walked, with one
+Fraction per field, which words the error.
 
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
@@ -40,10 +41,11 @@ vector is allocated only once the header passes the pair-ranking guard and
 the file is long enough to hold its pairs, so a short file with a huge
 header allocates nothing of that size.  Every other file (non-ASCII text,
 signs, underscores, other scripts' digits, longer fields) and every file
-the acceptor declines is read by the walker, line by line from Lines in
-file order: its first defective line is reported by the first check it
-fails (field count, integers, pair range, repeated pair), and a file with
-none gets its metric, or RankedMetric's rank error.
+the acceptor declines is walked line by line in file order (_explain):
+its first defective line is reported by the first check it fails (field
+count, integers, pair range, repeated pair), and a file with none gets its
+metric, or RankedMetric's rank error.  Its pair-line count is checked
+before the vector is allocated, from the pass that counted the lines.
 
 order file: one vertex id per line, a permutation of 0..n-1.
 """
@@ -55,7 +57,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -94,22 +96,6 @@ _PLAIN_BYTES = b"0123456789 \t\n"
 _PLAIN_DIGITS = 18
 # The bytes of a plain points file: the metric file's, a sign and a point.
 _POINT_BYTES = _PLAIN_BYTES + b"-."
-
-
-class Lines:
-    """A text split into lines once: ``lines`` with comments blanked out,
-    ``fields`` the whitespace-separated field count of each (0 for a blank
-    or comment line), and ``data`` the indexes of the lines with fields."""
-
-    def __init__(self, text: str) -> None:
-        # A comment becomes one space, so "\r#x\n" stays two line breaks.
-        if "#" in text:
-            text = re.sub(_COMMENT, " ", text)
-        self.lines = text.splitlines()
-        self.fields = np.fromiter(
-            map(len, map(str.split, self.lines)), dtype=np.int32, count=len(self.lines)
-        )
-        self.data = np.flatnonzero(self.fields)
 
 
 def _runs(fh: BinaryIO) -> Iterator[bytes]:
@@ -165,55 +151,38 @@ def _tokens(run: bytes, allowed: bytes) -> tuple[bytes, np.ndarray, np.ndarray, 
 
 
 class PlainScan(NamedTuple):
-    """What the one scan of a plain metric file found: its header n,
-    whether it holds exactly the 1 + 3 n(n-1)/2 fields of a metric, and the
+    """What the one scan of a plain metric file found: its header n and the
     metric the acceptor read from it (None if it declined)."""
 
     n: int
-    shaped: bool
     metric: RankedMetric | None
 
 
 class Source:
-    """One input, read in binary and decoded only for Lines; len() is its
-    byte count.  Each scan and the split are made at most once, however many
-    readers ask.  fh must stay open while they do; one that cannot seek (a
-    pipe) is read whole first.  A str is read as UTF-8 and is its own text."""
+    """One input, read in binary through _runs; len() is its byte count,
+    lines its data line count once a pass has counted them.  Each scan is
+    made at most once, however many readers ask.  fh must stay open while
+    they do; one that cannot seek (a pipe) is read whole first."""
 
-    def __init__(self, fh: BinaryIO | str) -> None:
-        if isinstance(fh, str):
-            self.text = fh
-            fh = io.BytesIO(fh.encode("utf-8", "surrogatepass"))
-        elif not fh.seekable():
+    def __init__(self, fh: BinaryIO) -> None:
+        if not fh.seekable():
             fh = io.BytesIO(fh.read())
         self._fh, self._size = fh, fh.seek(0, io.SEEK_END)
+        self.lines: int | None = None
 
     def __len__(self) -> int:
         return self._size
 
     @cached_property
-    def text(self) -> str:
-        """The file as open(path, "r", encoding="utf-8").read() reads it."""
-        self._fh.seek(0)
-        wrapper = io.TextIOWrapper(self._fh, encoding="utf-8")
-        try:
-            return wrapper.read()
-        finally:
-            wrapper.detach()  # fh stays open
-
-    @cached_property
-    def split_lines(self) -> Lines:
-        return Lines(self.text)
-
-    @cached_property
     def plain_scan(self) -> PlainScan | None:
         """A plain metric file (see the module docstring) read in one pass
-        over its runs, each run's int64 fields handed to the acceptor; None
-        if the file is not plain, which sends it to Lines.  Never raises."""
-        header, count, plain = None, 0, True
+        over its runs, each run's int64 fields handed to the acceptor, and
+        its data lines counted; None if the file is not plain, which sends it
+        to the walker.  Never raises."""
+        header, lines, plain = None, 0, True
 
         def blocks() -> Iterator[np.ndarray]:
-            nonlocal header, count, plain
+            nonlocal header, lines, plain
             for run in _runs(self._fh):
                 tok = _tokens(run, _PLAIN_BYTES)
                 if tok is None:
@@ -227,27 +196,28 @@ class Source:
                     plain = False
                     return
                 block = np.fromstring(run, dtype=np.int64, sep=" ")
+                lines += fields.size
                 del tok, run, starts, ends, fields  # not held while the acceptor reads
                 if header is None:
                     header = int(block[0])
-                count += block.size
                 yield block
 
         it = blocks()
         # every field is at least one byte, with a space or "\n" after it
         m = _metric(it, (self._size + 1) // 2)
-        # a declined file is still read to its end: is it plain, how many fields
+        # a declined file is still read to its end: is it plain, how many lines
         for _ in it:
             pass
-        if not plain or header is None:
+        if not plain:
             return None
-        return PlainScan(header, count == 1 + 3 * (header * (header - 1) // 2), m)
+        self.lines = lines
+        return None if header is None else PlainScan(header, m)
 
     @cached_property
     def points_scan(self) -> PointSet | None:
         """A plain points file (see the module docstring) on the integer
-        grid, or None, which sends it to Lines; never raises.  Each run is
-        scaled to the largest decimal count D so far, and again at the end,
+        grid, or None, which sends it to the walker; never raises.  Each run
+        is scaled to the largest decimal count D so far, and again at the end,
         after the most integer digits plus D are checked against _PLAIN_DIGITS."""
         dim, d, most, runs = 0, 0, 0, []
         for run in _runs(self._fh):
@@ -301,25 +271,45 @@ class Source:
 
 
 def _source(text: str | Source) -> Source:
-    return text if isinstance(text, Source) else Source(text)
+    return text if isinstance(text, Source) else Source(io.BytesIO(text.encode()))
 
 
-def _data_lines(t: Lines) -> list[tuple[int, str]]:
-    """(line number, line) of every data line, for the point and order parsers."""
-    return [(k + 1, t.lines[k]) for k in t.data.tolist()]
+def _walk(src: Source) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every data line of src in file order; a
+    walk that ends sets src.lines.  Each run is decoded as UTF-8 on its own
+    (it ends after an ASCII line break, so no character or line spans two),
+    its comments blanked, and split into lines and each line into fields
+    once.  Every run is decoded first, so a file that is not UTF-8 gets the
+    decoder's error, at its offset in the file, before any line defect."""
+    at = 0
+    for run in _runs(src._fh):
+        try:
+            run.decode("utf-8")
+        except UnicodeDecodeError as e:
+            # the message reads the bad byte at its offset in the object
+            raise UnicodeDecodeError(e.encoding, bytes(at) + run, at + e.start, at + e.end,
+                                     e.reason) from None
+        at += len(run)
+    lineno = count = 0
+    for run in _runs(src._fh):
+        text = run.decode("utf-8")
+        # a comment becomes one space, so "\r#x\n" stays two line breaks
+        if "#" in text:
+            text = re.sub(_COMMENT, " ", text)
+        for lineno, fields in enumerate(map(str.split, text.splitlines()), lineno + 1):
+            if fields:
+                count += 1
+                yield lineno, fields
+    src.lines = count
 
 
 def parse_points(text: str | Source) -> PointSet:
     src = _source(text)
     if src.points_scan is not None:
         return src.points_scan
-    lines = _data_lines(src.split_lines)
-    if not lines:
-        raise ValueError("points file has no data lines")
     rows: list[tuple[Fraction, ...]] = []
     dim = None
-    for lineno, line in lines:
-        parts = line.split()
+    for lineno, parts in _walk(src):
         if dim is None:
             dim = len(parts)
         elif len(parts) != dim:
@@ -330,6 +320,8 @@ def parse_points(text: str | Source) -> PointSet:
             rows.append(tuple(Fraction(p) for p in parts))
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"line {lineno}: bad coordinate: {e}") from e
+    if not rows:
+        raise ValueError("points file has no data lines")
     return PointSet(dim, rows)
 
 
@@ -340,12 +332,12 @@ def write_points(ps: PointSet) -> str:
 
 def parse_metric(text: str | Source) -> RankedMetric:
     """The metric of a file: read by the acceptor from the run scan, or
-    else by the line walker (_explain), which words the first defect."""
+    else walked line by line (_explain), which words the first defect."""
     src = _source(text)
     scan = src.plain_scan
     if scan is not None and scan.metric is not None:
         return scan.metric
-    return _explain(src.split_lines)
+    return _explain(src)
 
 
 def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
@@ -384,34 +376,39 @@ def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
         return None
 
 
-def _explain(t: Lines) -> RankedMetric:
-    """A metric file read line by line in file order, for a file the run
+def _explain(src: Source) -> RankedMetric:
+    """A metric file walked line by line in file order, for a file the run
     scan or the acceptor declined: raises the first defect, checking each
     line for its field count, integers, pair range and a repeated pair, in
-    that order.  Otherwise each rank goes into its pair's slot of the
-    pair-rank vector, as in the acceptor (a rank out of range as p, which
-    no bijection holds), and the metric's rank check words a fault in the
-    ranks alone."""
-    data = compress(enumerate(t.lines, 1), t.fields)
-    h, header = next(data, (0, None))
+    that order, after the pair-line count, which a pass that counted the
+    lines (plain_scan, the sniff's walk, or else a walk of its own) gives
+    before anything of size n(n-1)/2 is allocated.  Otherwise each rank goes
+    into its pair's slot of the pair-rank vector, as in the acceptor (a rank
+    out of range as p, which no bijection holds), and the metric's rank
+    check words a fault in the ranks alone."""
+    if src.lines is None:
+        for _ in _walk(src):
+            pass
+    walk = _walk(src)
+    h, header = next(walk, (0, None))
     if header is None:
         raise ValueError("metric file has no data lines")
     try:
-        n = int(header.strip())
+        (n,) = map(int, header)
     except ValueError as e:
         raise ValueError(f"line {h}: header must be the vertex count") from e
     if n < 1:
         raise ValueError(f"line {h}: vertex count must be positive")
     check_pair_guard(n)
     p = n * (n - 1) // 2
-    if t.data.size - 1 != p:
-        raise ValueError(f"expected {p} pair lines for n={n}, got {t.data.size - 1}")
+    if src.lines - 1 != p:
+        raise ValueError(f"expected {p} pair lines for n={n}, got {src.lines - 1}")
     ranks = np.full(p, -1, dtype=np.int32)
     slots = memoryview(ranks)  # items as plain ints
     base = pair_base(n).tolist()
-    for k, line in data:
+    for k, fields in walk:
         try:
-            i, j, r = line.split()
+            i, j, r = fields
         except ValueError:
             raise ValueError(f"line {k}: expected 'i j rank'") from None
         try:
@@ -475,18 +472,16 @@ def _digits(v: np.ndarray, width: int) -> np.ndarray:
     return tab
 
 
-def parse_order(text: str, n: int | None = None) -> Order:
-    lines = _data_lines(Lines(text))
-    if not lines:
-        raise ValueError("order file has no data lines")
+def parse_order(text: str | Source, n: int | None = None) -> Order:
     ids = []
-    for lineno, line in lines:
-        parts = line.split()
-        for p in parts:
+    for lineno, fields in _walk(_source(text)):
+        for f in fields:
             try:
-                ids.append(int(p))
+                ids.append(int(f))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: bad vertex id: {e}") from e
+    if not ids:
+        raise ValueError("order file has no data lines")
     if n is not None and len(ids) != n:
         raise ValueError(f"order has {len(ids)} ids, expected {n}")
     return tuple(ids)
@@ -505,24 +500,25 @@ def sniff_format(text: str | Source) -> str:
     src = _source(text)
     scan = src.plain_scan
     if scan is not None:
-        return "metric" if scan.n >= 1 and scan.shaped else "points"
+        return "metric" if scan.n >= 1 and src.lines - 1 == scan.n * (scan.n - 1) // 2 else "points"
     # every line of a plain points file has the same field count, so it is
     # metric-shaped only as one line holding a positive int: digits alone,
     # which plain_scan has read
     if src.points_scan is not None:
         return "points"
-    t = src.split_lines
-    if not t.data.size:
+    # walked to the end only if metric-shaped so far, so the count is kept
+    # for _explain
+    walk = _walk(src)
+    _, header = next(walk, (0, None))
+    if header is None:
         raise ValueError("input has no data lines")
-    if t.fields[t.data[0]] == 1:
-        try:
-            n = int(t.lines[t.data[0]].strip())
-        except ValueError:
-            return "points"
-        if n >= 1 and t.data.size - 1 == n * (n - 1) // 2:
-            if np.all(t.fields[t.data[1:]] == 3):
-                return "metric"
-    return "points"
+    try:
+        (n,) = map(int, header)
+    except ValueError:
+        return "points"
+    if n < 1 or any(len(fields) != 3 for _, fields in walk):
+        return "points"
+    return "metric" if src.lines - 1 == n * (n - 1) // 2 else "points"
 
 
 def render_dot(g: OrderedNNG) -> str:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
@@ -17,7 +18,6 @@ from onng import PointSet, RankedMetric, oracle, pair_index
 from onng.cli import main as cli_main
 from onng.core import scratch
 from onng.euclid import PARITY_MAX_DIM, _diameter_ids, _halfspace_ids, grid_cell_bound, grid_guarantee
-from onng.fileio import Lines
 
 
 def rand_line_set(rng: random.Random, n: int) -> PointSet:
@@ -180,7 +180,29 @@ def reference_sniff_format(text: str) -> str:
 # The points reader as it was before plain files were scanned onto the grid:
 # every file split into Lines and one Fraction per field, kept verbatim (but
 # for splitting the text itself) as the reference fileio.parse_points must
-# match, error text and line number included.
+# match, error text and line number included.  Lines is fileio's line split
+# as it was before the readers walked the runs, kept verbatim with the
+# pattern it blanks comments by.
+
+# Exactly the characters str.splitlines breaks at ("\r\n" is "\r" then "\n").
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = f"#[^{_LINE_BREAKS}]*"
+
+
+class Lines:
+    """A text split into lines once: ``lines`` with comments blanked out,
+    ``fields`` the whitespace-separated field count of each (0 for a blank
+    or comment line), and ``data`` the indexes of the lines with fields."""
+
+    def __init__(self, text: str) -> None:
+        # A comment becomes one space, so "\r#x\n" stays two line breaks.
+        if "#" in text:
+            text = re.sub(_COMMENT, " ", text)
+        self.lines = text.splitlines()
+        self.fields = np.fromiter(
+            map(len, map(str.split, self.lines)), dtype=np.int32, count=len(self.lines)
+        )
+        self.data = np.flatnonzero(self.fields)
 
 
 def _point_lines(text: str) -> list[tuple[int, str]]:

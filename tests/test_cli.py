@@ -14,7 +14,6 @@ import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -40,6 +39,7 @@ import onng.fileio as fileio
 import onng.oracle as oracle
 
 from conftest import (
+    Lines,
     reference_parse_metric,
     reference_parse_points,
     reference_sniff_format,
@@ -237,6 +237,21 @@ def _on_disk(text: str):
             yield fh, decoded
 
 
+def _refuse_walks(order_path: str | None = None):
+    """A patch under which walking an input line by line fails, not only in
+    the benchmark: a generated file is never decoded or split into lines.
+    eval's order file, opened from order_path, is walked, as every order
+    file is."""
+    walk = fileio._walk
+
+    def refuse(src):
+        if order_path is None or getattr(src._fh, "name", None) != order_path:
+            raise AssertionError("a generated file was walked line by line")
+        return walk(src)
+
+    return mock.patch.object(fileio, "_walk", refuse)
+
+
 def _parse_outcome(text, want, plain):
     """parse_metric's outcome on text; a valid file (want is a metric) that
     is plain must be read without the line walker."""
@@ -372,7 +387,7 @@ def test_plain_metric_scan_matches_reference(case, chunk):
     # sniff and the parse, sharing one Source, answer as the reference
     text, plain = case
     with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-        _check_plain_source(Source(text), text, plain)
+        _check_plain_source(fileio._source(text), text, plain)
         with _on_disk(text) as (fh, decoded):
             _check_plain_source(Source(fh), decoded, plain)
 
@@ -411,12 +426,12 @@ def test_plain_scan_runs_join_anywhere(text, plain):
     # so a read ends mid-line, and a join falls after the header, inside
     # each blank-line run and comment, and before a missing final "\n"
     assert _is_plain_metric(text) == plain
-    whole = Source(text).plain_scan
+    whole = fileio._source(text).plain_scan
     assert (whole is not None) == plain
     with _on_disk(text) as (fh, decoded):
         for chunk in range(1, len(text) + 2):
             with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-                assert Source(text).plain_scan == whole, chunk
+                assert fileio._source(text).plain_scan == whole, chunk
                 assert Source(fh).plain_scan == whole, chunk
         shared = Source(fh)
         assert _outcome(sniff_format, shared) == _outcome(reference_sniff_format, decoded)
@@ -448,6 +463,63 @@ def test_runs_end_at_the_last_ascii_line_break(data, chunk):
     assert all(len(run) <= chunk + longest for run in runs), runs
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"1", b"+2", b" ", b"\t", b"#", b"\n", b"\r", b"\r\n", b"\v", b"\x1c",
+                                 b"\x1f", b"\xc2\x85", b"\xe2\x80\xa8", b"\xe3\x80\x80", b"\xef\xbb\xbf",
+                                 b"\xff", b"\xe2\x82", b"\xc2"]), max_size=60).map(b"".join),
+       st.integers(1, 12))
+def test_walk_reads_the_runs_as_the_whole_file_decodes(data, chunk):
+    # the walk decodes run by run what a decode of the whole file decodes:
+    # the data lines Lines finds in the decoded text, with their numbers,
+    # and their count once it ends; a file that is not UTF-8 gets the
+    # whole-file decode's error, its offsets in the file
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        want = "UnicodeDecodeError", str(e)
+    else:
+        t = Lines(text)
+        want = [(k + 1, t.lines[k].split()) for k in t.data.tolist()]
+    src = Source(io.BytesIO(data))
+    with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+        try:
+            got = list(fileio._walk(src))
+        except UnicodeDecodeError as e:
+            got = "UnicodeDecodeError", str(e)
+    assert got == want
+    assert src.lines == (len(want) if isinstance(want, list) else None)
+
+
+@pytest.mark.parametrize("text", [
+    "3 3\n0 1 +0\n0 2 1\n1 2 2\n",  # header
+    "3\n0 1 +0\n0 2\n1 2 2\n",  # field count
+    "3\n0 1 +0\n0 2 1.0\n1 2 2\n",  # bad integer
+    "3\n0 1 +0\n0 3 1\n1 2 2\n",  # pair range
+    "3\n0 1 +0\n# \u00e9\n1 0 1\n1 2 2\n",  # repeated pair
+    "3\n0 1 +0\n0 2 0\n1 2 2\n",  # rank fault
+    "3\n0 1 +0\n0 2 1\n1 2 2\n0 1 +1\n",  # pair-count mismatch
+    "\ufeff3\n0 1 0\n0 2 1\n1 2 2\n",  # byte order mark
+    "3\n0 1 +0\x850 2 1\u20281 0 2\u2029\n",  # non-ASCII line breaks
+    "3\r\n0 1 +0\r\n0 2 1\r1 2 2 # \u00e9\r\n",  # no defect
+])
+def test_walked_defects_at_run_joins_match_the_references(text):
+    # every run length from one byte up puts a run join before, inside and
+    # after each defect of a walked file: the sniff and each parse answer
+    # as the references do on the decoded text, the metric parse both after
+    # the sniff, on its Source as the CLI shares it, and alone
+    data = text.encode()
+    metric = _outcome(reference_parse_metric, text)
+    want = (_outcome(reference_sniff_format, text), metric, metric,
+            _points_outcome(reference_parse_points, text))
+    for chunk in range(1, len(data) + 2):
+        with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+            shared = Source(io.BytesIO(data))
+            got = (_outcome(sniff_format, shared), _outcome(parse_metric, shared),
+                   _outcome(parse_metric, Source(io.BytesIO(data))),
+                   _points_outcome(parse_points, Source(io.BytesIO(data))))
+        assert got == want, chunk
+
+
 def test_write_metric_matches_reference_writer(monkeypatch):
     # ids and ranks cross decimal widths at n = 5, 11, 15, 46, 100, 142, 448,
     # 1000; n = 1024 spans several blocks of lines
@@ -472,7 +544,7 @@ def test_metric_reader_peak_memory_is_bounded(tmp_path):
 
 def test_commented_metric_reader_peak_memory_is_bounded(tmp_path):
     # the run scan blanks a run's comments, so a commented file is read run
-    # by run as a plain one is, under the same cap, and never decoded whole
+    # by run as a plain one is, under the same cap, and never walked
     code, text, _ = run_cli(["gen", "random-metric", "--n", "1024", "--seed", "1"])
     assert code == 0
     lines = text.splitlines(keepends=True)
@@ -482,11 +554,12 @@ def test_commented_metric_reader_peak_memory_is_bounded(tmp_path):
 
 def _check_metric_read_peak(src, text):
     """sniff_format and parse_metric of text, read from the file src as the
-    CLI reads it, stay under 16 MiB of traced memory."""
+    CLI reads it and never walked line by line, stay under 16 MiB of traced
+    memory."""
     cap = 16 * 2**20
     src.write_text(text)
-    with open(src, "rb") as fh:
-        shared = _Undecoded(fh)
+    with open(src, "rb") as fh, _refuse_walks():
+        shared = Source(fh)
         tracemalloc.start()
         try:
             fmt = sniff_format(shared)
@@ -536,11 +609,42 @@ def test_load_input_metric_peak_is_the_pair_vector(tmp_path):
     assert metrics[0].n == 1024 and metrics[1] == metrics[0]
 
 
+def test_load_input_walked_metric_peak_is_bounded(tmp_path):
+    # a metric file the run scan or the acceptor declines is walked run by
+    # run, never decoded whole or split into lines all at once: the pair-rank
+    # vector and one run's lines set the peak.  "+" on every field (the walk
+    # reads the metric) and a last line that repeats the pair before it (the
+    # walk words the defect), both from the n = 1024 file
+    cap = 4 * 2**20
+    plain, plus, declined = tmp_path / "m.txt", tmp_path / "plus.txt", tmp_path / "declined.txt"
+    assert run_cli(["gen", "random-metric", "--n", "1024", "--seed", "1", "-o", str(plain)])[0] == 0
+    data = plain.read_bytes()
+    plus.write_bytes(re.sub(rb"([0-9]+)", rb"+\1", data))
+    lines = data.splitlines(keepends=True)
+    lines[-1] = b" ".join(lines[-2].split()[:2] + lines[-1].split()[2:]) + b"\n"
+    declined.write_bytes(b"".join(lines))
+    for src in (plus, declined):
+        tracemalloc.start()
+        try:
+            try:
+                got = cli._load_input(str(src), "auto")
+            except cli.UsageError as e:
+                got = str(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (src, peak)
+        if src == plus:
+            assert got == cli._load_input(str(plain), "auto")
+        else:
+            assert got == f"{declined}: line 523777: pair (1021, 1023) given twice"
+
+
 @pytest.mark.parametrize("data, fmt", [
     (b"3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # plain metric
     (b"0.5 1\n-2 3.25\n", "auto"),  # plain points
     (b"# c\n3\n0 1 0\n0 2 1\n1 2 2\n", "auto"),  # a comment, scanned
-    (b"3\n0 1 +0\n0 2 1\n1 2 2\n", "auto"),  # decoded whole
+    (b"3\n0 1 +0\n0 2 1\n1 2 2\n", "auto"),  # walked line by line
     (b"3\n0 1 0\n0 1 1\n1 2 2\n", "metric"),  # declined, then explained
     (b"3\n0 1 0\xff\n", "auto"),  # not UTF-8
     (b"8193\n0 1 0\n", "metric"),  # past the pair guard
@@ -596,7 +700,7 @@ def test_huge_header_allocates_nothing_per_pair(tmp_path):
                               "--input", str(src)])
     assert (code, out) == (1, "")
     assert err == f"onng: error: {src}: expected 33550336 pair lines for n=8192, got 3\n"
-    shared = Source(text)
+    shared = fileio._source(text)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="expected 33550336 pair lines for n=8192, got 3"):
@@ -607,40 +711,15 @@ def test_huge_header_allocates_nothing_per_pair(tmp_path):
     assert peak < 2**20, peak
 
 
-class _Undecoded(Source):
-    """A Source whose file may not be decoded whole; a str stays its own
-    text."""
-
-    @cached_property
-    def text(self) -> str:
-        raise AssertionError("a generated file was decoded whole")
-
-
-def _refuse_lines(monkeypatch, order_text: str | None) -> None:
-    """Make a generated input file that is decoded or split into lines fail,
-    not only in the benchmark; eval's order file is a str, and it is read
-    line by line."""
-    lines = fileio.Lines
-
-    def refuse(text):
-        if text != order_text:
-            raise AssertionError("a generated file was split into lines")
-        return lines(text)
-
-    monkeypatch.setattr(fileio, "Lines", refuse)
-    monkeypatch.setattr(fileio, "Source", _Undecoded)
-
-
-def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch):
-    # a silent fall-back to the line reader, or a decode of the whole file,
+def test_generated_metric_files_are_never_split_into_lines(tmp_path):
+    # a silent fall-back to the line walker, which decodes what it walks,
     # fails here; warnings are errors, so a numpy deprecation shows here too
     # also once rewritten with CRLF line breaks
     src, crlf, ordf = tmp_path / "m.txt", tmp_path / "crlf.txt", tmp_path / "o.txt"
     assert run_cli(["gen", "random-metric", "--n", "40", "--seed", "3", "-o", str(src)])[0] == 0
     crlf.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
     ordf.write_text(write_order(range(39, -1, -1)))
-    _refuse_lines(monkeypatch, ordf.read_text())
-    with warnings.catch_warnings():
+    with _refuse_walks(str(ordf)), warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["order", "--strategy", "ramsey"],
                      ["order", "--strategy", "path", "--tail", "0"],
@@ -651,20 +730,14 @@ def test_generated_metric_files_are_never_split_into_lines(tmp_path, monkeypatch
             assert run_cli(argv + ["--input", str(crlf)]) == (code, out, err), argv
 
 
-def test_defective_str_is_split_into_lines_once(monkeypatch):
-    # a str the acceptor declines is split into lines once, for the walker
+def test_defective_str_is_split_into_lines_once():
+    # a str the acceptor declines is walked line by line once, by
+    # _explain: the plain scan has counted its lines
     text = "3\r0 1 0\r0 2 1\r1 0 2\r"
-    splits = []
-    lines = fileio.Lines
-
-    def count(t):
-        splits.append(t)
-        return lines(t)
-
-    monkeypatch.setattr(fileio, "Lines", count)
-    with pytest.raises(ValueError, match=r"line 4: pair \(0, 1\) given twice"):
-        parse_metric(text)
-    assert len(splits) == 1
+    with mock.patch.object(fileio, "_walk", wraps=fileio._walk) as walk:
+        with pytest.raises(ValueError, match=r"line 4: pair \(0, 1\) given twice"):
+            parse_metric(text)
+    assert walk.call_count == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -792,21 +865,16 @@ def test_plain_points_scan_matches_reference(text, chunk):
     # sharing one Source, answer as the reference, and a plain file is never
     # split into lines
     plain = _is_plain_points(text)
-    shared, splits = Source(text), []
-    lines = fileio.Lines
-
-    def spy(t):
-        splits.append(t)
-        return lines(t)
-
-    with mock.patch.object(fileio, "Lines", spy), mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+    shared = fileio._source(text)
+    with (mock.patch.object(fileio, "_walk", wraps=fileio._walk) as walk,
+          mock.patch.object(fileio, "_PLAIN_CHUNK", chunk)):
         sniffed = _outcome(sniff_format, shared)
         got = _points_outcome(parse_points, shared)
     assert (shared.points_scan is not None) == plain
     assert sniffed == _outcome(reference_sniff_format, text)
     assert got == _points_outcome(reference_parse_points, text)
     if plain:
-        assert not splits
+        walk.assert_not_called()
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -822,13 +890,13 @@ def test_points_scan_digit_limit_spans_runs(text, plain):
     assert _is_plain_points(text) == plain
     for chunk in (1, 4, fileio._PLAIN_CHUNK):
         with mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
-            shared = Source(text)
+            shared = fileio._source(text)
             assert (shared.points_scan is not None) == plain, chunk
             assert _points_outcome(parse_points, shared) == _points_outcome(reference_parse_points, text)
 
 
-def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch):
-    # a silent fall-back to the line reader, or a decode of the whole file,
+def test_generated_points_files_are_never_split_into_lines(tmp_path):
+    # a silent fall-back to the line walker, which decodes what it walks,
     # fails here; warnings are errors, so a numpy deprecation shows here too
     # also once rewritten with CRLF line breaks
     pts, hl, ordf = tmp_path / "p.txt", tmp_path / "h.txt", tmp_path / "o.txt"
@@ -838,8 +906,7 @@ def test_generated_points_files_are_never_split_into_lines(tmp_path, monkeypatch
     crlf = tmp_path / "crlf.txt"
     crlf.write_bytes(pts.read_bytes().replace(b"\n", b"\r\n"))
     ordf.write_text(write_order(range(39, -1, -1)))
-    _refuse_lines(monkeypatch, ordf.read_text())
-    with warnings.catch_warnings():
+    with _refuse_walks(str(ordf)), warnings.catch_warnings():
         warnings.simplefilter("error")
         for src, argv in ((pts, ["order", "--strategy", "euclid"]),
                           (pts, ["order", "--strategy", "path", "--tail", "0"]),
@@ -873,8 +940,8 @@ def _respell_ascii(rng: random.Random, text: str) -> str:
        st.sampled_from([8, 64, fileio._PLAIN_CHUNK]))
 def test_ascii_spellings_are_scanned(kind, n, seed, chunk):
     # a generated file respelled with ASCII comments, line breaks and "\x1f"
-    # is read by the run scan, never decoded or split into lines, into the
-    # plain file's metric or point set
+    # is read by the run scan, never walked line by line (which decodes),
+    # into the plain file's metric or point set
     argv = (["gen", "random-metric", "--n", str(n)] if kind == "metric" else
             ["gen", "random-points", "--n", str(n), "--d", str(1 + seed % 3)])
     code, text, _ = run_cli(argv + ["--seed", str(seed)])
@@ -882,10 +949,8 @@ def test_ascii_spellings_are_scanned(kind, n, seed, chunk):
     spelt = _respell_ascii(random.Random(seed), text).encode()
     parse = parse_metric if kind == "metric" else parse_points
     want = _points_outcome(parse, text)
-    with pytest.MonkeyPatch.context() as mp:
-        _refuse_lines(mp, None)
-        mp.setattr(fileio, "_PLAIN_CHUNK", chunk)
-        shared = _Undecoded(io.BytesIO(spelt))
+    with _refuse_walks(), mock.patch.object(fileio, "_PLAIN_CHUNK", chunk):
+        shared = Source(io.BytesIO(spelt))
         assert sniff_format(shared) == kind
         assert _points_outcome(parse, shared) == want
 
@@ -896,7 +961,7 @@ def test_points_reader_peak_memory_is_bounded():
     cap = int(2.5 * 2**20)
     code, out, _ = run_cli(["gen", "random-points", "--n", "4096", "--d", "3", "--seed", "17"])
     assert code == 0
-    shared = Source(out)
+    shared = fileio._source(out)
     tracemalloc.start()
     try:
         fmt = sniff_format(shared)
@@ -1395,12 +1460,13 @@ def test_metric_file_spelling_does_not_change_output(tmp_path):
 
 
 _DECODE_ERROR = "onng: error: 'utf-8' codec can't decode byte {byte} in position {at}: invalid start byte\n"
+# 72,000 bytes of comment lines: a file that holds them spans two runs
+_FILLER = b"# filler\n" * 8000
 
 
 @pytest.mark.parametrize("data, errors", [
-    # bytes that are not UTF-8: the whole-file decode words the error, with
-    # no path and the byte's offset in the file, past the decoder's first
-    # 8 KiB too
+    # bytes that are not UTF-8: the decoder words the error, with no path
+    # and the byte's offset in the file, past the decoder's first 8 KiB too
     (b"3\n0 1 0\n0 2 1\n1 2 2\xff\n",
      [_DECODE_ERROR.format(byte="0xff", at=19)] * 3),
     (b"3\n0 1 0\n0 2 1\n# " + b"x" * 9000 + b"\n1 2 2 \xfe\n",
@@ -1417,6 +1483,12 @@ _DECODE_ERROR = "onng: error: 'utf-8' codec can't decode byte {byte} in position
     (b"3\r0 1 0\r\r0 2 1\r1 0 2\r",
      ["onng: error: {src}: line 5: pair (0, 1) given twice\n"] * 2
      + ["onng: error: {src}: line 2: expected 1 coordinates, got 3\n"]),
+    # a bad byte comes before a line defect in an earlier run: the header,
+    # and a field count, each in the first run, the bad byte in the last
+    pytest.param(b"x\n0 1 0\n0 2 1\n1 2 2\n" + _FILLER + b"\xff\n",
+                 [_DECODE_ERROR.format(byte="0xff", at=72020)] * 3, id="bad-header-then-0xff"),
+    pytest.param(b"3\n0 1 0\n0 2\n1 2 2\n" + _FILLER + b"1 2 2 \xfe\n",
+                 [_DECODE_ERROR.format(byte="0xfe", at=72024)] * 3, id="short-line-then-0xfe"),
 ])
 def test_metric_fallback_errors_are_pinned(tmp_path, data, errors):
     # the files no byte scan reads are decoded as open(path, "r",
@@ -1427,6 +1499,25 @@ def test_metric_fallback_errors_are_pinned(tmp_path, data, errors):
     for fmt, err in zip(("auto", "metric", "points"), errors):
         got = run_cli(["order", "--strategy", "ramsey", "--input-format", fmt, "--input", str(src)])
         assert got == (1, "", err.format(src=src)), fmt
+
+
+@pytest.mark.parametrize("data, error", [
+    pytest.param(b"0\nx\n1\n" + _FILLER + b"2\xff\n",
+                 "'utf-8' codec can't decode byte 0xff in position 72007: invalid start byte",
+                 id="bad-id-then-0xff"),
+    ("\ufeff0\r1\x852\n".encode(), "line 1: bad vertex id: invalid literal for int() with base 10: '\\ufeff0'"),
+    (b"0\n1 x\n", "line 2: bad vertex id: invalid literal for int() with base 10: 'x'"),
+    (b"\n# 0\n", "order file has no data lines"),
+])
+def test_order_file_errors_are_pinned(tmp_path, data, error):
+    # an order file is read as the inputs are, through its runs, and words
+    # its errors as it did when it was decoded whole: a byte that is not
+    # UTF-8 comes first, whichever line is at fault before it
+    met, ordf = tmp_path / "m.txt", tmp_path / "o.txt"
+    met.write_text("3\n0 1 0\n0 2 1\n1 2 2\n")
+    ordf.write_bytes(data)
+    got = run_cli(["eval", "--input", str(met), "--order", str(ordf)])
+    assert got == (1, "", f"onng: error: {ordf}: {error}\n")
 
 
 def test_points_and_their_metric_file_report_alike(tmp_path):
