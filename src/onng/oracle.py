@@ -34,14 +34,23 @@ still come in block order.  For n >= 3 no relabeling but the identity fixes
 a strict pair order (one that moves i to j != i moves {i, k} for any k
 outside {i, j}), so every relabeling class has n! members, and exactly
 2(n-2)! of them give {0, 1} rank 0: those that carry the class's closest
-pair onto {0, 1}.  A canonical scan is therefore block 0, split further by
-the rank of {0, 2}, with its counts divided by 2(n-2)!.  For n <= 2 a class
-is a single metric and the counts stand as scanned.
+pair onto {0, 1}.  A canonical scan keeps one of these, the representative
+(``_representatives``): {0, 2} also has the least rank of the 2(n-2) pairs
+{a, x} with a in {0, 1} and x >= 2, and r{0,3} < ... < r{0,n-1}.  The
+relabelings that fix {0, 1} move {0, 2} onto each of those pairs, and only
+those of {3, ..., n-1} fix {0, 2} too, so exactly one member of each class
+qualifies.  It is also the class's lexicographic minimum, as
+``enumerate_rank_metrics`` yields it: a minimum lies in block 0, puts the
+least of those 2(n-2) ranks in the next flat slot, {0, 2}, and the ranks of
+{0, 3}, ..., {0, n-1} rising in the slots after.  Its rank of {0, 2} lies
+below 2n - 5 others, so only the blocks (0, r) with r <= p - 2(n-2) are
+scanned, each chunk drops every other row before its profiles are computed,
+and every count is of representatives evaluated.  For n <= 2 a class is a
+single metric, and the canonical scan is the full one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -246,11 +255,11 @@ def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMe
 @dataclass(frozen=True)
 class Problem1Report:
     """Outcome of a full scan.  ``orderings_scanned`` counts the pair
-    orderings covered: all of them, or one canonical representative per
-    relabeling class.  Canonical counts are computed from the block where
-    {0, 1} has rank 0, not by evaluating representatives one by one.
+    orderings evaluated: all of them, or one representative per relabeling
+    class, and ``witnesses_at_one`` counts among those alike.
     Counterexamples carry the flat rank vector verbatim and the offending
-    exact sum."""
+    exact sum, in lexicographic order; a canonical one is its class's
+    lexicographic minimum."""
 
     n: int
     canonical: bool
@@ -274,10 +283,21 @@ def _perm_table(k: int) -> np.ndarray:
     return t
 
 
-def _scan_block(args) -> tuple[int, int, int, list]:
+def _representatives(r: np.ndarray, n: int) -> np.ndarray:
+    """Which flat rank vectors of a batch r, shape (B, n(n-1)/2), n >= 2,
+    represent their relabeling class: r{0,1} = 0, r{0,2} is the least rank
+    of the pairs {a, x} with a in {0, 1} and x >= 2 (flat slots 1 .. 2n-4,
+    {0, 2} first), and r{0,3} < ... < r{0,n-1} (slots 2 .. n-2)."""
+    side = r[:, 1 : 2 * n - 3]
+    rising = r[:, 3 : n - 1] > r[:, 2 : n - 2]
+    return (r[:, 0] == 0) & (side[:, 1:] > side[:, :1]).all(axis=1) & rising.all(axis=1)
+
+
+def _scan_block(args, canonical: bool = False) -> tuple[int, int, int, list]:
     """Scan the lexicographic block whose leading flat ranks (pair {0, 1},
     then {0, 2}, ...) are the given prefix, one head at a time: the first
-    unused ranks, then the other k <= 7 permuted by the table.
+    unused ranks, then the other k <= 7 permuted by the table.  With
+    ``canonical`` only the block's class representatives are evaluated.
 
     Returns (evaluated, max_scaled, witnesses, counterexamples); sums are
     scaled by 2^(n-1) so everything stays in integers.
@@ -298,17 +318,21 @@ def _scan_block(args) -> tuple[int, int, int, list]:
     for head in permutations(rest, len(rest) - k):
         r[:, len(prefix) : p - k] = head
         r[:, p - k :] = np.array([v for v in rest if v not in head], dtype=np.int8)[table]
-        evaluated += r.shape[0]
-        scaled = lut[_profiles(r, n)].sum(axis=1)
+        rows = r[_representatives(r, n)] if canonical else r
+        if not len(rows):
+            continue
+        evaluated += rows.shape[0]
+        scaled = lut[_profiles(rows, n)].sum(axis=1)
         max_scaled = max(max_scaled, int(scaled.max()))
         witnesses += int((scaled == target).sum())
         for idx in np.flatnonzero(scaled > target):
-            cex.append((tuple(int(x) for x in r[idx]), Fraction(int(scaled[idx]), target)))
+            cex.append((tuple(int(x) for x in rows[idx]), Fraction(int(scaled[idx]), target)))
     return evaluated, max_scaled, witnesses, cex
 
 
 def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1Report:
-    """Scan every rank metric on n vertices and report the maximum of the
+    """Scan every rank metric on n vertices, or with ``canonical`` one
+    representative per relabeling class, and report the maximum of the
     exact dyadic sum over v of 2^(-d(v)), all equality witnesses, and any
     counterexample exceeding 1.
 
@@ -320,26 +344,25 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
     if n == 1:
         return Problem1Report(1, canonical, 1, Fraction(1), 1, ())
     p = n * (n - 1) // 2
-    if canonical:
-        # Block 0 holds 2(n-2)! members of every class (see the module
-        # docstring); it is split by the rank of {0, 2} to keep the jobs busy.
-        prefixes = [(0, r) for r in range(1, p)] or [(0,)]
+    if canonical and n >= 3:
+        # A representative's rank of {0, 2} lies below those of 2n - 5 other
+        # pairs (see the module docstring), so only these blocks hold one.
+        prefixes = [(0, r) for r in range(1, p - 2 * (n - 2) + 1)]
     else:
         prefixes = [(r,) for r in range(p)]
-    args = [(n, prefix) for prefix in prefixes]
+    args = [((n, prefix), canonical) for prefix in prefixes]
     if jobs > 1 and len(args) > 1:
         import multiprocessing  # only here: every other command skips its import
 
         with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
-            results = pool.map(_scan_block, args)
+            results = pool.starmap(_scan_block, args)
     else:
-        results = [_scan_block(a) for a in args]
-    orbit = 2 * math.factorial(n - 2) if canonical and n >= 3 else 1
+        results = [_scan_block(*a) for a in args]
     return Problem1Report(
         n=n,
         canonical=canonical,
-        orderings_scanned=sum(r[0] for r in results) // orbit,
+        orderings_scanned=sum(r[0] for r in results),
         max_sum=Fraction(max(r[1] for r in results), 2 ** (n - 1)),
-        witnesses_at_one=sum(r[2] for r in results) // orbit,
-        counterexamples=tuple(c for r in results for c in r[3] if not canonical or _is_canonical(c[0], n)),
+        witnesses_at_one=sum(r[2] for r in results),
+        counterexamples=tuple(c for r in results for c in r[3]),
     )

@@ -348,6 +348,55 @@ def reference_scan_block(args) -> tuple[int, int, int, list]:
     return evaluated, max_scaled, witnesses, cex
 
 
+# The canonical Problem-1 search as it was before it evaluated one
+# representative per relabeling class: all of block 0 ({0, 1} has rank 0,
+# which holds 2(n-2)! members of every class for n >= 3) through the frozen
+# block scan, its counts divided by 2(n-2)!, and the counterexamples that are
+# their class's lexicographic minimum, in block order.
+
+
+def reference_canonical_search(n: int) -> oracle.Problem1Report:
+    if n == 1:
+        return oracle.Problem1Report(1, True, 1, Fraction(1), 1, ())
+    evaluated, max_scaled, witnesses, cex = reference_scan_block((n, (0,)))
+    orbit = 2 * math.factorial(n - 2) if n >= 3 else 1
+    return oracle.Problem1Report(
+        n=n,
+        canonical=True,
+        orderings_scanned=evaluated // orbit,
+        max_sum=Fraction(max_scaled, 2 ** (n - 1)),
+        witnesses_at_one=witnesses // orbit,
+        counterexamples=tuple(c for c in cex if oracle._is_canonical(c[0], n)),
+    )
+
+
+def relabel_class(t: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
+    """Every relabeling of the flat rank vector t, by all n! vertex
+    permutations sigma: the relabeled metric gives {sigma(i), sigma(j)} the
+    rank t gives {i, j}."""
+    pairs = list(combinations(range(n), 2))
+    out = set()
+    for sigma in permutations(range(n)):
+        image = [0] * len(t)
+        for (i, j), r in zip(pairs, t):
+            image[pair_index(*sorted((sigma[i], sigma[j])), n)] = r
+        out.add(tuple(image))
+    return out
+
+
+def relabel_classes(n: int) -> list[list[tuple[int, ...]]]:
+    """All rank metrics on n vertices grouped into relabeling classes, each
+    class sorted, the classes in order of their least member."""
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for t in permutations(range(n * (n - 1) // 2)):
+        if t not in seen:
+            members = relabel_class(t, n)
+            seen |= members
+            classes.append(sorted(members))
+    return classes
+
+
 def reference_write_metric(m: RankedMetric) -> str:
     """write_metric as it was before its numpy byte table, verbatim: one
     join per row over precomputed id strings."""

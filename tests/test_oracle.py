@@ -2,6 +2,7 @@
 checks that the independent-set oracle agrees with a plain sweep over all
 orders and with the frozen subset DP of tests/conftest.py."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -29,14 +30,17 @@ from onng import (
     problem1_sum,
     random_rank_metric,
 )
-from onng.oracle import _g, _graph, _graph_codes, _perm_table, _profiles, _scan_block
+from onng.oracle import _g, _graph, _graph_codes, _perm_table, _profiles, _representatives, _scan_block
 
 from conftest import (
     dense_ranks,
     reference_best_order,
     reference_completion_table,
+    reference_canonical_search,
     reference_profile,
     reference_scan_block,
+    relabel_class,
+    relabel_classes,
 )
 
 
@@ -230,8 +234,8 @@ def test_scan_block_covers_its_slice():
 
 
 def test_canonical_search_matches_canonical_enumeration():
-    # the search's counts are block-0 arithmetic; the enumeration evaluates
-    # one representative per class
+    # the search evaluates one representative per class; the enumeration
+    # yields each class's lexicographic minimum
     for n in (1, 2, 3, 4):
         sums = [problem1_sum(m) for m in enumerate_rank_metrics(n, canonical=True)]
         rep = problem1_search(n, canonical=True)
@@ -293,6 +297,74 @@ def test_scan_counterexamples_keep_their_order(monkeypatch):
         rep = problem1_search(4, canonical=canonical)
         assert rep.counterexamples and rep.max_sum > 1
         assert problem1_search(4, canonical=canonical, jobs=3) == rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_search_matches_frozen_block0_search(n):
+    want = reference_canonical_search(n)
+    for jobs in (1, 3):
+        assert problem1_search(n, canonical=True, jobs=jobs) == want, jobs
+    if n == 5:
+        assert (want.orderings_scanned, want.witnesses_at_one, want.max_sum) == (30_240, 2_544, Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "n, lowered", [(4, (1, 2, 3, 3)), (4, (2, 2, 2, 2)), (5, (2, 2, 2, 4, 4)), (5, (1, 3, 3, 3, 3))]
+)
+def test_canonical_counterexamples_match_frozen_search(monkeypatch, n, lowered):
+    # no rank metric on n <= 5 exceeds 1, so lower every d(v) by one on the
+    # rows whose sorted profile is `lowered`: a relabeling permutes the
+    # profile, so every member of a class is lowered or none is, and each
+    # class must be reported once, by its lexicographic minimum, in order
+    profiles = oracle._profiles
+
+    def short(r, n):
+        d = profiles(r, n)
+        return d - (np.sort(d, axis=1) == lowered).all(axis=1)[:, None]
+
+    monkeypatch.setattr(oracle, "_profiles", short)
+    want = reference_canonical_search(n)
+    assert want.counterexamples and want.max_sum > 1
+    for jobs in (1, 3):
+        assert problem1_search(n, canonical=True, jobs=jobs) == want, jobs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_class_has_one_representative(n):
+    classes = relabel_classes(n)
+    assert len(classes) == math.factorial(n * (n - 1) // 2) // math.factorial(n)
+    for members in classes:
+        assert len(members) == math.factorial(n)
+        # the one representative is the class's least member, as the scan
+        # reports a counterexample
+        keep = _representatives(np.array(members, dtype=np.int8), n)
+        assert keep.tolist() == [True] + [False] * (len(members) - 1), members[0]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.permutations(range(10)))
+def test_every_n5_class_has_one_representative(t):
+    members = sorted(relabel_class(tuple(t), 5))
+    assert len(members) == 120
+    keep = _representatives(np.array(members, dtype=np.int8), 5)
+    assert keep.tolist() == [True] + [False] * 119
+
+
+def test_canonical_scan_evaluates_one_row_per_class(monkeypatch):
+    # the scan schedules exactly the blocks that hold a representative and
+    # hands _profiles one row per class, each counted once
+    scan, profiles = oracle._scan_block, oracle._profiles
+    blocks, rows = [], []
+    monkeypatch.setattr(oracle, "_scan_block", lambda args, canonical: blocks.append(args[1]) or scan(args, canonical))
+    monkeypatch.setattr(oracle, "_profiles", lambda r, n: rows.append(len(r)) or profiles(r, n))
+    for n, classes in ((2, 1), (3, 1), (4, 30), (5, 30_240)):
+        p = n * (n - 1) // 2
+        blocks.clear()
+        rows.clear()
+        rep = problem1_search(n, canonical=True)
+        assert rep.orderings_scanned == sum(rows) == classes
+        holding = [(0, r) for r in range(1, p) if scan((n, (0, r)), canonical=True)[0]] if n >= 3 else [(0,)]
+        assert blocks == holding, n
 
 
 def test_scan_block_peak_memory_is_bounded():
