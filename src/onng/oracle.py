@@ -27,26 +27,28 @@ values are exact Fractions.
 
 The scan splits into independent lexicographic blocks by the rank assigned
 to the pair {0, 1}; blocks are merged in block order, so the result is
-identical at every parallelism degree.  Within a block, each chunk of rank
-vectors is one lexicographic head followed by one lexicographic permutation
-table of at most 7! = 5,040 rows, so a chunk's memory is bounded and rows
-still come in block order.  For n >= 3 no relabeling but the identity fixes
-a strict pair order (one that moves i to j != i moves {i, k} for any k
-outside {i, j}), so every relabeling class has n! members, and exactly
-2(n-2)! of them give {0, 1} rank 0: those that carry the class's closest
-pair onto {0, 1}.  A canonical scan keeps one of these, the representative
-(``_representatives``): {0, 2} also has the least rank of the 2(n-2) pairs
+identical at every parallelism degree.  One generator, ``_rank_rows``,
+yields a block's rank vectors in lexicographic order, a chunk at a time:
+one lexicographic head followed by one lexicographic permutation table of
+at most 6! = 720 rows, so a chunk's memory is small and bounded (the
+canonical scan runs in the calling process, whose peak RSS a 5,040-row
+chunk's profiles raised by about 0.5 MiB).  The block scan and
+``enumerate_rank_metrics`` both read their rows from it.  For n >= 3 no
+relabeling but the identity fixes a strict pair order (one that moves i to
+j != i moves {i, k} for any k outside {i, j}), so every relabeling class
+has n! members, and exactly 2(n-2)! of them give {0, 1} rank 0: those that
+carry the class's closest pair onto {0, 1}.  One rule, ``_representatives``,
+keeps one of these: {0, 2} also has the least rank of the 2(n-2) pairs
 {a, x} with a in {0, 1} and x >= 2, and r{0,3} < ... < r{0,n-1}.  The
 relabelings that fix {0, 1} move {0, 2} onto each of those pairs, and only
 those of {3, ..., n-1} fix {0, 2} too, so exactly one member of each class
-qualifies.  It is also the class's lexicographic minimum, as
-``enumerate_rank_metrics`` yields it: a minimum lies in block 0, puts the
-least of those 2(n-2) ranks in the next flat slot, {0, 2}, and the ranks of
-{0, 3}, ..., {0, n-1} rising in the slots after.  Its rank of {0, 2} lies
-below 2n - 5 others, so only the blocks (0, r) with r <= p - 2(n-2) are
-scanned, each chunk drops every other row before its profiles are computed,
-and every count is of representatives evaluated.  For n <= 2 a class is a
-single metric, and the canonical scan is the full one.
+qualifies.  It is also the class's lexicographic minimum: a minimum lies in
+block 0, puts the least of those 2(n-2) ranks in the next flat slot,
+{0, 2}, and the ranks of {0, 3}, ..., {0, n-1} rising in the slots after.
+So the canonical scan and the canonical enumeration read block 0 alone,
+each chunk masked by that rule first, and every count is of
+representatives evaluated.  For n <= 2 a class is a single metric, the rule
+keeps every row, and the canonical scan is the full one.
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
-from .core import GuardError, Order, RankedMetric, pair_index
+from .core import GuardError, Order, RankedMetric
 
 ORDER_ENUM_MAX_N = 10
 METRIC_ENUM_MAX_N = 5
@@ -204,54 +205,6 @@ def problem1_sum(m: RankedMetric) -> Fraction:
 # ---------------------------------------------------------------- metrics --
 
 
-@lru_cache(maxsize=None)
-def _relabel_maps(n: int) -> tuple[itemgetter, ...]:
-    """For each vertex relabeling s other than the identity that maps {0, 1}
-    onto itself, the getter M with relabeled = M(t) for flat rank vectors t.
-    With at most one pair every relabeling fixes t, so none is returned
-    (and an itemgetter of one index would return a scalar, not a tuple)."""
-    p = n * (n - 1) // 2
-    if p < 2:
-        return ()
-    maps = []
-    for head in ((0, 1), (1, 0)):
-        for sigma in ((*head, *tail) for tail in permutations(range(2, n))):
-            if sigma == tuple(range(n)):
-                continue
-            m = [0] * p
-            for i in range(n):
-                for j in range(i + 1, n):
-                    si, sj = sigma[i], sigma[j]
-                    if si > sj:
-                        si, sj = sj, si
-                    m[pair_index(si, sj, n)] = pair_index(i, j, n)
-            maps.append(itemgetter(*m))
-    return tuple(maps)
-
-
-def _is_canonical(t: tuple[int, ...], n: int) -> bool:
-    """Whether a flat rank vector t with t[0] = 0 is the lexicographic minimum
-    of its relabeling class.  Only relabelings that map {0, 1} onto itself
-    compete: any other one moves a nonzero rank into slot 0."""
-    return all(t <= relabel(t) for relabel in _relabel_maps(n))
-
-
-def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMetric]:
-    """All (n(n-1)/2)! rank metrics in lexicographic order of their flat rank
-    vectors; with ``canonical`` only the lexicographically minimal
-    representative of each vertex-relabeling class is yielded."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_metric_guard(n)
-    p = n * (n - 1) // 2
-    if canonical and p:
-        # a class minimum gives its closest pair rank 0, so it lies in block 0
-        block0 = ((0, *rest) for rest in permutations(range(1, p)))
-        yield from (RankedMetric(n, t) for t in block0 if _is_canonical(t, n))
-    else:
-        yield from (RankedMetric(n, t) for t in permutations(range(p)))
-
-
 @dataclass(frozen=True)
 class Problem1Report:
     """Outcome of a full scan.  ``orderings_scanned`` counts the pair
@@ -293,34 +246,59 @@ def _representatives(r: np.ndarray, n: int) -> np.ndarray:
     return (r[:, 0] == 0) & (side[:, 1:] > side[:, :1]).all(axis=1) & rising.all(axis=1)
 
 
+def _rank_rows(n: int, prefix: tuple[int, ...], canonical: bool = False) -> Iterator[np.ndarray]:
+    """The flat rank vectors whose leading ranks are prefix, in lexicographic
+    order, as int8 chunks of shape (B, n(n-1)/2): for each head of the first
+    unused ranks, the other k <= 6 permuted by the table.  With ``canonical``
+    (n >= 2) a chunk keeps only the rows ``_representatives`` marks, and a
+    chunk left empty is skipped."""
+    p = n * (n - 1) // 2
+    rest = [v for v in range(p) if v not in prefix]
+    k = min(len(rest), 6)
+    table = _perm_table(k)
+    for head in permutations(rest, len(rest) - k):
+        r = np.empty((len(table), p), dtype=np.int8)
+        r[:, : len(prefix)] = prefix
+        r[:, len(prefix) : p - k] = head
+        r[:, p - k :] = np.array([v for v in rest if v not in head], dtype=np.int8)[table]
+        if canonical:
+            r = r[_representatives(r, n)]
+        if len(r):
+            yield r
+
+
+def enumerate_rank_metrics(n: int, canonical: bool = False) -> Iterator[RankedMetric]:
+    """All (n(n-1)/2)! rank metrics in lexicographic order of their flat rank
+    vectors; with ``canonical`` only the lexicographically minimal
+    representative of each vertex-relabeling class, in the same order."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _check_metric_guard(n)
+    if n == 1:
+        yield RankedMetric(1, ())  # no pair: one metric, its own class
+        return
+    # a class minimum gives its closest pair rank 0, so it lies in block 0
+    for rows in _rank_rows(n, (0,) if canonical else (), canonical):
+        yield from (RankedMetric(n, t) for t in rows)
+
+
 def _scan_block(args, canonical: bool = False) -> tuple[int, int, int, list]:
     """Scan the lexicographic block whose leading flat ranks (pair {0, 1},
-    then {0, 2}, ...) are the given prefix, one head at a time: the first
-    unused ranks, then the other k <= 7 permuted by the table.  With
-    ``canonical`` only the block's class representatives are evaluated.
+    then {0, 2}, ...) are the given prefix, chunk by chunk from
+    ``_rank_rows``.  With ``canonical`` only the block's class
+    representatives are evaluated.
 
     Returns (evaluated, max_scaled, witnesses, counterexamples); sums are
     scaled by 2^(n-1) so everything stays in integers.
     """
     n, prefix = args
-    p = n * (n - 1) // 2
-    rest = [v for v in range(p) if v not in prefix]
-    k = min(len(rest), 7)
-    table = _perm_table(k)
     target = 2 ** (n - 1)
     lut = np.array([2 ** (n - 1 - t) if t <= n - 1 else 0 for t in range(n + 1)], dtype=np.int64)
     evaluated = 0
     max_scaled = -1
     witnesses = 0
     cex: list[tuple[tuple[int, ...], Fraction]] = []
-    r = np.empty((len(table), p), dtype=np.int8)
-    r[:, : len(prefix)] = prefix
-    for head in permutations(rest, len(rest) - k):
-        r[:, len(prefix) : p - k] = head
-        r[:, p - k :] = np.array([v for v in rest if v not in head], dtype=np.int8)[table]
-        rows = r[_representatives(r, n)] if canonical else r
-        if not len(rows):
-            continue
+    for rows in _rank_rows(n, prefix, canonical):
         evaluated += rows.shape[0]
         scaled = lut[_profiles(rows, n)].sum(axis=1)
         max_scaled = max(max_scaled, int(scaled.max()))
@@ -336,20 +314,16 @@ def problem1_search(n: int, canonical: bool = False, jobs: int = 1) -> Problem1R
     exact dyadic sum over v of 2^(-d(v)), all equality witnesses, and any
     counterexample exceeding 1.
 
+    The full scan is one lexicographic block per rank of {0, 1}; the
+    canonical scan is block 0 alone, masked, so it starts no process pool.
     The result is identical for every ``jobs`` value; parallelism only
-    distributes the lexicographic blocks."""
+    distributes the blocks."""
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_metric_guard(n)
     if n == 1:
         return Problem1Report(1, canonical, 1, Fraction(1), 1, ())
-    p = n * (n - 1) // 2
-    if canonical and n >= 3:
-        # A representative's rank of {0, 2} lies below those of 2n - 5 other
-        # pairs (see the module docstring), so only these blocks hold one.
-        prefixes = [(0, r) for r in range(1, p - 2 * (n - 2) + 1)]
-    else:
-        prefixes = [(r,) for r in range(p)]
+    prefixes = [(0,)] if canonical else [(r,) for r in range(n * (n - 1) // 2)]
     args = [((n, prefix), canonical) for prefix in prefixes]
     if jobs > 1 and len(args) > 1:
         import multiprocessing  # only here: every other command skips its import

@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
+from operator import itemgetter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -352,7 +353,42 @@ def reference_scan_block(args) -> tuple[int, int, int, list]:
 # representative per relabeling class: all of block 0 ({0, 1} has rank 0,
 # which holds 2(n-2)! members of every class for n >= 3) through the frozen
 # block scan, its counts divided by 2(n-2)!, and the counterexamples that are
-# their class's lexicographic minimum, in block order.
+# their class's lexicographic minimum, in block order.  That minimum is
+# judged by the comparison the canonical enumeration made before it read
+# oracle._representatives, kept verbatim: each vector against every
+# relabeling that maps {0, 1} onto itself.
+
+
+@lru_cache(maxsize=None)
+def _relabel_maps(n: int) -> tuple[itemgetter, ...]:
+    """For each vertex relabeling s other than the identity that maps {0, 1}
+    onto itself, the getter M with relabeled = M(t) for flat rank vectors t.
+    With at most one pair every relabeling fixes t, so none is returned
+    (and an itemgetter of one index would return a scalar, not a tuple)."""
+    p = n * (n - 1) // 2
+    if p < 2:
+        return ()
+    maps = []
+    for head in ((0, 1), (1, 0)):
+        for sigma in ((*head, *tail) for tail in permutations(range(2, n))):
+            if sigma == tuple(range(n)):
+                continue
+            m = [0] * p
+            for i in range(n):
+                for j in range(i + 1, n):
+                    si, sj = sigma[i], sigma[j]
+                    if si > sj:
+                        si, sj = sj, si
+                    m[pair_index(si, sj, n)] = pair_index(i, j, n)
+            maps.append(itemgetter(*m))
+    return tuple(maps)
+
+
+def _is_canonical(t: tuple[int, ...], n: int) -> bool:
+    """Whether a flat rank vector t with t[0] = 0 is the lexicographic minimum
+    of its relabeling class.  Only relabelings that map {0, 1} onto itself
+    compete: any other one moves a nonzero rank into slot 0."""
+    return all(t <= relabel(t) for relabel in _relabel_maps(n))
 
 
 def reference_canonical_search(n: int) -> oracle.Problem1Report:
@@ -366,7 +402,7 @@ def reference_canonical_search(n: int) -> oracle.Problem1Report:
         orderings_scanned=evaluated // orbit,
         max_sum=Fraction(max_scaled, 2 ** (n - 1)),
         witnesses_at_one=witnesses // orbit,
-        counterexamples=tuple(c for c in cex if oracle._is_canonical(c[0], n)),
+        counterexamples=tuple(c for c in cex if _is_canonical(c[0], n)),
     )
 
 
