@@ -173,6 +173,8 @@ def cmd_gen(args) -> int:
     if args.kind == "random-points":
         if args.n < 1 or args.d < 1:
             raise UsageError("random-points needs --n >= 1 and --d >= 1")
+        if len(str(args.n - 1)) > 9 * args.d:  # n > 10^(9d), not computed
+            raise UsageError(f"random-points --d {args.d} draws from 10^{9 * args.d} points: --n is too large")
         rng = random.Random(args.seed)
         seen = set()
         rows = []

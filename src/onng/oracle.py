@@ -15,9 +15,10 @@ reachable: reveal v, then an independent set in decreasing rank to v.  The
 same argument, once a set S is revealed, gives the most extra indegree v
 can still collect as g(S, v) = alpha(G_v[W]), where W holds the unrevealed
 vertices whose nearest member of S + {v} is v; the best-order rebuild reads
-g from there.  Each G_v is one integer code, so a batch of metrics needs one
-alpha per distinct graph, and the single-metric oracle and the full-scan
-search share that engine.
+g from there.  Each G_v is one integer code, read from packed rank rows
+at the slots core.pair_index gives, so a batch of metrics needs one alpha
+per distinct graph, and the single-metric oracle and the full-scan search
+share that engine.
 
 The full-scan search computes, for every rank metric, the profile
 d(v) = max over all insertion orders of the indegree of v, and the exact
@@ -61,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import GuardError, Order, RankedMetric
+from .core import GuardError, Order, RankedMetric, pair_index
 
 ORDER_ENUM_MAX_N = 10
 METRIC_ENUM_MAX_N = 5
@@ -79,32 +80,35 @@ def _check_metric_guard(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _side_pairs(n: int, v: int) -> np.ndarray:
-    """The pairs of vertices other than v, in lexicographic order, as a
-    read-only (C(n-1, 2), 2) index array: pair i is bit i of G_v's code."""
-    pairs = np.array(list(combinations([u for u in range(n) if u != v], 2)), dtype=np.intp).reshape(-1, 2)
+    """The pairs {a, c} of vertices other than v, in lexicographic order, as
+    a read-only (5, C(n-1, 2)) index array: column i holds a, c and the
+    slots of {a, c}, {v, a} and {v, c} in a packed rank row (pair_index);
+    pair i is bit i of G_v's code."""
+    cols = [(a, c, *(pair_index(min(x, y), max(x, y), n) for x, y in ((a, c), (v, a), (v, c))))
+            for a, c in combinations([u for u in range(n) if u != v], 2)]
+    pairs = np.array(cols, dtype=np.intp).reshape(-1, 5).T
     pairs.flags.writeable = False
     return pairs
 
 
-def _graph_codes(mat: np.ndarray) -> np.ndarray:
-    """G_v for a batch of rank matrices mat, shape (B, n, n), as one integer
-    code per (metric, v), shape (B, n).  The diagonals are never read."""
-    b, n = mat.shape[:2]
+def _graph_codes(r: np.ndarray, n: int) -> np.ndarray:
+    """G_v for a batch of packed rank rows r, shape (B, n(n-1)/2), as one
+    integer code per (metric, v), shape (B, n), read at the slots
+    _side_pairs gives."""
     if (bits := (n - 1) * (n - 2) // 2) > 63:
         raise OverflowError(f"n={n}: G_v has {bits} possible edges, more than an int64 code holds")
-    codes = np.empty((b, n), dtype=np.int64)
+    codes = np.empty((r.shape[0], n), dtype=np.int64)
     for v in range(n):
-        a, c = _side_pairs(n, v).T
-        side = mat[:, a, c]
-        edge = (side < mat[:, v, a]) & (side < mat[:, v, c])
-        codes[:, v] = (edge.astype(np.int64) << np.arange(len(a))).sum(axis=1)
+        side, va, vc = (r[:, slots] for slots in _side_pairs(n, v)[2:])
+        edge = (side < va) & (side < vc)
+        codes[:, v] = (edge.astype(np.int64) << np.arange(bits)).sum(axis=1)
     return codes
 
 
 def _graph(code: int, n: int, v: int) -> list[int]:
     """G_v decoded from its code: one neighbour bitmask per vertex label."""
     adj = [0] * n
-    for i, (a, c) in enumerate(_side_pairs(n, v).tolist()):
+    for i, (a, c) in enumerate(_side_pairs(n, v)[:2].T.tolist()):
         if code >> i & 1:
             adj[a] |= 1 << c
             adj[c] |= 1 << a
@@ -130,20 +134,11 @@ def _code_alpha(code: int, n: int) -> int:
     return _alpha(_graph(code, n, n - 1), (1 << n - 1) - 1)
 
 
-def _dense(r: np.ndarray, n: int) -> np.ndarray:
-    """The rank matrices, shape (B, n, n), of a batch of flat rank vectors
-    r, shape (B, n(n-1)/2): both triangles, 0 on the diagonals."""
-    mat = np.zeros((r.shape[0], n, n), dtype=r.dtype)
-    i, j = np.triu_indices(n, 1)
-    mat[:, i, j] = mat[:, j, i] = r
-    return mat
-
-
 def _profiles(r: np.ndarray, n: int) -> np.ndarray:
     """d(v) = alpha(G_v) for a batch of flat rank vectors r, shape (B, n).
 
     One alpha serves every (metric, v) whose G_v has the same code."""
-    codes, inverse = np.unique(_graph_codes(_dense(r, n)), return_inverse=True)
+    codes, inverse = np.unique(_graph_codes(r, n), return_inverse=True)
     alphas = np.array([_code_alpha(int(c), n) for c in codes], dtype=np.int64)
     return alphas[inverse].reshape(r.shape[0], n)
 
@@ -165,11 +160,10 @@ def best_order_exhaustive(m: RankedMetric) -> tuple[Order, int]:
     v of (indegree so far + g) at the optimum."""
     _check_order_guard(m.n)
     n = m.n
-    mat = _dense(m.pair_ranks()[None], n)
-    codes = _graph_codes(mat)[0].tolist()
+    codes = _graph_codes(m.pair_ranks()[None], n)[0].tolist()
     best = max(_code_alpha(c, n) for c in codes)
     adj = [_graph(c, n, v) for v, c in enumerate(codes)]
-    rows = mat[0].tolist()
+    rows = [[m.rank(a, b) if a != b else 0 for b in range(n)] for a in range(n)]  # diagonal never read
     order: list[int] = []
     indeg = [0] * n
     mask = 0

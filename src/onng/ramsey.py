@@ -26,11 +26,14 @@ always form a Red clique and k - 1 Green (Blue) vertices anchored at one
 Red vertex always form a Green (Blue) star, which is what the success
 thresholds extract.
 
-run_process reads a RankedMetric or a PointSet only through core.key_source,
-one numpy comparison over the waiting set per Red u and picked v.  In a
-triple u < v < w a tie of squared distances ranks {u, v} before {u, w}
-before {v, w}, so strict comparisons give the colors of the ranks and no
-pair is ranked; color_triple is kept as the oracle verify_structure reads.
+One predicate, _red_green, colors a triple from its three sides for
+color_triple, coloring_from_metric and the process alike, on ranks or
+squared distances, ints or numpy arrays: in a triple u < v < w a tie of
+squared distances ranks {u, v} before {u, w} before {v, w}, and its strict
+and non-strict comparisons follow that order, so no pair is ranked.
+run_process reads a RankedMetric or a PointSet only through
+core.key_source, one predicate call over the waiting set per Red u and
+picked v.
 """
 
 from __future__ import annotations
@@ -84,18 +87,22 @@ class MonoStructure:
         return self.vertices[0]
 
 
+def _red_green(r12, r13, r23):
+    """(Red, Green) for an ascending triple whose sides {i1, i2}, {i1, i3},
+    {i2, i3} have keys r12, r13, r23, ties ranked in that order; Blue is
+    neither."""
+    return (r23 < r12) & (r23 < r13), (r13 < r12) & (r13 <= r23)
+
+
+def _color(red, green) -> TripleColor:
+    return TripleColor.RED if red else TripleColor.GREEN if green else TripleColor.BLUE
+
+
 def color_triple(m: RankedMetric, i1: int, i2: int, i3: int) -> TripleColor:
     """Color of the ascending triple (i1, i2, i3) under the pair order."""
     if not i1 < i2 < i3:
         raise ValueError(f"triple ({i1}, {i2}, {i3}) is not ascending")
-    r12 = m.rank(i1, i2)
-    r13 = m.rank(i1, i3)
-    r23 = m.rank(i2, i3)
-    if r23 < r12 and r23 < r13:
-        return TripleColor.RED
-    if r13 < r12:
-        return TripleColor.GREEN
-    return TripleColor.BLUE
+    return _color(*_red_green(m.rank(i1, i2), m.rank(i1, i3), m.rank(i2, i3)))
 
 
 def coloring_from_metric(m: RankedMetric) -> Coloring:
@@ -105,14 +112,7 @@ def coloring_from_metric(m: RankedMetric) -> Coloring:
     ranks, base = memoryview(m.pair_ranks()), pair_base(m.n).tolist()
 
     def col(i1: int, i2: int, i3: int) -> TripleColor:
-        r12 = ranks[base[i1] + i2]
-        r13 = ranks[base[i1] + i3]
-        r23 = ranks[base[i2] + i3]
-        if r23 < r12 and r23 < r13:
-            return TripleColor.RED
-        if r13 < r12:
-            return TripleColor.GREEN
-        return TripleColor.BLUE
+        return _color(*_red_green(ranks[base[i1] + i2], ranks[base[i1] + i3], ranks[base[i2] + i3]))
 
     return col
 
@@ -170,13 +170,10 @@ def run_process_traced(
         picked += 1
         vcolor, anchor = TripleColor.RED, -1
         for u in reds:
-            # picks ascend, so u < v < w for every waiting w: these strict
-            # comparisons are color_triple's on the pair ranks
+            # picks ascend, so u < v < w for every waiting w
             m = waiting.shape[1]
             d = keys(table([u, v]), np.hstack([vt, waiting]))
-            uv, uw, vw = d[0, 0], d[0, 1:], d[1, 1:]
-            red = (vw < uv) & (vw < uw)
-            green = ~red & (uw < uv)
+            red, green = _red_green(d[0, 0], d[0, 1:], d[1, 1:])
             for color, keep in ((TripleColor.GREEN, green), (TripleColor.BLUE, ~red & ~green)):
                 if m > 0 and int(keep.sum()) * k >= m:
                     break

@@ -1068,6 +1068,33 @@ def test_gen_random_points_grid_format():
         assert token.startswith("0.") and len(token) == 11
 
 
+def test_gen_random_points_refuses_more_points_than_its_grid_holds(tmp_path, monkeypatch):
+    # d coordinates of 9 digits hold 10^(9d) distinct points: a larger --n
+    # once drew duplicates forever.  It is refused before any draw and
+    # before -o is made; at the limit, and for a --d whose 10^(9d) is too
+    # large to compute, drawing starts
+    class Drew(Exception):
+        pass
+
+    def draw(self, *args):
+        raise Drew
+
+    monkeypatch.setattr(random.Random, "randrange", draw)
+    target = tmp_path / "pts.txt"
+
+    def gen(n, d):
+        return run_cli(["gen", "random-points", "--n", str(n), "--d", str(d), "--seed", "1", "-o", str(target)])
+
+    for n, d in ((10**9 + 1, 1), (10**18 + 1, 2), (10**27 + 5, 3)):
+        code, out, err = gen(n, d)
+        assert (code, out) == (1, ""), (n, d)
+        assert err == f"onng: error: random-points --d {d} draws from 10^{9 * d} points: --n is too large\n"
+        assert not target.exists()
+    for n, d in ((10**9, 1), (10**18, 2), (2, 10**15)):
+        with pytest.raises(Drew):
+            gen(n, d)
+
+
 def test_order_line_report_schema(tmp_path):
     src = tmp_path / "p.txt"
     src.write_text("0\n1\n3\n4\n")

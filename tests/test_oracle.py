@@ -7,7 +7,7 @@ import multiprocessing
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -166,7 +166,7 @@ def test_completion_closed_form_matches_dp_table(m):
     n = m.n
     table = reference_completion_table(m)
     rows = dense_ranks(m)
-    codes = _graph_codes(np.array([rows]))[0]
+    codes = _graph_codes(m.pair_ranks()[None], n)[0]
     adj = [_graph(int(c), n, v) for v, c in enumerate(codes)]
     for s in range(1, 1 << n):
         assert [_g(rows, adj[v], s, v) for v in range(n)] == table[s], s
@@ -271,10 +271,32 @@ def test_canonical_search_matches_canonical_enumeration():
 
 def test_graph_codes_refuse_more_bits_than_int64_holds():
     # G_v has C(n-1, 2) possible edges: 55 at n = 12, 66 at n = 13
-    r12, r13 = (np.array([dense_ranks(random_rank_metric(n, random.Random(5)))]) for n in (12, 13))
-    assert _graph_codes(r12).shape == (1, 12)
+    r12, r13 = (random_rank_metric(n, random.Random(5)).pair_ranks()[None] for n in (12, 13))
+    assert _graph_codes(r12, 12).shape == (1, 12)
     with pytest.raises(OverflowError, match="66 possible edges"):
-        _graph_codes(r13)
+        _graph_codes(r13, 13)
+
+
+def _codes_as_written(m):
+    """G_v's codes from the dense reference: bit i is set iff side pair i,
+    the i-th pair of the other vertices in lexicographic order, is strictly
+    the shortest side of its triangle with v."""
+    rows = dense_ranks(m)
+    return [sum(1 << i for i, (a, c) in enumerate(combinations([u for u in range(m.n) if u != v], 2))
+                if rows[a][c] < rows[v][a] and rows[a][c] < rows[v][c])
+            for v in range(m.n)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_graph_codes_on_packed_rows_follow_the_rule_as_written(n):
+    # one batch of random metrics and of lattice metrics, whose many equal
+    # distances the index pair breaks; n = 12 needs 55 bits
+    rng = random.Random(n)
+    grids = [[(x,) for x in range(n + 2)], list(product(range(4), repeat=2)), list(product(range(3), repeat=3))]
+    ms = [random_rank_metric(n, rng) for _ in range(8)]
+    ms += [metric_from_points(PointSet(len(g[0]), rng.sample(g, n))) for g in grids for _ in range(4)]
+    codes = _graph_codes(np.stack([m.pair_ranks() for m in ms]), n)
+    assert codes.tolist() == [_codes_as_written(m) for m in ms]
 
 
 def test_best_order_raises_when_no_vertex_keeps_the_optimum(monkeypatch):

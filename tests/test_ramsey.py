@@ -7,6 +7,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from onng import (
     synthesize_order,
     verify_structure,
 )
+from onng.ramsey import _red_green
 
 from conftest import circle_points, dense_ranks, lattice_point_sets, packed_metrics, reference_run_process
 
@@ -80,6 +82,22 @@ def test_coloring_from_metric_matches_color_triple_on_packed_metrics(m):
         shortest = min((rows[j][k], TripleColor.RED), (rows[i][k], TripleColor.GREEN),
                        (rows[i][j], TripleColor.BLUE))
         assert want is shortest[1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lattice_point_sets(max_n=24, min_n=3))
+def test_red_green_on_squared_distances_is_color_triple_on_the_ranks(ps):
+    # a tie of squared distances in a triple i < j < k ranks {i, j} before
+    # {i, k} before {j, k}, and the predicate's comparisons must follow that
+    # order, on ints and on numpy arrays alike
+    pts, m = ps.exact(), metric_from_points(ps)
+    triples = list(combinations(range(ps.n), 3))
+    sides = [[sum((x - y) ** 2 for x, y in zip(pts[a], pts[b])) for a, b in ((i, j), (i, k), (j, k))]
+             for i, j, k in triples]
+    reds, greens = _red_green(*np.array(sides).T)
+    for t, keys, red, green in zip(triples, sides, reds.tolist(), greens.tolist()):
+        want = color_triple(m, *t)
+        assert _red_green(*keys) == (red, green) == (want is TripleColor.RED, want is TripleColor.GREEN), t
 
 
 def test_verify_structure():
