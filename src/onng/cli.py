@@ -218,7 +218,9 @@ def cmd_order(args) -> int:
             raise UsageError("euclid strategy needs a points input")
         order, center, guarantee = euclid.order_euclid(data)
     elif strategy == "ramsey":
-        check_pair_guard(data.n)  # until the report's build_onng scales past it
+        # points rank no pairs, so this is no memory bound: past 2^13 points the
+        # refusal stays until a points report there is fast enough to pin
+        check_pair_guard(data.n)
         if data.n == 1:
             order, guarantee = (0,), 0
         else:

@@ -27,23 +27,23 @@ Fraction per field, which words the error.
 metric file: a header line "n", then exactly n(n-1)/2 lines "i j rank" in
 any line order, giving a bijection onto 0..n(n-1)/2-1.  Every field is read
 as a Python int (so "+5", "007", "1_0" are integers and "1.0" is not).
-parse_metric has one run scan, one acceptor and one line walker.  A plain
-file, as write_metric writes it, is read in one pass over the runs
+parse_metric has one run scan and one line walker.  A plain file, as
+write_metric writes it, is read and accepted in one loop over the runs
 (plain_scan) and never decoded or split into lines: ASCII, and read as
 scanned only digits, spaces, tabs and "\n", no field longer than 18 digits
 (so every field is exact in int64), one field on the first line that has
-any, then three on every other line that has any.  The scan hands each
-run's int64 fields to the acceptor, which checks the header, the pair
-count and the pairs and writes each rank into its pair's slot of the int32
-pair-rank vector, which the metric keeps without a copy; no vector of all
-the fields, no n×n matrix, and no tuple or list per line, is kept.  The
-vector is allocated only once the header passes the pair-ranking guard and
-the file is long enough to hold its pairs, so a short file with a huge
-header allocates nothing of that size.  Every other file (non-ASCII text,
-signs, underscores, other scripts' digits, longer fields) and every file
-the acceptor declines is walked line by line in file order (_explain):
-its first defective line is reported by the first check it fails (field
-count, integers, pair range, repeated pair), and a file with none gets its
+any, then three on every other line that has any.  The scan reads each
+run's int64 fields, checks the header, the pair count and the pairs, and
+writes each rank into its pair's slot of the int32 pair-rank vector, which
+the metric keeps without a copy; no vector of all the fields, no n×n
+matrix, and no tuple or list per line, is kept.  The vector is allocated
+only once the header passes the pair-ranking guard and the file is long
+enough to hold its pairs, so a short file with a huge header allocates
+nothing of that size.  Every other file (non-ASCII text, signs,
+underscores, other scripts' digits, longer fields) and every file the scan
+declines is walked line by line in file order (_explain): its first
+defective line is reported by the first check it fails (field count,
+integers, pair range, repeated pair), and a file with none gets its
 metric, or RankedMetric's rank error.  Its pair-line count is checked
 before the vector is allocated, from the pass that counted the lines.
 
@@ -57,7 +57,6 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -152,7 +151,7 @@ def _tokens(run: bytes, allowed: bytes) -> tuple[bytes, np.ndarray, np.ndarray, 
 
 class PlainScan(NamedTuple):
     """What the one scan of a plain metric file found: its header n and the
-    metric the acceptor read from it (None if it declined)."""
+    metric it read (None if it declined)."""
 
     n: int
     metric: RankedMetric | None
@@ -175,43 +174,53 @@ class Source:
 
     @cached_property
     def plain_scan(self) -> PlainScan | None:
-        """A plain metric file (see the module docstring) read in one pass
-        over its runs, each run's int64 fields handed to the acceptor, and
-        its data lines counted; None if the file is not plain, which sends it
-        to the walker.  Never raises."""
-        header, lines, plain = None, 0, True
-
-        def blocks() -> Iterator[np.ndarray]:
-            nonlocal header, lines, plain
-            for run in _runs(self._fh):
-                tok = _tokens(run, _PLAIN_BYTES)
-                if tok is None:
-                    plain = False
-                    return
-                run, starts, ends, fields = tok
-                if not starts.size:
-                    continue
-                if ((ends - starts).max() > _PLAIN_DIGITS
-                        or fields[0] != (1 if header is None else 3) or np.any(fields[1:] != 3)):
-                    plain = False
-                    return
-                block = np.fromstring(run, dtype=np.int64, sep=" ")
-                lines += fields.size
-                del tok, run, starts, ends, fields  # not held while the acceptor reads
-                if header is None:
-                    header = int(block[0])
-                yield block
-
-        it = blocks()
-        # every field is at least one byte, with a space or "\n" after it
-        m = _metric(it, (self._size + 1) // 2)
-        # a declined file is still read to its end: is it plain, how many lines
-        for _ in it:
-            pass
-        if not plain:
-            return None
+        """A plain metric file (see the module docstring) read and accepted
+        in one loop over its runs, and its data lines counted; None if the
+        file is not plain, which sends it to the walker.  The first block
+        holds the header; every block's triples are checked (pair count,
+        pairs, ranks) and each rank goes straight into its pair's slot,
+        base[min(i, j)] + max(i, j) (pair_base).  A failed check drops the
+        vector, and the file is still read to its end: is it plain, how many
+        lines.  The metric is None if the vector was dropped or the rank
+        check fails: _explain then reports the first defect.  Never raises."""
+        n, lines, ranks = None, 0, None
+        for run in _runs(self._fh):
+            tok = _tokens(run, _PLAIN_BYTES)
+            if tok is None:
+                return None
+            run, starts, ends, fields = tok
+            if not starts.size:
+                continue
+            if ((ends - starts).max() > _PLAIN_DIGITS
+                    or fields[0] != (1 if n is None else 3) or np.any(fields[1:] != 3)):
+                return None
+            block = np.fromstring(run, dtype=np.int64, sep=" ")
+            lines += fields.size
+            del tok, run, starts, ends, fields  # not held while the ranks are written
+            if n is None:
+                n, block = int(block[0]), block[1:]
+                p = n * (n - 1) // 2
+                # every field is at least one byte, with a space or "\n" after it
+                if 1 <= n <= RANK_PAIRS_MAX_N and 1 + 3 * p <= (self._size + 1) // 2:
+                    # -1 marks an unfilled slot: p triples that fill every slot
+                    # name every pair once.  Ranks below p < 2**31 fit int32,
+                    # as RankedMetric keeps them.
+                    ranks, base = np.full(p, -1, dtype=np.int32), pair_base(n)
+            if ranks is None or not block.size:
+                continue
+            i, j, r = block.reshape(-1, 3).T
+            # every line but the header holds one pair, and no field is negative
+            if lines - 1 > p or max(i.max(), j.max()) >= n or np.any(i == j) or r.max() >= p:
+                ranks = None
+                continue
+            ranks[base[np.minimum(i, j)] + np.maximum(i, j)] = r
         self.lines = lines
-        return None if header is None else PlainScan(header, m)
+        if n is None:
+            return None
+        try:
+            return PlainScan(n, None if ranks is None else RankedMetric._of_ranks(n, ranks))
+        except ValueError:  # a slot left unfilled (a pair repeated or missing), or a repeated rank
+            return PlainScan(n, None)
 
     @cached_property
     def points_scan(self) -> PointSet | None:
@@ -331,8 +340,8 @@ def write_points(ps: PointSet) -> str:
 
 
 def parse_metric(text: str | Source) -> RankedMetric:
-    """The metric of a file: read by the acceptor from the run scan, or
-    else walked line by line (_explain), which words the first defect."""
+    """The metric of a file: read and accepted by the run scan, or else
+    walked line by line (_explain), which words the first defect."""
     src = _source(text)
     scan = src.plain_scan
     if scan is not None and scan.metric is not None:
@@ -340,50 +349,14 @@ def parse_metric(text: str | Source) -> RankedMetric:
     return _explain(src)
 
 
-def _metric(blocks: Iterator[np.ndarray], most: int) -> RankedMetric | None:
-    """The metric of a file's fields, read block by block (the header
-    first, then "i j rank" triples, each block holding whole triples), or
-    None if the header, the pair count, a pair or a rank fails a check:
-    _explain then reports the first defect.  Each rank goes straight into
-    its pair's slot of the pair-rank vector, base[min(i, j)] + max(i, j)
-    (pair_base), which the metric keeps.
-    most bounds the fields the file can hold, so a header the file is too
-    short for allocates nothing of size n(n-1)/2.  Never raises."""
-    head = next(blocks, None)
-    if head is None:
-        return None
-    n = int(head[0])
-    p = n * (n - 1) // 2
-    if not 1 <= n <= RANK_PAIRS_MAX_N or 1 + 3 * p > most:
-        return None
-    # -1 marks an unfilled slot: p triples that fill every slot name every
-    # pair once.  Ranks below p < 2**31 fit int32, as RankedMetric keeps them.
-    ranks = np.full(p, -1, dtype=np.int32)
-    base = pair_base(n)
-    got = 0
-    for block in chain((head[1:],), blocks):
-        i, j, r = block.reshape(-1, 3).T
-        got += r.size
-        if not r.size:
-            continue
-        if (got > p or min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n
-                or np.any(i == j) or r.min() < 0 or r.max() >= p):
-            return None
-        ranks[base[np.minimum(i, j)] + np.maximum(i, j)] = r
-    try:
-        return RankedMetric._of_ranks(n, ranks)
-    except ValueError:  # a slot left unfilled (a pair repeated or missing), or a repeated rank
-        return None
-
-
 def _explain(src: Source) -> RankedMetric:
     """A metric file walked line by line in file order, for a file the run
-    scan or the acceptor declined: raises the first defect, checking each
-    line for its field count, integers, pair range and a repeated pair, in
-    that order, after the pair-line count, which a pass that counted the
-    lines (plain_scan, the sniff's walk, or else a walk of its own) gives
-    before anything of size n(n-1)/2 is allocated.  Otherwise each rank goes
-    into its pair's slot of the pair-rank vector, as in the acceptor (a rank
+    scan declined: raises the first defect, checking each line for its
+    field count, integers, pair range and a repeated pair, in that order,
+    after the pair-line count, which a pass that counted the lines
+    (plain_scan, the sniff's walk, or else a walk of its own) gives before
+    anything of size n(n-1)/2 is allocated.  Otherwise each rank goes
+    into its pair's slot of the pair-rank vector, as in the run scan (a rank
     out of range as p, which no bijection holds), and the metric's rank
     check words a fault in the ranks alone."""
     if src.lines is None:

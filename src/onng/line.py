@@ -48,7 +48,8 @@ def gen_hard_line(k: int) -> PointSet:
 
 def truncate_hard_line(k: int, n: int) -> PointSet:
     """Leftmost n points of the (k+1)-th doubling set, for 2^k < n <= 2^(k+1)."""
-    if not 2**k < n <= 2 ** (k + 1):
+    # n's bit length, not 2**k: k comes from the command line, unbounded
+    if not (n >= 1 and (n - 1).bit_length() == k + 1):
         raise ValueError(f"need 2^{k} < n <= 2^{k + 1}, got n={n}")
     if k >= MAX_HARD_K:
         raise GuardError(f"k={k}, n={n} exceeds the size budget (n <= 2^{MAX_HARD_K} points)")

@@ -47,8 +47,9 @@ qualifies.  It is also the class's lexicographic minimum: a minimum lies in
 block 0, puts the least of those 2(n-2) ranks in the next flat slot,
 {0, 2}, and the ranks of {0, 3}, ..., {0, n-1} rising in the slots after.
 So the canonical scan and the canonical enumeration read block 0 alone,
-each chunk masked by that rule first, and every count is of
-representatives evaluated.  For n <= 2 a class is a single metric, the rule
+skip every head whose ranks of {0, 2}, ..., {0, n-1} do not rise, mask
+each other chunk by that rule first, and count only the representatives
+evaluated.  For n <= 2 a class is a single metric, the rule
 keeps every row, and the canonical scan is the full one.
 """
 
@@ -244,13 +245,16 @@ def _rank_rows(n: int, prefix: tuple[int, ...], canonical: bool = False) -> Iter
     """The flat rank vectors whose leading ranks are prefix, in lexicographic
     order, as int8 chunks of shape (B, n(n-1)/2): for each head of the first
     unused ranks, the other k <= 6 permuted by the table.  With ``canonical``
-    (n >= 2) a chunk keeps only the rows ``_representatives`` marks, and a
-    chunk left empty is skipped."""
+    (n >= 2, prefix (0,)) a head whose ranks of {0, 2}, {0, 3}, ... do not
+    rise is skipped, as ``_representatives`` keeps none of its rows; a chunk
+    keeps only the rows it marks, and a chunk left empty is skipped."""
     p = n * (n - 1) // 2
     rest = [v for v in range(p) if v not in prefix]
     k = min(len(rest), 6)
     table = _perm_table(k)
     for head in permutations(rest, len(rest) - k):
+        if canonical and any(a > b for a, b in zip(head, head[1 : n - 2])):
+            continue
         r = np.empty((len(table), p), dtype=np.int8)
         r[:, : len(prefix)] = prefix
         r[:, len(prefix) : p - k] = head

@@ -84,6 +84,15 @@ def test_metric_parser_accepts_any_line_order():
     assert m.rank(0, 1) == 1
 
 
+@pytest.mark.parametrize("line", ["2 2 2", "0 0 2"])
+def test_self_pair_is_refused_where_its_slot_is_the_missing_pair(line):
+    # base[a] + a is the slot of another pair, here the one the line replaced
+    # ({1, 2}, for a = 0 through the index -1), so every slot fills and only
+    # the self-pair check stops a metric being read
+    with pytest.raises(ValueError, match=rf"^line 4: bad pair \({line[0]}, {line[0]}\) for n=3$"):
+        parse_metric(f"3\n0 1 0\n0 2 1\n{line}\n")
+
+
 def test_metric_parser_rejects_defects():
     with pytest.raises(ValueError, match="header"):
         parse_metric("x\n")
@@ -1045,6 +1054,15 @@ def test_gen_hard_line_truncation_refusal_names_the_given_k_and_n(tmp_path):
     code, out, err = run_cli(["gen", "hard-line", "--k", "20", "--n", "1048577", "-o", str(target)])
     assert (code, out) == (2, "")
     assert err == "onng: refused: k=20, n=1048577 exceeds the size budget (n <= 2^20 points)\n"
+    assert not target.exists()
+
+
+def test_gen_hard_line_huge_k_is_refused_by_its_range(tmp_path):
+    # the range is checked on n's bit length: no 2^k is ever computed
+    target = tmp_path / "pts.txt"
+    code, out, err = run_cli(["gen", "hard-line", "--k", "100000000000", "--n", "5", "-o", str(target)])
+    assert (code, out) == (1, "")
+    assert err == "onng: error: need 2^100000000000 < n <= 2^100000000001, got n=5\n"
     assert not target.exists()
 
 

@@ -1,6 +1,7 @@
 """Line point sets: the doubling hard family and the halving order."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from onng import (
     PointSet,
     build_onng,
     gen_hard_line,
+    line,
     max_indegree,
     metric_from_points,
     order_line,
@@ -177,3 +179,37 @@ def test_truncate_hard_line_is_a_prefix():
             assert _coords(truncate_hard_line(k, n)) == full[:n]
     with pytest.raises(ValueError, match=r"k=20, n=1048577 exceeds the size budget"):
         truncate_hard_line(20, 2**20 + 1)
+
+
+def test_truncate_hard_line_range_check_matches_the_powers(monkeypatch):
+    # the bit-length check accepts exactly 2^k < n <= 2^(k+1), k < 0 too
+    class Passed(Exception):
+        pass
+
+    def passed(k):
+        raise Passed
+
+    monkeypatch.setattr(line, "gen_hard_line", passed)
+    for k in range(-4, 14):
+        for n in range(-4, 2**14 + 3):
+            try:
+                truncate_hard_line(k, n)
+            except Passed:
+                ok = True
+            except ValueError as e:
+                assert str(e) == f"need 2^{k} < n <= 2^{k + 1}, got n={n}"
+                ok = False
+            assert ok == (2**k < n <= 2 ** (k + 1)), (k, n)
+
+
+def test_truncate_hard_line_huge_k_allocates_no_power():
+    # k comes from the command line: 2^(10^7) alone would be 1.2 MiB
+    tracemalloc.start()
+    try:
+        truncate_hard_line(10**7, 5)
+    except ValueError as e:
+        peak = tracemalloc.get_traced_memory()[1]
+        assert str(e) == "need 2^10000000 < n <= 2^10000001, got n=5"
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12, peak

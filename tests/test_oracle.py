@@ -236,6 +236,22 @@ def test_canonical_search_starts_no_pool(monkeypatch):
         problem1_search(3, jobs=3)  # the full scan still spreads its blocks
 
 
+def test_canonical_scan_masks_only_rising_heads(monkeypatch):
+    # a head whose ranks of {0, 2}, {0, 3}, {0, 4} do not rise holds no
+    # representative, so at n = 5 only the C(9, 3) = 84 rising heads of the
+    # 504 are built and masked
+    calls = []
+
+    def counted(r, n):
+        calls.append(len(r))
+        return _representatives(r, n)
+
+    want = problem1_search(5, canonical=True, jobs=1)
+    monkeypatch.setattr(oracle, "_representatives", counted)
+    assert problem1_search(5, canonical=True, jobs=1) == want
+    assert len(calls) <= math.comb(9, 3), len(calls)
+
+
 def test_problem1_search_agrees_with_object_route_n3():
     # the vectorized scan and the per-metric Fraction oracle must agree
     sums = [problem1_sum(m) for m in enumerate_rank_metrics(3)]
